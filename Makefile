@@ -1,6 +1,6 @@
 .PHONY: build test bench bench-smoke bench-lp serve-smoke obs-smoke chaos-smoke \
   domains-smoke bench-exec scenarios-smoke bench-scenarios dist-smoke bench-dist \
-  reproduce goldens clean
+  perfbench-smoke reproduce goldens clean
 
 build:
 	dune build
@@ -246,6 +246,12 @@ bench-dist:
 	  && grep -q '"disagreements": 0' BENCH_dist.json \
 	  && echo "bench-dist: OK (BENCH_dist.json valid, merge agrees)" \
 	  || (echo "bench-dist: BAD artifact or merge disagreement" && exit 1)
+
+# The benchmark's own test: every perfbench workload at a tiny size, traced
+# and untraced, must pass its output checks and print exactly the metrics
+# BENCHMARK.json names.  Builds perfbench/main.exe into .bench_build.
+perfbench-smoke:
+	python3 perfbench/test_bench.py
 
 # Artifact-evaluation harness, first slice: rerun the deterministic
 # evaluation artifacts and diff them byte-for-byte against the committed

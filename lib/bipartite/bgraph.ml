@@ -1,16 +1,13 @@
 type edge = { u : int; v : int }
 type t = { nl : int; nr : int; edges : edge array }
 
-let create ~nl ~nr pairs =
-  let edges =
-    Array.map
-      (fun (u, v) ->
-        if u < 0 || u >= nl || v < 0 || v >= nr then
-          invalid_arg "Bgraph.create: endpoint out of range";
-        { u; v })
-      pairs
-  in
-  { nl; nr; edges }
+let check ~nl ~nr ({ u; v } as e) =
+  if u < 0 || u >= nl || v < 0 || v >= nr then
+    invalid_arg "Bgraph.create: endpoint out of range";
+  e
+
+let create ~nl ~nr pairs = { nl; nr; edges = Array.map (fun (u, v) -> check ~nl ~nr { u; v }) pairs }
+let init ~nl ~nr n f = { nl; nr; edges = Array.init n (fun i -> check ~nl ~nr (f i)) }
 
 let num_edges g = Array.length g.edges
 let edge g i = g.edges.(i)

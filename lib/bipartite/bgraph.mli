@@ -15,6 +15,10 @@ val create : nl:int -> nr:int -> (int * int) array -> t
 (** [create ~nl ~nr pairs] builds a graph whose edge [i] is [pairs.(i)].
     Raises [Invalid_argument] if an endpoint is out of range. *)
 
+val init : nl:int -> nr:int -> int -> (int -> edge) -> t
+(** [init ~nl ~nr n f] builds a graph whose edge [i] is [f i], calling [f]
+    on [0, 1, ..., n - 1] in order; validated as {!create}. *)
+
 val num_edges : t -> int
 val edge : t -> int -> edge
 

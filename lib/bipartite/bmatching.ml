@@ -1,33 +1,46 @@
 type t = { graph : Bgraph.t; left_copy : int array; right_copy : int array }
 
+(* One side of the expansion: vertex [u] owns expanded vertices
+   [off.(u), off.(u + 1)), max cap 1 of them, and [next.(u)] counts the
+   edges already assigned at [u]. *)
+type side = { cap : int array; off : int array; next : int array }
+type copies = { left : side; right : side }
+
+let side n cap =
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    if cap.(u) < 0 then invalid_arg "Bmatching.expand: negative capacity";
+    off.(u + 1) <- off.(u) + max cap.(u) 1
+  done;
+  { cap; off; next = Array.make n 0 }
+
+let copies ~nl ~nr ~cl ~cr = { left = side nl cl; right = side nr cr }
+
+(* The round-robin rule: the k-th edge at [u] goes to copy [k mod cap u]. *)
+let copy s u =
+  if s.cap.(u) = 0 then invalid_arg "Bmatching.expand: edge incident to zero-capacity vertex";
+  let k = s.next.(u) mod s.cap.(u) in
+  s.next.(u) <- s.next.(u) + 1;
+  s.off.(u) + k
+
+let size s = s.off.(Array.length s.off - 1)
+let copy_left c u = copy c.left u
+let copy_right c v = copy c.right v
+let expanded_nl c = size c.left
+let expanded_nr c = size c.right
+
 let expand (g : Bgraph.t) ~cl ~cr =
+  let c = copies ~nl:g.Bgraph.nl ~nr:g.Bgraph.nr ~cl ~cr in
   let ne = Bgraph.num_edges g in
-  let off_l = Array.make (g.Bgraph.nl + 1) 0 in
-  for u = 0 to g.Bgraph.nl - 1 do
-    if cl.(u) < 0 then invalid_arg "Bmatching.expand: negative capacity";
-    off_l.(u + 1) <- off_l.(u) + max cl.(u) 1
-  done;
-  let off_r = Array.make (g.Bgraph.nr + 1) 0 in
-  for v = 0 to g.Bgraph.nr - 1 do
-    if cr.(v) < 0 then invalid_arg "Bmatching.expand: negative capacity";
-    off_r.(v + 1) <- off_r.(v) + max cr.(v) 1
-  done;
-  let next_l = Array.make g.Bgraph.nl 0 and next_r = Array.make g.Bgraph.nr 0 in
   let left_copy = Array.make ne 0 and right_copy = Array.make ne 0 in
-  let pairs =
-    Array.init ne (fun e ->
-        let { Bgraph.u; v } = Bgraph.edge g e in
-        if cl.(u) = 0 || cr.(v) = 0 then
-          invalid_arg "Bmatching.expand: edge incident to zero-capacity vertex";
-        let ku = next_l.(u) mod cl.(u) and kv = next_r.(v) mod cr.(v) in
-        next_l.(u) <- next_l.(u) + 1;
-        next_r.(v) <- next_r.(v) + 1;
-        left_copy.(e) <- ku;
-        right_copy.(e) <- kv;
-        (off_l.(u) + ku, off_r.(v) + kv))
-  in
   let graph =
-    Bgraph.create ~nl:off_l.(g.Bgraph.nl) ~nr:off_r.(g.Bgraph.nr) pairs
+    Bgraph.init ~nl:(expanded_nl c) ~nr:(expanded_nr c) ne (fun e ->
+        let { Bgraph.u; v } = Bgraph.edge g e in
+        let u' = copy_left c u in
+        let v' = copy_right c v in
+        left_copy.(e) <- u' - c.left.off.(u);
+        right_copy.(e) <- v' - c.right.off.(v);
+        { Bgraph.u = u'; v = v' })
   in
   { graph; left_copy; right_copy }
 

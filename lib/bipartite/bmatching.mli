@@ -15,6 +15,31 @@ type t = {
 val expand : Bgraph.t -> cl:int array -> cr:int array -> t
 (** Capacities must be >= 1 for every vertex incident to an edge. *)
 
+(** {2 The expansion one edge at a time}
+
+    The copy rule {!expand} applies, exposed so a caller can expand edges
+    as it produces them instead of building the input graph first: vertex
+    [u] of capacity [c] becomes [max c 1] consecutive expanded vertices, and
+    the [k]-th edge at [u] goes to copy [k mod c].  Feeding a graph's edges
+    in index order reproduces {!expand}'s graph exactly. *)
+
+type copies
+
+val copies : nl:int -> nr:int -> cl:int array -> cr:int array -> copies
+(** Fresh counters for vertices [\[0, nl)] and [\[0, nr)].  Raises
+    [Invalid_argument] on a negative capacity, as {!expand}. *)
+
+val copy_left : copies -> int -> int
+(** [copy_left c u] is the expanded left vertex of the next edge at [u].
+    Raises [Invalid_argument] if [u] has capacity 0, as {!expand}. *)
+
+val copy_right : copies -> int -> int
+
+val expanded_nl : copies -> int
+(** Number of expanded left vertices. *)
+
+val expanded_nr : copies -> int
+
 val max_copy_degree : Bgraph.t -> cl:int array -> cr:int array -> int
 (** The maximum degree of the expanded graph:
     [max over vertices of ceil(degree / capacity)]. *)

@@ -1,16 +1,21 @@
 open Flowsched_switch
+module Bgraph = Flowsched_bipartite.Bgraph
+module Bmatching = Flowsched_bipartite.Bmatching
+module Weighted_matching = Flowsched_bipartite.Weighted_matching
 
 (* Matching-based policies run on the port-replicated expansion so that
    capacities > 1 are handled; with unit capacities the expansion is the
-   identity and the behaviour is exactly the paper's.  The expansion counts
-   flows rather than demand units, so for non-unit demands (outside the
-   paper's experimental setting) the candidate matching is filtered through
-   a demand-weighted capacity check, dropping the lightest-priority
-   overflow; with unit demands the filter never fires. *)
-let expanded_graph ctx =
-  let g = Policy.queue_graph ctx in
-  (Flowsched_bipartite.Bmatching.expand g ~cl:ctx.Policy.cap_in ~cr:ctx.Policy.cap_out)
-    .Flowsched_bipartite.Bmatching.graph
+   identity and the behaviour is exactly the paper's.  Each pending flow is
+   expanded as it is read ([Bmatching.copies], the rule [Bmatching.expand]
+   applies to [Policy.queue_graph]), so no graph of the queue itself is
+   built.  The expansion counts flows rather than demand units, so for
+   non-unit demands (outside the paper's experimental setting) the
+   candidate matching is filtered through a demand-weighted capacity check,
+   dropping the lightest-priority overflow; with unit demands the filter
+   never fires. *)
+let copies ctx =
+  Bmatching.copies ~nl:ctx.Policy.m ~nr:ctx.Policy.m' ~cl:ctx.Policy.cap_in
+    ~cr:ctx.Policy.cap_out
 
 let admit_feasible ctx candidates =
   let res_in = Array.copy ctx.Policy.cap_in and res_out = Array.copy ctx.Policy.cap_out in
@@ -31,20 +36,44 @@ let maxcard =
     Policy.name = "MaxCard";
     select =
       (fun ctx ->
-        if Array.length ctx.Policy.queue = 0 then []
-        else
-          admit_feasible ctx
-            (Flowsched_bipartite.Matching.max_cardinality (expanded_graph ctx)));
+        let queue = ctx.Policy.queue in
+        if Array.length queue = 0 then []
+        else begin
+          let c = copies ctx in
+          let g =
+            Bgraph.init ~nl:(Bmatching.expanded_nl c) ~nr:(Bmatching.expanded_nr c)
+              (Array.length queue) (fun i ->
+                let u = Bmatching.copy_left c queue.(i).Flow.src in
+                { Bgraph.u; v = Bmatching.copy_right c queue.(i).Flow.dst })
+          in
+          admit_feasible ctx (Flowsched_bipartite.Matching.max_cardinality g)
+        end);
   }
 
+(* One pass over the queue feeds the Hungarian each flow's expanded ends
+   and weight; [Weighted_matching.max_weight] on the expanded queue graph
+   would see the same edges in the same order, so the selection is the
+   same. *)
 let weighted_select ctx weight_of =
-  if Array.length ctx.Policy.queue = 0 then []
+  let queue = ctx.Policy.queue in
+  if Array.length queue = 0 then []
   else begin
-    let g = expanded_graph ctx in
-    let weights = Array.mapi (fun i _ -> weight_of i) ctx.Policy.queue in
-    let matched = Flowsched_bipartite.Weighted_matching.max_weight g weights in
+    let c = copies ctx in
+    let p =
+      Weighted_matching.problem ~nl:(Bmatching.expanded_nl c) ~nr:(Bmatching.expanded_nr c)
+        ~edges:(Array.length queue)
+    in
+    Array.iteri
+      (fun i (f : Flow.t) ->
+        let u = Bmatching.copy_left c f.Flow.src in
+        let v = Bmatching.copy_right c f.Flow.dst in
+        Weighted_matching.add_edge p u v (weight_of i))
+      queue;
+    let matched = Weighted_matching.solve p in
     (* keep the heaviest candidates when the demand filter has to drop any *)
-    let by_weight = List.sort (fun a b -> compare weights.(b) weights.(a)) matched in
+    let by_weight =
+      List.stable_sort (fun a b -> Float.compare (weight_of b) (weight_of a)) matched
+    in
     admit_feasible ctx by_weight
   end
 

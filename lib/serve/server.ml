@@ -1,5 +1,6 @@
 open Flowsched_switch
 module Bmatching = Flowsched_bipartite.Bmatching
+module Pending = Flowsched_online.Policy.Pending
 module Metrics = Flowsched_obs.Metrics
 module Trace = Flowsched_obs.Trace
 module J = Flowsched_util.Json
@@ -70,26 +71,10 @@ type outcome = {
 type mode = { admit : Flow.t list -> unit; step : int -> int list; count : unit -> int }
 
 let policy_mode (cfg : config) (policy : Flowsched_online.Policy.t) =
-  (* Mirrors Engine.drive exactly: pending list oldest-first, arrivals
-     appended at the back, filtered on schedule, with the queue array reused
-     across zero-churn slots. *)
-  let pending = ref [] in
-  let n = ref 0 in
-  let cache = ref [||] in
-  let stale = ref true in
-  let admit batch =
-    if batch <> [] then begin
-      pending := !pending @ batch;
-      n := !n + List.length batch;
-      stale := true
-    end
-  in
+  let pending = Pending.create () in
+  let admit batch = List.iter (Pending.push pending) batch in
   let step slot =
-    if !stale then begin
-      cache := Array.of_list !pending;
-      stale := false
-    end;
-    let queue = !cache in
+    let queue = Pending.queue pending in
     let ctx =
       {
         Flowsched_online.Policy.m = cfg.m;
@@ -100,18 +85,11 @@ let policy_mode (cfg : config) (policy : Flowsched_online.Policy.t) =
         queue;
       }
     in
-    match policy.Flowsched_online.Policy.select ctx with
-    | [] -> []
-    | selected ->
-        let chosen = Hashtbl.create 8 in
-        List.iter (fun i -> Hashtbl.replace chosen queue.(i).Flow.id ()) selected;
-        pending :=
-          List.filter (fun (f : Flow.t) -> not (Hashtbl.mem chosen f.Flow.id)) !pending;
-        n := !n - List.length selected;
-        stale := true;
-        List.map (fun i -> queue.(i).Flow.release) selected
+    let selected = policy.Flowsched_online.Policy.select ctx in
+    Pending.remove pending selected;
+    List.map (fun i -> queue.(i).Flow.release) selected
   in
-  { admit; step; count = (fun () -> !n) }
+  { admit; step; count = (fun () -> Pending.length pending) }
 
 let incremental_mode (cfg : config) =
   let inc =

@@ -1,6 +1,7 @@
 open Flowsched_switch
 module Metrics = Flowsched_obs.Metrics
 module Trace = Flowsched_obs.Trace
+module Pending = Flowsched_online.Policy.Pending
 
 let c_rounds = Metrics.counter "engine.rounds"
 let c_idle_rounds = Metrics.counter "engine.idle_rounds"
@@ -26,32 +27,23 @@ let drive ?(validate = true) ?endpoint ?(max_rounds = 100_000) ~m ~m' ~cap_in ~c
   Trace.with_span "engine.drive" (fun () ->
   let all_flows = ref [] in
   let assignment = ref [] in
-  (* queue as a list of flows, oldest first *)
-  let pending = ref [] in
+  let pending = Pending.create () in
   let round = ref 0 in
   let rounds_idle = ref 0 in
   let makespan = ref 0 in
-  (* The queue array is a function of [pending]; on zero-churn rounds (no
-     arrivals, nothing scheduled last round) it is unchanged, so reuse it
-     instead of rebuilding — at deep backlog the rebuild dominated rounds
-     where the policy was starved anyway. *)
-  let queue_cache = ref [||] in
-  let queue_stale = ref true in
-  while (more !round && !round < max_rounds) || !pending <> [] do
+  (* validation marks over the queue, clear between rounds *)
+  let seen = ref Bytes.empty in
+  while (more !round && !round < max_rounds) || Pending.length pending > 0 do
     if !round >= max_rounds then
-      raise (Horizon_exceeded { round = !round; pending = List.length !pending });
-    let arrivals = if more !round then arrive !round !pending else [] in
-    List.iter (fun (f : Flow.t) -> all_flows := f :: !all_flows) arrivals;
+      raise (Horizon_exceeded { round = !round; pending = Pending.length pending });
+    let arrivals = if more !round then arrive !round pending else [] in
+    List.iter
+      (fun (f : Flow.t) ->
+        all_flows := f :: !all_flows;
+        Pending.push pending f)
+      arrivals;
     Metrics.incr ~by:(List.length arrivals) c_flows;
-    if arrivals <> [] then begin
-      pending := !pending @ arrivals;
-      queue_stale := true
-    end;
-    if !queue_stale then begin
-      queue_cache := Array.of_list !pending;
-      queue_stale := false
-    end;
-    let queue = !queue_cache in
+    let queue = Pending.queue pending in
     Metrics.incr c_rounds;
     Metrics.observe h_queue_len (float_of_int (Array.length queue));
     let ctx =
@@ -66,15 +58,18 @@ let drive ?(validate = true) ?endpoint ?(max_rounds = 100_000) ~m ~m' ~cap_in ~c
     in
     let selected = policy.Flowsched_online.Policy.select ctx in
     if validate then begin
-      let seen = Hashtbl.create 8 in
+      if Bytes.length !seen < Array.length queue then
+        seen := Bytes.make (max (Array.length queue) (2 * Bytes.length !seen)) '\000';
+      let marks = !seen in
       List.iter
         (fun i ->
           if i < 0 || i >= Array.length queue then
             raise (Policy_violation (Printf.sprintf "index %d out of queue range" i));
-          if Hashtbl.mem seen i then
+          if Bytes.get marks i <> '\000' then
             raise (Policy_violation (Printf.sprintf "index %d selected twice" i));
-          Hashtbl.add seen i ())
+          Bytes.set marks i '\001')
         selected;
+      List.iter (fun i -> Bytes.set marks i '\000') selected;
       if not (Flowsched_online.Policy.feasible_selection ctx selected) then
         raise
           (Policy_violation
@@ -91,17 +86,11 @@ let drive ?(validate = true) ?endpoint ?(max_rounds = 100_000) ~m ~m' ~cap_in ~c
       incr rounds_idle;
       Metrics.incr c_idle_rounds
     end;
-    let chosen = Hashtbl.create 8 in
-    List.iter (fun i -> Hashtbl.replace chosen queue.(i).Flow.id ()) selected;
     if selected <> [] then makespan := !round + 1;
     List.iter
       (fun i -> assignment := (queue.(i).Flow.id, !round) :: !assignment)
       selected;
-    if selected <> [] then begin
-      pending :=
-        List.filter (fun (f : Flow.t) -> not (Hashtbl.mem chosen f.Flow.id)) !pending;
-      queue_stale := true
-    end;
+    Pending.remove pending selected;
     incr round
   done;
   (* Index flows by id so slots.(id) and flows.(id) line up regardless of
@@ -135,7 +124,7 @@ let run_instance ?validate ?endpoint ?max_rounds (policy : Flowsched_online.Poli
       Hashtbl.replace by_release f.Flow.release (f :: cur))
     inst.Instance.flows;
   let last = Instance.last_release inst in
-  let arrive round _pending =
+  let arrive round _ =
     match Hashtbl.find_opt by_release round with
     | Some flows -> List.rev flows
     | None -> []
@@ -158,7 +147,7 @@ let run_adaptive ?validate ?max_rounds ~m ~m' ?cap_in ?cap_out ~arrivals ~stop_a
   let cap_out = match cap_out with Some c -> c | None -> Array.make m' 1 in
   let next_id = ref 0 in
   let arrive round pending =
-    let specs = arrivals ~round ~pending in
+    let specs = arrivals ~round ~pending:(Pending.to_list pending) in
     List.map
       (fun (src, dst, demand) ->
         let id = !next_id in

@@ -160,6 +160,34 @@ let prop_hungarian_matches_brute_force =
       Bgraph.is_matching g m
       && abs_float (Weighted_matching.weight_of w m -. brute_max_weight g w) < 1e-9)
 
+(* The tie-break contract: on multigraphs with parallel edges and small
+   integer weights, where many matchings share the maximum weight, the
+   library returns exactly the reference's edge list, order included.  The
+   weight property above would accept any maximum matching. *)
+let prop_max_weight_matches_reference =
+  QCheck2.Test.make ~name:"max_weight = reference, order included" ~count:500
+    QCheck2.Gen.(quad (int_bound 1_000_000) (int_range 1 8) (int_range 1 8) (int_range 0 24))
+    (fun (seed, nl, nr, ne) ->
+      let g = random_graph seed ~nl ~nr ~ne in
+      let prng = Flowsched_util.Prng.create (seed + 1) in
+      let w = Array.init ne (fun _ -> float_of_int (Flowsched_util.Prng.int prng 5 - 1)) in
+      Weighted_matching.max_weight g w = Reference.max_weight g w)
+
+let disjoint_pair = Bgraph.create ~nl:2 ~nr:2 [| (0, 0); (1, 1) |]
+
+let test_hungarian_rejects_infinity () =
+  Alcotest.check_raises "infinity" (Invalid_argument "Weighted_matching: non-finite weight")
+    (fun () -> ignore (Weighted_matching.max_weight disjoint_pair [| infinity; 1. |]));
+  Alcotest.check_raises "neg_infinity" (Invalid_argument "Weighted_matching: non-finite weight")
+    (fun () -> ignore (Weighted_matching.max_weight disjoint_pair [| 1.; neg_infinity |]));
+  (* the abandoned problem leaves nothing behind in the reused buffers *)
+  Alcotest.(check (list int)) "next problem unaffected" [ 1; 0 ]
+    (Weighted_matching.max_weight disjoint_pair [| 2.; 1. |])
+
+let test_hungarian_rejects_nan () =
+  Alcotest.check_raises "nan" (Invalid_argument "Weighted_matching: non-finite weight")
+    (fun () -> ignore (Weighted_matching.max_weight disjoint_pair [| nan; 1. |]))
+
 (* --- edge coloring --- *)
 
 let test_coloring_small () =
@@ -231,6 +259,9 @@ let test_expand_round_robin () =
   (* 4 edges over 2 copies: each copy has degree 2 *)
   let dl, _ = Bgraph.degrees exp.Bmatching.graph in
   Alcotest.(check (array int)) "balanced copies" [| 2; 2 |] dl;
+  (* the schedules of the matching heuristics depend on this exact rule *)
+  Alcotest.(check (array int)) "k-th edge to copy k mod cap" [| 0; 1; 0; 1 |]
+    exp.Bmatching.left_copy;
   Alcotest.(check int) "max copy degree" 2
     (Bmatching.max_copy_degree g ~cl:[| 2 |] ~cr:[| 1; 1; 1; 1 |])
 
@@ -397,6 +428,7 @@ let () =
       [
         prop_hk_matches_brute_force;
         prop_hungarian_matches_brute_force;
+        prop_max_weight_matches_reference;
         prop_coloring_proper_and_tight;
         prop_bvn_classes_are_matchings;
         prop_b_matching_decomposition;
@@ -427,6 +459,8 @@ let () =
           Alcotest.test_case "negative edge skipped" `Quick test_hungarian_prefers_unmatched_over_negative;
           Alcotest.test_case "rectangular" `Quick test_hungarian_rectangular;
           Alcotest.test_case "parallel edges" `Quick test_hungarian_parallel_edges;
+          Alcotest.test_case "rejects infinite weights" `Quick test_hungarian_rejects_infinity;
+          Alcotest.test_case "rejects nan weights" `Quick test_hungarian_rejects_nan;
         ] );
       ( "edge-coloring",
         [

@@ -277,10 +277,48 @@ let prop_minrtime_bounded_unfairness =
       let ff = Engine.run_instance Heuristics.fifo inst in
       Engine.max_response mr <= Engine.max_response ff + 2)
 
+(* A pending queue on a small switch with capacities 1-3 and demands 1-3:
+   few ports and many flows, so parallel flows and equal weights abound. *)
+let random_context seed =
+  let g = Flowsched_util.Prng.create seed in
+  let int lo hi = lo + Flowsched_util.Prng.int g (hi - lo + 1) in
+  let m = int 1 4 and m' = int 1 4 in
+  let round = int 0 6 in
+  let queue =
+    Array.init (int 0 24) (fun id ->
+        Flow.make ~id ~src:(int 0 (m - 1)) ~dst:(int 0 (m' - 1)) ~demand:(int 1 3)
+          ~release:(int 0 round) ())
+  in
+  {
+    Policy.m;
+    m';
+    cap_in = Array.init m (fun _ -> int 1 3);
+    cap_out = Array.init m' (fun _ -> int 1 3);
+    round;
+    queue;
+  }
+
+(* The matching policies select exactly what the reference pipeline does
+   (queue graph, expansion, array-of-arrays Hungarian or Hopcroft-Karp,
+   sort by weight, admission), the same indices in the same order. *)
+let prop_selections_match_reference =
+  QCheck2.Test.make ~name:"matching policies = reference pipeline" ~count:500
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let ctx = random_context seed in
+      Heuristics.minrtime.Policy.select ctx = Reference.minrtime ctx
+      && Heuristics.maxweight.Policy.select ctx = Reference.maxweight ctx
+      && Heuristics.maxcard.Policy.select ctx = Reference.maxcard ctx)
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_amrt_competitive; prop_policies_always_feasible; prop_minrtime_bounded_unfairness ]
+      [
+        prop_amrt_competitive;
+        prop_policies_always_feasible;
+        prop_minrtime_bounded_unfairness;
+        prop_selections_match_reference;
+      ]
   in
   Alcotest.run "flowsched_online"
     [

@@ -11,27 +11,32 @@ module Heuristics = Flowsched_online.Heuristics
 let stream_source ~m ~rate ~slots ~seed =
   Source.of_stream (Workload.stream Workload.Uniform ~m ~rate ~seed) ~horizon:slots
 
-(* The headline satellite: a 1e5-slot bounded-memory serve run must
-   reproduce the batch engine's aggregate statistics on the same trace.
-   Policy-mode serve mirrors Engine.drive (pending order, release = slot of
-   admission, makespan and idle accounting), and Source.of_instance replays
-   the instance's flows at their release slots, so every streamed statistic
-   must equal its batch counterpart exactly. *)
+(* A 1e5-slot bounded-memory serve run must reproduce the batch engine's
+   aggregate statistics on the same trace, for each matching policy.
+   Policy-mode serve and Engine.drive keep the same pending queue
+   (Policy.Pending: oldest first, release = slot of admission) and
+   Source.of_instance replays the instance's flows at their release slots,
+   so every streamed statistic must equal its batch counterpart exactly. *)
 let test_serve_matches_engine () =
   let inst = Workload.poisson ~m:4 ~rate:2.0 ~rounds:100_000 ~seed:3 in
-  let r = Engine.run_instance ~max_rounds:300_000 Heuristics.maxcard inst in
-  let cfg = Server.config ~m:4 ~m':4 () in
-  let o = Server.run cfg (Server.Policy Heuristics.maxcard) (Source.of_instance inst) in
-  Alcotest.(check int) "arrived" (Instance.n inst) o.Server.arrived;
-  Alcotest.(check int) "completed" (Instance.n inst) o.Server.completed;
-  Alcotest.(check int) "sum response"
-    (Array.fold_left ( + ) 0 r.Engine.responses)
-    o.Server.sum_response;
-  Alcotest.(check int) "max response" (Engine.max_response r) o.Server.max_response;
-  Alcotest.(check int) "makespan" r.Engine.makespan o.Server.makespan;
-  Alcotest.(check int) "idle slots" r.Engine.rounds_idle o.Server.idle_slots;
-  Alcotest.(check int) "nothing left" 0 (o.Server.final_pending + o.Server.final_buffered);
-  Alcotest.(check bool) "1e5 slots sustained" true (o.Server.slots >= 100_000)
+  List.iter
+    (fun (p : Flowsched_online.Policy.t) ->
+      let name what = p.Flowsched_online.Policy.name ^ " " ^ what in
+      let r = Engine.run_instance ~max_rounds:300_000 p inst in
+      let cfg = Server.config ~m:4 ~m':4 () in
+      let o = Server.run cfg (Server.Policy p) (Source.of_instance inst) in
+      Alcotest.(check int) (name "arrived") (Instance.n inst) o.Server.arrived;
+      Alcotest.(check int) (name "completed") (Instance.n inst) o.Server.completed;
+      Alcotest.(check int) (name "sum response")
+        (Array.fold_left ( + ) 0 r.Engine.responses)
+        o.Server.sum_response;
+      Alcotest.(check int) (name "max response") (Engine.max_response r) o.Server.max_response;
+      Alcotest.(check int) (name "makespan") r.Engine.makespan o.Server.makespan;
+      Alcotest.(check int) (name "idle slots") r.Engine.rounds_idle o.Server.idle_slots;
+      Alcotest.(check int) (name "nothing left") 0
+        (o.Server.final_pending + o.Server.final_buffered);
+      Alcotest.(check bool) (name "1e5 slots sustained") true (o.Server.slots >= 100_000))
+    Heuristics.all_paper_heuristics
 
 (* The outcome is all-integer, so a fixed seed must give byte-identical
    results even though status snapshots and metrics carry wall-clock time. *)
@@ -49,23 +54,31 @@ let test_byte_stable () =
 
 (* Backpressure: a tiny buffer and pending cap stall the source, but every
    generated flow is still eventually admitted and completed — the stream
-   only advances when the server pulls, so nothing is dropped. *)
+   only advances when the server pulls, so nothing is dropped.  Checked on
+   both cores; the Policy core's pending queue then sits at its cap, far
+   below the backlog the stream would otherwise build. *)
 let test_backpressure_lossless () =
-  let constrained =
-    let cfg = Server.config ~m:4 ~m':4 ~queue_cap:2 ~buffer_cap:1 () in
-    Server.run cfg Server.Incremental (stream_source ~m:4 ~rate:3.5 ~slots:2_000 ~seed:17)
-  in
-  let unconstrained =
-    let cfg = Server.config ~m:4 ~m':4 () in
-    Server.run cfg Server.Incremental (stream_source ~m:4 ~rate:3.5 ~slots:2_000 ~seed:17)
-  in
-  Alcotest.(check bool) "source stalled" true (constrained.Server.stalled_slots > 0);
-  Alcotest.(check int) "same flows arrive" unconstrained.Server.arrived
-    constrained.Server.arrived;
-  Alcotest.(check int) "all complete" constrained.Server.arrived constrained.Server.completed;
-  Alcotest.(check bool) "queue cap respected" true (constrained.Server.peak_pending <= 2);
-  Alcotest.(check int) "drained" 0
-    (constrained.Server.final_pending + constrained.Server.final_buffered)
+  List.iter
+    (fun core ->
+      let constrained =
+        let cfg = Server.config ~m:4 ~m':4 ~queue_cap:2 ~buffer_cap:1 () in
+        Server.run cfg core (stream_source ~m:4 ~rate:3.5 ~slots:2_000 ~seed:17)
+      in
+      let unconstrained =
+        let cfg = Server.config ~m:4 ~m':4 () in
+        Server.run cfg core (stream_source ~m:4 ~rate:3.5 ~slots:2_000 ~seed:17)
+      in
+      Alcotest.(check bool) "source stalled" true (constrained.Server.stalled_slots > 0);
+      Alcotest.(check bool) "backlog beyond the cap" true
+        (unconstrained.Server.peak_pending > 2);
+      Alcotest.(check int) "same flows arrive" unconstrained.Server.arrived
+        constrained.Server.arrived;
+      Alcotest.(check int) "all complete" constrained.Server.arrived
+        constrained.Server.completed;
+      Alcotest.(check bool) "queue cap respected" true (constrained.Server.peak_pending <= 2);
+      Alcotest.(check int) "drained" 0
+        (constrained.Server.final_pending + constrained.Server.final_buffered))
+    [ Server.Incremental; Server.Policy Heuristics.maxweight ]
 
 (* Both cores see the same seeded arrival stream and must drain it fully;
    their schedules may legitimately differ, their throughput may not. *)
