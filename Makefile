@@ -261,6 +261,10 @@ perfbench-smoke:
 # intentional change with `make goldens` and commit the diff.
 REPRO_SERVE = serve --core incremental --workload uniform -m 8 --rate 6 \
   --slots 20000 --seed 7 --status-every 0 --json
+# Figures 6/7 at paper scale: the only leg wide enough (150 ports) to reach
+# the sparse Hungarian; the grids above run on at most 8 ports.
+WIDE_GRID = --kinds poisson -m 150 --rates 300 --rounds 10 --seeds 1,2 \
+  --policies minrtime,maxweight --jobs 2
 
 reproduce: build
 	@rm -f _repro_*.json _repro_*.f
@@ -273,6 +277,11 @@ reproduce: build
 	@diff goldens/sweep.filtered.json _repro_sweep.f >/dev/null \
 	  && echo "reproduce: sweep artifact matches golden (timing lines excluded)" \
 	  || (echo "reproduce: sweep artifact diverges from goldens/sweep.filtered.json" && exit 1)
+	_build/default/bin/main.exe sweep $(WIDE_GRID) --out _repro_wide.json 2>/dev/null
+	@$(CHAOS_FILTER) _repro_wide.json > _repro_wide.f
+	@diff goldens/sweep-wide.filtered.json _repro_wide.f >/dev/null \
+	  && echo "reproduce: wide sweep artifact matches golden (timing lines excluded)" \
+	  || (echo "reproduce: wide sweep artifact diverges from goldens/sweep-wide.filtered.json" && exit 1)
 	_build/default/bin/main.exe $(REPRO_SERVE) > _repro_serve.json 2>/dev/null
 	@cmp goldens/serve.json _repro_serve.json \
 	  && echo "reproduce: serve outcome matches golden" \
@@ -286,7 +295,9 @@ goldens: build
 	_build/default/bin/main.exe matrix $(MATRIX_GRID) --jobs 2 --out goldens/matrix.json 2>/dev/null
 	_build/default/bin/main.exe sweep $(CHAOS_GRID) --out _golden_sweep.json 2>/dev/null
 	@$(CHAOS_FILTER) _golden_sweep.json > goldens/sweep.filtered.json
-	@rm -f _golden_sweep.json
+	_build/default/bin/main.exe sweep $(WIDE_GRID) --out _golden_wide.json 2>/dev/null
+	@$(CHAOS_FILTER) _golden_wide.json > goldens/sweep-wide.filtered.json
+	@rm -f _golden_sweep.json _golden_wide.json
 	_build/default/bin/main.exe $(REPRO_SERVE) > goldens/serve.json 2>/dev/null
 	@echo "goldens regenerated — review and commit goldens/"
 

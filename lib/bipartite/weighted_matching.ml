@@ -32,6 +32,46 @@ let number side x =
   end;
   side.id.(x)
 
+(* Problems whose declared size [dim] is at least this go to the sparse
+   solver, smaller ones to the dense matrix.  On the problems MinRTime and
+   MaxWeight pose on Poisson traffic, sparse over dense time per call was
+   1.01-1.07 at 20 ports and 0.93-0.97 at 22 (DESIGN.md, "Two Hungarian
+   solvers"). *)
+let sparse_from = 22
+
+(* The sparse solver's buffers.  As in the dense loop, rows and columns
+   are 1-indexed and column 0 is the virtual column holding the row a
+   phase inserts. *)
+type sparse = {
+  mutable kept : int;  (* the edges of non-negative weight, in id order *)
+  mutable erow : int array;  (* left number *)
+  mutable ecol : int array;  (* column *)
+  mutable ew : float array;
+  mutable eid : int array;
+  mutable start : int array;  (* row r's pairs are [start.(r - 1), start.(r)) *)
+  mutable pcol : int array;
+  mutable pcost : float array;  (* the pair's heaviest weight, then its cost *)
+  mutable pid : int array;  (* the pair's edge: the heaviest, the first on ties *)
+  mutable tick : int;  (* stamps only grow, so [mark] and [used] need no clearing *)
+  mutable mark : int array;  (* column: stamp of the row being reduced, *)
+  mutable slot : int array;  (* and the column's pair in that row *)
+  mutable used : int array;  (* column: stamp of the phase it joined the tree in *)
+  mutable step : int array;  (* column: the step it joined at *)
+  mutable joined : float array;  (* column: the running total of deltas then *)
+  mutable tree : int array;  (* step -> column *)
+  mutable key : float array;  (* column: least pair key from the tree, infinity if none *)
+  mutable wit : int array;  (* column: tree column of the first row reaching [key] *)
+  mutable reached : int array;  (* the columns whose [key] this phase set *)
+  mutable bkey : float array;  (* block of columns: least [key] in it, *)
+  mutable bcol : int array;  (* and the least column having it *)
+  mutable u : float array;
+  mutable v : float array;
+  mutable p : int array;
+  mutable way : int array;
+  mutable heap : int array;  (* columns, largest v first, then least column *)
+  mutable pos : int array;  (* column: its place in [heap], -1 while off it *)
+}
+
 (* One domain's buffers, reused by every problem it solves: the online
    heuristics solve one problem per slot, and an n x n matrix allocated per
    call would be garbage for the major heap every slot.  The domains backend
@@ -44,12 +84,22 @@ type problem = {
   mutable dim : int;  (* bound on either side's count: the matrices' stride *)
   mutable cost : float array;  (* dim x dim, row-major: best weight, then cost *)
   mutable best : int array;  (* witness edge per numbered pair, -1 for none *)
+  sp : sparse;
 }
 
 let buffers =
   Domain.DLS.new_key (fun () ->
       let side () = { range = 0; id = [||]; vertex = [||]; count = 0 } in
-      { left = side (); right = side (); room = 0; ne = 0; dim = 0; cost = [||]; best = [||] })
+      let sp =
+        {
+          kept = 0; erow = [||]; ecol = [||]; ew = [||]; eid = [||]; start = [||];
+          pcol = [||]; pcost = [||]; pid = [||]; tick = 0; mark = [||]; slot = [||];
+          used = [||]; step = [||]; joined = [||]; tree = [||]; key = [||]; wit = [||];
+          reached = [||]; bkey = [||]; bcol = [||]; u = [||]; v = [||]; p = [||]; way = [||];
+          heap = [||]; pos = [||];
+        }
+      in
+      { left = side (); right = side (); room = 0; ne = 0; dim = 0; cost = [||]; best = [||]; sp })
 
 let problem ~nl ~nr ~edges =
   if nl < 0 || nr < 0 || edges < 0 then invalid_arg "Weighted_matching.problem: negative size";
@@ -58,10 +108,20 @@ let problem ~nl ~nr ~edges =
   reset s.right nr;
   (* Each side numbers at most min (vertices, edges) vertices. *)
   let dim = max (min nl edges) (min nr edges) in
-  s.cost <- grow s.cost (dim * dim) 0.;
-  s.best <- grow s.best (dim * dim) (-1);
-  Array.fill s.cost 0 (dim * dim) 0.;
-  Array.fill s.best 0 (dim * dim) (-1);
+  if dim >= sparse_from then begin
+    let t = s.sp in
+    t.erow <- grow t.erow edges 0;
+    t.ecol <- grow t.ecol edges 0;
+    t.ew <- grow t.ew edges 0.;
+    t.eid <- grow t.eid edges 0;
+    t.kept <- 0
+  end
+  else begin
+    s.cost <- grow s.cost (dim * dim) 0.;
+    s.best <- grow s.best (dim * dim) (-1);
+    Array.fill s.cost 0 (dim * dim) 0.;
+    Array.fill s.best 0 (dim * dim) (-1)
+  end;
   s.room <- edges;
   s.ne <- 0;
   s.dim <- dim;
@@ -69,17 +129,31 @@ let problem ~nl ~nr ~edges =
 
 (* Each numbered pair keeps its best non-negative weight and witness edge,
    the first edge winning ties; pairs without an edge keep weight 0, which
-   encodes "leave unmatched". *)
+   encodes "leave unmatched".  The sparse solver keeps the edges and picks
+   the same witnesses when it reduces them. *)
 let add_edge s u v w =
   if u < 0 || u >= s.left.range || v < 0 || v >= s.right.range then
     invalid_arg "Weighted_matching.add_edge: endpoint out of range";
   if not (Float.is_finite w) then invalid_arg "Weighted_matching: non-finite weight";
   if s.ne >= s.room then invalid_arg "Weighted_matching.add_edge: more edges than declared";
   let i = number s.left u in
-  let k = (i * s.dim) + number s.right v in
-  if w >= 0. && (s.best.(k) = -1 || w > s.cost.(k)) then begin
-    s.cost.(k) <- w;
-    s.best.(k) <- s.ne
+  let j = number s.right v in
+  if s.dim >= sparse_from then begin
+    if w >= 0. then begin
+      let t = s.sp and k = s.sp.kept in
+      t.erow.(k) <- i;
+      t.ecol.(k) <- j + 1;
+      t.ew.(k) <- w;
+      t.eid.(k) <- s.ne;
+      t.kept <- k + 1
+    end
+  end
+  else begin
+    let k = (i * s.dim) + j in
+    if w >= 0. && (s.best.(k) = -1 || w > s.cost.(k)) then begin
+      s.cost.(k) <- w;
+      s.best.(k) <- s.ne
+    end
   end;
   s.ne <- s.ne + 1
 
@@ -141,33 +215,305 @@ let hungarian cost dim n =
   done;
   p
 
-let solve s =
-  if s.ne = 0 then []
+let solve_dense s =
+  let n = max s.left.count s.right.count and dim = s.dim and cost = s.cost in
+  let wmax = ref 0. in
+  for i = 0 to n - 1 do
+    for k = i * dim to (i * dim) + n - 1 do
+      if not (!wmax >= cost.(k)) then wmax := cost.(k)
+    done
+  done;
+  (* Assignment cost: wmax - weight, so maximizing weight = minimizing cost. *)
+  for i = 0 to n - 1 do
+    for k = i * dim to (i * dim) + n - 1 do
+      cost.(k) <- !wmax -. cost.(k)
+    done
+  done;
+  let p = hungarian cost dim n in
+  let result = ref [] in
+  for j = 1 to n do
+    let i = p.(j) in
+    if i >= 1 then begin
+      let e = s.best.(((i - 1) * dim) + j - 1) in
+      if e >= 0 then result := e :: !result
+    end
+  done;
+  !result
+
+(* The column heap holds columns in [heap], largest v first, then least
+   column; [pos] maps a column to its place. *)
+let col_before (v : float array) a b = v.(a) > v.(b) || (v.(a) = v.(b) && a < b)
+
+(* Puts column [c] in the heap's place [i], then moves it up or down to
+   where it belongs among the [size] places. *)
+let col_place heap pos v size c i =
+  let i = ref i and moving = ref true in
+  while !i > 0 && col_before v c heap.((!i - 1) / 2) do
+    let q = (!i - 1) / 2 in
+    heap.(!i) <- heap.(q);
+    pos.(heap.(!i)) <- !i;
+    i := q
+  done;
+  while !moving do
+    let l = (2 * !i) + 1 in
+    let m = if l + 1 < size && col_before v heap.(l + 1) heap.(l) then l + 1 else l in
+    if m < size && col_before v heap.(m) c then begin
+      heap.(!i) <- heap.(m);
+      pos.(heap.(!i)) <- !i;
+      i := m
+    end
+    else moving := false
+  done;
+  heap.(!i) <- c;
+  pos.(c) <- !i
+
+(* Buckets the kept edges by row, in id order within a row, and reduces
+   each row to one pair per column: the heaviest edge, the first on ties.
+   Returns the number of pairs. *)
+let reduce t rows =
+  let kept = t.kept in
+  t.start <- grow t.start (rows + 2) 0;
+  t.pcol <- grow t.pcol kept 0;
+  t.pcost <- grow t.pcost kept 0.;
+  t.pid <- grow t.pid kept 0;
+  let start = t.start in
+  Array.fill start 0 (rows + 2) 0;
+  for k = 0 to kept - 1 do
+    start.(t.erow.(k) + 2) <- start.(t.erow.(k) + 2) + 1
+  done;
+  for r = 2 to rows + 1 do
+    start.(r) <- start.(r) + start.(r - 1)
+  done;
+  (* start.(r + 1) is where row r begins; placing its edges moves it to
+     where row r ends *)
+  for k = 0 to kept - 1 do
+    let r = t.erow.(k) + 1 in
+    let q = start.(r) in
+    t.pcol.(q) <- t.ecol.(k);
+    t.pcost.(q) <- t.ew.(k);
+    t.pid.(q) <- t.eid.(k);
+    start.(r) <- q + 1
+  done;
+  (* compact each row in place, recording where it now ends *)
+  let out = ref 0 and k = ref 0 in
+  for r = 1 to rows do
+    let hi = start.(r) in
+    start.(r - 1) <- !out;
+    t.tick <- t.tick + 1;
+    while !k < hi do
+      let j = t.pcol.(!k) in
+      if t.mark.(j) = t.tick then begin
+        let q = t.slot.(j) in
+        if t.pcost.(!k) > t.pcost.(q) then begin
+          t.pcost.(q) <- t.pcost.(!k);
+          t.pid.(q) <- t.pid.(!k)
+        end
+      end
+      else begin
+        t.mark.(j) <- t.tick;
+        t.slot.(j) <- !out;
+        t.pcol.(!out) <- j;
+        t.pcost.(!out) <- t.pcost.(!k);
+        t.pid.(!out) <- t.pid.(!k);
+        incr out
+      end;
+      incr k
+    done
+  done;
+  start.(rows) <- !out;
+  !out
+
+(* log2 of the columns in a block of the pair-key minimum. *)
+let block = 3
+
+(* The dense loop's decisions without its O(n) work per tree step.  Write
+   D for the running total of the deltas in a phase.  A row joining the
+   tree at total D_r with potential u_r reaches column j at key
+   cost + (D_r - u_r) - v_j, which stays put while the tree grows: the
+   dense loop's minv.(j) is the least key over the tree rows minus D.  So
+   a joining row lowers the keys of its own pairs, each block of 8
+   columns keeps its least key, and a column it has no pair with costs W,
+   whose least key over the tree is W + min (D_r - u_r) - v_j: the best
+   such column is the unused one of largest v, the top of the column heap.
+   The least key wins, then the least column; [way] gets the
+   earliest-joined row reaching the winner's key, as the dense loop's
+   strict comparison keeps it.  The winner's key is the new D, and tree
+   rows and columns settle u and v when the phase ends.  With integer
+   weights every value is an exact integer, so each comparison, and hence
+   the assignment, is the dense loop's. *)
+let solve_sparse s =
+  let t = s.sp and rows = s.left.count in
+  let n = max rows s.right.count in
+  if Array.length t.u < n + 1 then begin
+    let cap = max (n + 1) (3 * Array.length t.u / 2) in
+    t.mark <- Array.make cap 0;
+    t.slot <- Array.make cap 0;
+    t.used <- Array.make cap 0;
+    t.step <- Array.make cap 0;
+    t.joined <- Array.make cap 0.;
+    t.tree <- Array.make cap 0;
+    t.key <- Array.make cap infinity;
+    t.wit <- Array.make cap 0;
+    t.reached <- Array.make cap 0;
+    t.bkey <- Array.make ((cap lsr block) + 1) infinity;
+    t.bcol <- Array.make ((cap lsr block) + 1) 0;
+    t.u <- Array.make cap 0.;
+    t.v <- Array.make cap 0.;
+    t.p <- Array.make cap 0;
+    t.way <- Array.make cap 0;
+    t.heap <- Array.make cap 0;
+    t.pos <- Array.make cap 0
+  end;
+  let pairs = reduce t rows in
+  if pairs = 0 then []
   else begin
-    let n = max s.left.count s.right.count and dim = s.dim and cost = s.cost in
-    let wmax = ref 0. in
-    for i = 0 to n - 1 do
-      for k = i * dim to (i * dim) + n - 1 do
-        if not (!wmax >= cost.(k)) then wmax := cost.(k)
+    let pcol = t.pcol and pcost = t.pcost and start = t.start in
+    let w = ref 0. in
+    for q = 0 to pairs - 1 do
+      if not (!w >= pcost.(q)) then w := pcost.(q)
+    done;
+    let w = !w in
+    for q = 0 to pairs - 1 do
+      pcost.(q) <- w -. pcost.(q)
+    done;
+    let u = t.u and v = t.v and p = t.p and way = t.way in
+    let used = t.used and step = t.step and joined = t.joined and tree = t.tree in
+    let key = t.key and wit = t.wit and reached = t.reached in
+    let bkey = t.bkey and bcol = t.bcol and heap = t.heap and pos = t.pos in
+    let blocks = (n lsr block) + 1 in
+    Array.fill u 0 (n + 1) 0.;
+    Array.fill v 0 (n + 1) 0.;
+    Array.fill p 0 (n + 1) 0;
+    for c = 1 to n do
+      heap.(c - 1) <- c;
+      pos.(c) <- c - 1
+    done;
+    let size = ref n in
+    for i = 1 to n do
+      t.tick <- t.tick + 1;
+      let phase = t.tick in
+      p.(0) <- i;
+      Array.fill bkey 0 blocks infinity;
+      let d = ref 0. and rmin = ref infinity and rwit = ref 0 in
+      let steps = ref 0 and nreached = ref 0 and j0 = ref 0 in
+      (* grow the alternating tree until it reaches a free column *)
+      while p.(!j0) <> 0 do
+        let c0 = !j0 in
+        used.(c0) <- phase;
+        step.(c0) <- !steps;
+        joined.(c0) <- !d;
+        tree.(!steps) <- c0;
+        incr steps;
+        let r = p.(c0) in
+        let x = !d -. u.(r) in
+        if x < !rmin then begin
+          rmin := x;
+          rwit := c0
+        end;
+        if r <= rows then
+          for q = start.(r - 1) to start.(r) - 1 do
+            let j = pcol.(q) in
+            let kj = pcost.(q) +. x -. v.(j) in
+            if kj < key.(j) && used.(j) <> phase then begin
+              if key.(j) = infinity then begin
+                reached.(!nreached) <- j;
+                incr nreached
+              end;
+              key.(j) <- kj;
+              wit.(j) <- c0;
+              let b = j lsr block in
+              if kj < bkey.(b) || (kj = bkey.(b) && j < bcol.(b)) then begin
+                bkey.(b) <- kj;
+                bcol.(b) <- j
+              end
+            end
+          done;
+        (* blocks come in column order, so the first least key has the
+           least column *)
+        let bk = ref infinity and bc = ref 0 in
+        for b = 0 to blocks - 1 do
+          if bkey.(b) < !bk then begin
+            bk := bkey.(b);
+            bc := bcol.(b)
+          end
+        done;
+        (* tree columns leave the column heap lazily, when they reach the top *)
+        while used.(heap.(0)) = phase do
+          pos.(heap.(0)) <- -1;
+          decr size;
+          col_place heap pos v !size heap.(!size) 0
+        done;
+        let cw = heap.(0) in
+        let ktop = w +. !rmin -. v.(cw) in
+        let j1 = if !bk < ktop || (!bk = ktop && !bc < cw) then !bc else cw in
+        let kp = key.(j1) in
+        let kw = w +. !rmin -. v.(j1) in
+        if kp < kw then begin
+          way.(j1) <- wit.(j1);
+          d := kp
+        end
+        else begin
+          way.(j1) <- (if kw = kp && step.(wit.(j1)) < step.(!rwit) then wit.(j1) else !rwit);
+          d := kw
+        end;
+        if kp < infinity then begin
+          key.(j1) <- infinity;
+          let b = j1 lsr block in
+          if bcol.(b) = j1 then begin
+            let lo = b lsl block in
+            let mk = ref infinity and mc = ref 0 in
+            for c = lo to min n (lo + (1 lsl block) - 1) do
+              if key.(c) < !mk then begin
+                mk := key.(c);
+                mc := c
+              end
+            done;
+            bkey.(b) <- !mk;
+            bcol.(b) <- !mc
+          end
+        end;
+        j0 := j1
+      done;
+      for k = 0 to !steps - 1 do
+        let c = tree.(k) in
+        let delta = !d -. joined.(c) in
+        u.(p.(c)) <- u.(p.(c)) +. delta;
+        if c <> 0 then begin
+          v.(c) <- v.(c) -. delta;
+          if pos.(c) < 0 then begin
+            incr size;
+            col_place heap pos v !size c (!size - 1)
+          end
+          else if delta <> 0. then col_place heap pos v !size c pos.(c)
+        end
+      done;
+      for k = 0 to !nreached - 1 do
+        key.(reached.(k)) <- infinity
+      done;
+      (* augment along the found path *)
+      let j = ref !j0 in
+      while !j <> 0 do
+        let j1 = way.(!j) in
+        p.(!j) <- p.(j1);
+        j := j1
       done
     done;
-    (* Assignment cost: wmax - weight, so maximizing weight = minimizing cost. *)
-    for i = 0 to n - 1 do
-      for k = i * dim to (i * dim) + n - 1 do
-        cost.(k) <- !wmax -. cost.(k)
-      done
-    done;
-    let p = hungarian cost dim n in
     let result = ref [] in
     for j = 1 to n do
       let i = p.(j) in
-      if i >= 1 then begin
-        let e = s.best.(((i - 1) * dim) + j - 1) in
-        if e >= 0 then result := e :: !result
+      if i >= 1 && i <= rows then begin
+        let q = ref start.(i - 1) in
+        while !q < start.(i) && pcol.(!q) <> j do
+          incr q
+        done;
+        if !q < start.(i) then result := t.pid.(!q) :: !result
       end
     done;
     !result
   end
+
+let solve s =
+  if s.ne = 0 then [] else if s.dim >= sparse_from then solve_sparse s else solve_dense s
 
 let max_weight (g : Bgraph.t) w =
   let ne = Bgraph.num_edges g in

@@ -1,11 +1,25 @@
 (** Maximum-weight bipartite matching.
 
-    Dense Hungarian algorithm (potentials formulation, O(n³)) on the active
-    vertices.  Vertices may stay unmatched, so the result maximizes total
-    weight rather than cardinality; edges of negative weight are never used.
+    Hungarian algorithm (potentials formulation) on the active vertices.
+    Small problems run the dense O(n³) loop over an n x n matrix.  Once
+    the declared size (the larger side, capped at the number of edges)
+    reaches 22, a sparse solver takes the same decisions from the edges
+    alone (DESIGN.md, "Two Hungarian solvers").
+    Vertices may stay unmatched, so the result maximizes total weight
+    rather than cardinality; edges of negative weight are never used.
     Among maximum-weight matchings the algorithm may include zero-weight
     edges, which is what the online heuristics want (work conservation is
-    then controlled by the caller through its weight function). *)
+    then controlled by the caller through its weight function).
+
+    What is promised depends on the weights:
+    - for all finite weights, the result is a maximum-weight matching (up
+      to floating-point rounding in the sums);
+    - for integer-valued weights (of magnitude below 2{^53}), which every
+      caller in this repository uses, the result is also edge for edge the
+      one the original dense Hungarian returns, order included, on either
+      solver.  Both solvers then compute only exact integers, so they take
+      the same decisions.  With fractional weights the two round
+      differently and may return different maximum-weight matchings. *)
 
 val max_weight : Bgraph.t -> float array -> int list
 (** [max_weight g w] returns edge ids of a matching maximizing

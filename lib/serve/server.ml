@@ -32,6 +32,8 @@ let config ?cap_in ?cap_out ?(queue_cap = max_int) ?(buffer_cap = max_int) ?max_
   let cap_out = match cap_out with Some c -> Array.copy c | None -> Array.make m' 1 in
   if Array.length cap_in <> m || Array.length cap_out <> m' then
     invalid_arg "Server.config: capacity array length";
+  if Array.exists (fun c -> c < 1) cap_in || Array.exists (fun c -> c < 1) cap_out then
+    invalid_arg "Server.config: capacities must be positive";
   if queue_cap < 1 || buffer_cap < 1 || idle_limit < 1 then
     invalid_arg "Server.config: caps and idle_limit must be positive";
   (match max_slots with
@@ -158,6 +160,11 @@ let run ?(on_status = fun (_ : status) -> ()) ?stop (cfg : config) core source =
             let admitted = ref 0 in
             while !admitted < room && not (Queue.is_empty buffer) do
               let src, dst, demand = Queue.pop buffer in
+              (* what Instance.validate checks of a batch instance's flows *)
+              if src < 0 || src >= cfg.m || dst < 0 || dst >= cfg.m' then
+                invalid_arg "Server.run: arrival endpoint out of range";
+              if demand < 1 || demand > cfg.cap_in.(src) || demand > cfg.cap_out.(dst) then
+                invalid_arg "Server.run: arrival demand outside [1, min port capacity]";
               batch := Flow.make ~id:!next_id ~src ~dst ~demand ~release:!slot () :: !batch;
               incr next_id;
               incr admitted

@@ -56,7 +56,8 @@ val config :
   config
 (** Capacities default to all ones; [queue_cap] and [buffer_cap] default to
     unbounded ([max_int], i.e. backpressure off); [idle_limit] defaults to
-    10000.  Raises [Invalid_argument] on non-positive geometry or caps. *)
+    10000.  Raises [Invalid_argument] on non-positive geometry,
+    capacities or caps. *)
 
 type status = {
   slot : int;
@@ -88,7 +89,11 @@ val run : ?on_status:(status -> unit) -> ?stop:bool ref -> config -> core -> Sou
 (** Run until the source is exhausted and the queues drain, [max_slots] is
     reached, or [stop] becomes true (e.g. the {!Flowsched_exec.Signals}
     interrupt flag): setting [stop] closes the source and the server drains
-    what it already holds before returning. *)
+    what it already holds before returning.
+
+    Raises [Invalid_argument] when it admits an arrival that
+    [Flowsched_switch.Instance.validate] would reject: an endpoint outside
+    the switch, or a demand outside [\[1, min cap_in.(src) cap_out.(dst)\]]. *)
 
 val mean_response : outcome -> float
 (** [nan] when nothing completed. *)

@@ -58,6 +58,32 @@ let random_graph seed ~nl ~nr ~ne =
   in
   Bgraph.create ~nl ~nr pairs
 
+(* A multigraph past the Hungarian's sparse crossover: 24-64 vertices per
+   side with nl <> nr, so the square completion has dummy rows or columns.
+   Each left vertex gets 2-8 edges, about a quarter of them parallel to its
+   previous one, and the edges come in shuffled order. *)
+let wide_graph seed =
+  let g = Flowsched_util.Prng.create seed in
+  let int lo hi = lo + Flowsched_util.Prng.int g (hi - lo + 1) in
+  let nl = int 24 64 in
+  let nr = match int 24 63 with r when r >= nl -> r + 1 | r -> r in
+  let pairs = ref [] in
+  for u = 0 to nl - 1 do
+    let v = ref (int 0 (nr - 1)) in
+    for _ = 1 to int 2 8 do
+      if Flowsched_util.Prng.int g 4 > 0 then v := int 0 (nr - 1);
+      pairs := (u, !v) :: !pairs
+    done
+  done;
+  let pairs = Array.of_list !pairs in
+  for k = Array.length pairs - 1 downto 1 do
+    let r = Flowsched_util.Prng.int g (k + 1) in
+    let x = pairs.(k) in
+    pairs.(k) <- pairs.(r);
+    pairs.(r) <- x
+  done;
+  Bgraph.create ~nl ~nr pairs
+
 (* --- bgraph --- *)
 
 let test_bgraph_create_validates () =
@@ -172,6 +198,38 @@ let prop_max_weight_matches_reference =
       let prng = Flowsched_util.Prng.create (seed + 1) in
       let w = Array.init ne (fun _ -> float_of_int (Flowsched_util.Prng.int prng 5 - 1)) in
       Weighted_matching.max_weight g w = Reference.max_weight g w)
+
+(* The same contract past the crossover, on the sparse solver: weights
+   -1..3 make negative, zero and tied weights common. *)
+let prop_max_weight_matches_reference_wide =
+  QCheck2.Test.make ~name:"max_weight = reference on wide graphs, order included" ~count:200
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let g = wide_graph seed in
+      let prng = Flowsched_util.Prng.create (seed + 1) in
+      let w =
+        Array.init (Bgraph.num_edges g) (fun _ ->
+            float_of_int (Flowsched_util.Prng.int prng 5 - 1))
+      in
+      Weighted_matching.max_weight g w = Reference.max_weight g w)
+
+(* With fractional weights the edge lists may differ, because the two
+   solvers round differently, but the total weight must not. *)
+let prop_max_weight_optimal_fractional_wide =
+  QCheck2.Test.make ~name:"max_weight optimal on wide graphs, fractional weights" ~count:200
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let g = wide_graph seed in
+      let prng = Flowsched_util.Prng.create (seed + 1) in
+      let w =
+        Array.init (Bgraph.num_edges g) (fun _ ->
+            (4. *. Flowsched_util.Prng.float prng) -. 1.)
+      in
+      let m = Weighted_matching.max_weight g w in
+      let best = Weighted_matching.weight_of w (Reference.max_weight g w) in
+      Bgraph.is_matching g m
+      && List.for_all (fun e -> w.(e) >= 0.) m
+      && abs_float (Weighted_matching.weight_of w m -. best) <= 1e-9 *. abs_float best)
 
 let disjoint_pair = Bgraph.create ~nl:2 ~nr:2 [| (0, 0); (1, 1) |]
 
@@ -429,6 +487,8 @@ let () =
         prop_hk_matches_brute_force;
         prop_hungarian_matches_brute_force;
         prop_max_weight_matches_reference;
+        prop_max_weight_matches_reference_wide;
+        prop_max_weight_optimal_fractional_wide;
         prop_coloring_proper_and_tight;
         prop_bvn_classes_are_matchings;
         prop_b_matching_decomposition;

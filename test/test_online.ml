@@ -298,6 +298,46 @@ let random_context seed =
     queue;
   }
 
+(* A wide switch past the Hungarian's sparse crossover: 24-64 ports per
+   side with m <> m', capacities and demands 1-2, and 2-8 flows at each
+   input port, about a quarter of them parallel to the port's previous
+   flow, queued in shuffled order. *)
+let random_wide_context seed =
+  let g = Flowsched_util.Prng.create seed in
+  let int lo hi = lo + Flowsched_util.Prng.int g (hi - lo + 1) in
+  let m = int 24 64 in
+  let m' = match int 24 63 with r when r >= m -> r + 1 | r -> r in
+  let round = int 0 3 in
+  let ends = ref [] in
+  for src = 0 to m - 1 do
+    let dst = ref (int 0 (m' - 1)) in
+    for _ = 1 to int 2 8 do
+      if Flowsched_util.Prng.int g 4 > 0 then dst := int 0 (m' - 1);
+      ends := (src, !dst) :: !ends
+    done
+  done;
+  let ends = Array.of_list !ends in
+  for k = Array.length ends - 1 downto 1 do
+    let r = Flowsched_util.Prng.int g (k + 1) in
+    let x = ends.(k) in
+    ends.(k) <- ends.(r);
+    ends.(r) <- x
+  done;
+  let queue =
+    Array.mapi
+      (fun id (src, dst) ->
+        Flow.make ~id ~src ~dst ~demand:(int 1 2) ~release:(int 0 round) ())
+      ends
+  in
+  {
+    Policy.m;
+    m';
+    cap_in = Array.init m (fun _ -> int 1 2);
+    cap_out = Array.init m' (fun _ -> int 1 2);
+    round;
+    queue;
+  }
+
 (* The matching policies select exactly what the reference pipeline does
    (queue graph, expansion, array-of-arrays Hungarian or Hopcroft-Karp,
    sort by weight, admission), the same indices in the same order. *)
@@ -310,6 +350,15 @@ let prop_selections_match_reference =
       && Heuristics.maxweight.Policy.select ctx = Reference.maxweight ctx
       && Heuristics.maxcard.Policy.select ctx = Reference.maxcard ctx)
 
+let prop_wide_selections_match_reference =
+  QCheck2.Test.make ~name:"wide switch: matching policies = reference" ~count:100
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let ctx = random_wide_context seed in
+      Heuristics.minrtime.Policy.select ctx = Reference.minrtime ctx
+      && Heuristics.maxweight.Policy.select ctx = Reference.maxweight ctx
+      && Heuristics.maxcard.Policy.select ctx = Reference.maxcard ctx)
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
@@ -318,6 +367,7 @@ let () =
         prop_policies_always_feasible;
         prop_minrtime_bounded_unfairness;
         prop_selections_match_reference;
+        prop_wide_selections_match_reference;
       ]
   in
   Alcotest.run "flowsched_online"

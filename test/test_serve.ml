@@ -152,6 +152,38 @@ let test_incremental_rejects_demands () =
     (Invalid_argument "Server.run: the Incremental core requires unit demands") (fun () ->
       ignore (Server.run cfg Server.Incremental src))
 
+(* Capacities below 1 are rejected up front, as Instance.validate does: a
+   zero-capacity port made the matching cores raise mid-run, and FIFO
+   silently never served the flow. *)
+let test_config_rejects_capacities () =
+  let expected = Invalid_argument "Server.config: capacities must be positive" in
+  Alcotest.check_raises "zero input capacity" expected (fun () ->
+      ignore (Server.config ~cap_in:[| 0; 1 |] ~m:2 ~m':2 ()));
+  Alcotest.check_raises "negative output capacity" expected (fun () ->
+      ignore (Server.config ~cap_out:[| 1; -1 |] ~m:2 ~m':2 ()))
+
+(* An arrival Instance.validate would reject is refused at admission, on
+   either core, with the same message. *)
+let check_rejected name spec message =
+  let cfg = Server.config ~m:2 ~m':2 () in
+  List.iter
+    (fun (label, core) ->
+      let src = Source.make ~more:(fun s -> s = 0) ~pull:(fun _ -> [ spec ]) in
+      Alcotest.check_raises (name ^ ", " ^ label) (Invalid_argument message) (fun () ->
+          ignore (Server.run cfg core src)))
+    [ ("policy core", Server.Policy Heuristics.maxweight); ("incremental core", Server.Incremental) ]
+
+let test_rejects_bad_endpoint () =
+  check_rejected "source port 5 of 2" (5, 0, 1) "Server.run: arrival endpoint out of range";
+  check_rejected "negative destination" (0, -1, 1) "Server.run: arrival endpoint out of range"
+
+let test_rejects_demand_above_capacity () =
+  check_rejected "demand 2 on capacity 1" (0, 1, 2)
+    "Server.run: arrival demand outside [1, min port capacity]"
+
+let test_rejects_zero_demand () =
+  check_rejected "demand 0" (0, 1, 0) "Server.run: arrival demand outside [1, min port capacity]"
+
 let () =
   Alcotest.run "serve"
     [
@@ -170,5 +202,11 @@ let () =
           Alcotest.test_case "stop flag drains" `Quick test_stop_flag_drains;
           Alcotest.test_case "incremental rejects demands" `Quick
             test_incremental_rejects_demands;
+          Alcotest.test_case "config rejects capacities below 1" `Quick
+            test_config_rejects_capacities;
+          Alcotest.test_case "rejects endpoints off the switch" `Quick test_rejects_bad_endpoint;
+          Alcotest.test_case "rejects demand above capacity" `Quick
+            test_rejects_demand_above_capacity;
+          Alcotest.test_case "rejects zero demand" `Quick test_rejects_zero_demand;
         ] );
     ]
