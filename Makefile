@@ -265,6 +265,10 @@ REPRO_SERVE = serve --core incremental --workload uniform -m 8 --rate 6 \
 # the sparse Hungarian; the grids above run on at most 8 ports.
 WIDE_GRID = --kinds poisson -m 150 --rates 300 --rounds 10 --seeds 1,2 \
   --policies minrtime,maxweight --jobs 2
+# LP bounds at the benchmark's offline size: the only leg whose cells take
+# thousands of pivots and over a hundred refactorizations, so its
+# lp_counters pin the simplex's pivot path; the grids above stay small.
+LP_GRID = --kinds poisson -m 6 --rates 12 --rounds 8 --seeds 1,2 --policies fifo --lp --jobs 2
 
 reproduce: build
 	@rm -f _repro_*.json _repro_*.f
@@ -282,6 +286,11 @@ reproduce: build
 	@diff goldens/sweep-wide.filtered.json _repro_wide.f >/dev/null \
 	  && echo "reproduce: wide sweep artifact matches golden (timing lines excluded)" \
 	  || (echo "reproduce: wide sweep artifact diverges from goldens/sweep-wide.filtered.json" && exit 1)
+	_build/default/bin/main.exe sweep $(LP_GRID) --out _repro_lp.json 2>/dev/null
+	@$(CHAOS_FILTER) _repro_lp.json > _repro_lp.f
+	@diff goldens/sweep-lp.filtered.json _repro_lp.f >/dev/null \
+	  && echo "reproduce: LP sweep artifact matches golden (timing lines excluded)" \
+	  || (echo "reproduce: LP sweep artifact diverges from goldens/sweep-lp.filtered.json" && exit 1)
 	_build/default/bin/main.exe $(REPRO_SERVE) > _repro_serve.json 2>/dev/null
 	@cmp goldens/serve.json _repro_serve.json \
 	  && echo "reproduce: serve outcome matches golden" \
@@ -297,7 +306,9 @@ goldens: build
 	@$(CHAOS_FILTER) _golden_sweep.json > goldens/sweep.filtered.json
 	_build/default/bin/main.exe sweep $(WIDE_GRID) --out _golden_wide.json 2>/dev/null
 	@$(CHAOS_FILTER) _golden_wide.json > goldens/sweep-wide.filtered.json
-	@rm -f _golden_sweep.json _golden_wide.json
+	_build/default/bin/main.exe sweep $(LP_GRID) --out _golden_lp.json 2>/dev/null
+	@$(CHAOS_FILTER) _golden_lp.json > goldens/sweep-lp.filtered.json
+	@rm -f _golden_sweep.json _golden_wide.json _golden_lp.json
 	_build/default/bin/main.exe $(REPRO_SERVE) > goldens/serve.json 2>/dev/null
 	@echo "goldens regenerated — review and commit goldens/"
 

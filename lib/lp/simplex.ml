@@ -113,10 +113,6 @@ let diff_counters a b =
 
 exception Iteration_limit of int
 
-let eps_pivot = 1e-9
-let eps_cost = 1e-7
-let eps_feas = 1e-8
-
 (* The product-form eta file is capped: hitting the cap (or an eta-nnz blowup
    relative to the factor size) triggers refactorization, so the per-solve
    working set stays O(nnz). *)
@@ -126,7 +122,10 @@ let eta_cap = 64
    all tableau columns (structural + slack + artificial) is held in CSC form
    for ftran/pricing and CSR form for the devex pivot-row pass; both are
    built once per solve.  The basis is represented by a sparse LU
-   factorization plus a product-form eta file appended on each pivot. *)
+   factorization plus a product-form eta file appended on each pivot.  The
+   factor storage, the eta file and the work vectors belong to this one
+   solve and are reused across its pivots; the first two grow by doubling,
+   so pivots allocate nothing once they have reached their working size. *)
 type tab = {
   m : int; (* rows *)
   ncols : int; (* structural + slack + artificial columns *)
@@ -148,25 +147,22 @@ type tab = {
   in_basis : bool array;
   at_upper : bool array; (* nonbasic column sitting at its upper bound *)
   xb : float array; (* basic variable values, per slot *)
-  mutable lu : Sparse_lu.t; (* factors of the basis at last refactorization *)
+  lu : Sparse_lu.t; (* factors of the basis at last refactorization *)
   mutable eta_n : int; (* product-form etas appended since then *)
   mutable eta_live_nnz : int;
   eta_slot : int array; (* per eta: the replaced basis slot r *)
   eta_piv : float array; (* per eta: w_r *)
-  eta_idx : int array array; (* per eta: support slots, r excluded *)
-  eta_val : float array array;
+  eta_ptr : int array; (* eta i's support at eta_idx/eta_val[eta_ptr.(i) ..) *)
+  mutable eta_idx : int array; (* support slots, r excluded; grows by doubling *)
+  mutable eta_val : float array;
   work_b : float array; (* scratch, row space *)
   work_c : float array; (* scratch, slot space *)
   work_w : float array; (* ftran image scratch, slot space *)
 }
 
-(* Slot [slot]'s basis column as (rows, vals), for Sparse_lu. *)
-let basis_col tab slot =
-  let j = tab.basis.(slot) in
-  let s = tab.col_ptr.(j) and e = tab.col_ptr.(j + 1) in
-  (Array.sub tab.col_idx s (e - s), Array.sub tab.col_val s (e - s))
-
-let factor_current_basis tab = Sparse_lu.factorize ~m:tab.m ~col:(basis_col tab)
+let factor_current_basis tab =
+  Sparse_lu.factorize tab.lu ~col_ptr:tab.col_ptr ~row_ind:tab.col_idx ~values:tab.col_val
+    ~basis:tab.basis
 
 let build model =
   let m = Model.num_rows model in
@@ -271,14 +267,6 @@ let build model =
   done;
   let in_basis = Array.make ncols false in
   Array.iter (fun j -> in_basis.(j) <- true) basis;
-  (* The starting basis is the identity (unit slacks/artificials): its
-     factorization is trivial and not counted as a refactorization. *)
-  let lu0 =
-    Sparse_lu.factorize ~m ~col:(fun slot ->
-        let j = basis.(slot) in
-        let s = col_ptr.(j) and e = col_ptr.(j + 1) in
-        (Array.sub col_idx s (e - s), Array.sub col_val s (e - s)))
-  in
   let tab =
     {
       m;
@@ -301,18 +289,22 @@ let build model =
       in_basis;
       at_upper = Array.make ncols false;
       xb = Array.copy b;
-      lu = lu0;
+      lu = Sparse_lu.create m;
       eta_n = 0;
       eta_live_nnz = 0;
       eta_slot = Array.make eta_cap 0;
       eta_piv = Array.make eta_cap 0.;
-      eta_idx = Array.make eta_cap [||];
-      eta_val = Array.make eta_cap [||];
+      eta_ptr = Array.make (eta_cap + 1) 0;
+      eta_idx = Array.make ((4 * m) + 64) 0;
+      eta_val = Array.make ((4 * m) + 64) 0.;
       work_b = Array.make (max m 1) 0.;
       work_c = Array.make (max m 1) 0.;
       work_w = Array.make (max m 1) 0.;
     }
   in
+  (* The starting basis is the identity (unit slacks/artificials): its
+     factorization is trivial and not counted as a refactorization. *)
+  factor_current_basis tab;
   tab
 
 (* Restore the pristine all-slack/artificial basis. *)
@@ -323,7 +315,7 @@ let reset_basis tab =
   Array.fill tab.at_upper 0 tab.ncols false;
   tab.eta_n <- 0;
   tab.eta_live_nnz <- 0;
-  tab.lu <- factor_current_basis tab;
+  factor_current_basis tab;
   Array.blit tab.b 0 tab.xb 0 tab.m
 
 (* w := B^-1 * A_j: sparse LU solve, then the eta-file inverses applied
@@ -338,16 +330,15 @@ let ftran tab j w =
       wb.(tab.col_idx.(e)) <- tab.col_val.(e)
     done;
     Sparse_lu.solve tab.lu wb w;
+    let ei = tab.eta_idx and ev = tab.eta_val in
     for i = 0 to tab.eta_n - 1 do
       let r = tab.eta_slot.(i) in
       let t = w.(r) /. tab.eta_piv.(i) in
       w.(r) <- t;
-      if t <> 0. then begin
-        let ei = tab.eta_idx.(i) and ev = tab.eta_val.(i) in
-        for e = 0 to Array.length ei - 1 do
+      if t <> 0. then
+        for e = tab.eta_ptr.(i) to tab.eta_ptr.(i + 1) - 1 do
           w.(ei.(e)) <- w.(ei.(e)) -. (ev.(e) *. t)
         done
-      end
     done
   end
 
@@ -356,11 +347,11 @@ let ftran tab j w =
 let btran tab c y =
   let m = tab.m in
   if m > 0 then begin
+    let ei = tab.eta_idx and ev = tab.eta_val in
     for i = tab.eta_n - 1 downto 0 do
       let r = tab.eta_slot.(i) in
-      let ei = tab.eta_idx.(i) and ev = tab.eta_val.(i) in
       let acc = ref c.(r) in
-      for e = 0 to Array.length ei - 1 do
+      for e = tab.eta_ptr.(i) to tab.eta_ptr.(i + 1) - 1 do
         acc := !acc -. (ev.(e) *. c.(ei.(e)))
       done;
       c.(r) <- !acc /. tab.eta_piv.(i)
@@ -378,12 +369,26 @@ let compute_duals tab cost y =
     btran tab c y
   end
 
+(* Pricing helpers, inlined so that pricing boxes no float per candidate
+   (a call that is not inlined passes and returns floats boxed). *)
 let reduced_cost tab cost y j =
   let acc = ref cost.(j) in
   for e = tab.col_ptr.(j) to tab.col_ptr.(j + 1) - 1 do
     acc := !acc -. (y.(tab.col_idx.(e)) *. tab.col_val.(e))
   done;
   !acc
+[@@inline]
+
+(* Column [j] may enter the basis: it is nonbasic and, unless
+   [artificials], not an artificial. *)
+let allowed tab ~artificials j =
+  (not tab.in_basis.(j)) && (artificials || not tab.is_artificial.(j))
+[@@inline]
+
+(* Reduced cost [d] improves the objective when column [j] moves off its
+   bound. *)
+let enterable tab j d = if tab.at_upper.(j) then d > Tol.eps_cost else d < -.Tol.eps_cost
+[@@inline]
 
 (* Refactorize: fresh sparse LU of the current basis, drop the eta file, and
    recompute xb from the effective right-hand side (declared bounds of
@@ -398,9 +403,7 @@ let refactorize tab =
   Metrics.incr ~by:!bnnz c_basis_nnz;
   (match factor_current_basis tab with
   | exception Sparse_lu.Singular -> failwith "Simplex.refactorize: singular basis"
-  | lu ->
-      tab.lu <- lu;
-      Metrics.incr ~by:(Sparse_lu.nnz lu) c_factor_nnz);
+  | () -> Metrics.incr ~by:(Sparse_lu.nnz tab.lu) c_factor_nnz);
   tab.eta_n <- 0;
   tab.eta_live_nnz <- 0;
   if tab.m > 0 then begin
@@ -416,7 +419,7 @@ let refactorize tab =
     done;
     Sparse_lu.solve tab.lu wb tab.xb;
     for i = 0 to tab.m - 1 do
-      if tab.xb.(i) < 0. && tab.xb.(i) > -.eps_feas then tab.xb.(i) <- 0.
+      if tab.xb.(i) < 0. && tab.xb.(i) > -.Tol.eps_feas then tab.xb.(i) <- 0.
     done
   end
 
@@ -424,12 +427,18 @@ let refactorize tab =
    into slot [r]: B_new = B_old * E with E's column r replaced by w. *)
 let append_eta tab w r =
   let m = tab.m in
-  let n = ref 0 in
-  for i = 0 to m - 1 do
-    if i <> r && w.(i) <> 0. then incr n
-  done;
-  let ei = Array.make !n 0 and ev = Array.make !n 0. in
-  let k = ref 0 in
+  let idx = tab.eta_n in
+  let start = tab.eta_ptr.(idx) in
+  if start + m > Array.length tab.eta_idx then begin
+    let cap = max (start + m) (2 * Array.length tab.eta_idx) in
+    let ei = Array.make cap 0 and ev = Array.make cap 0. in
+    Array.blit tab.eta_idx 0 ei 0 start;
+    Array.blit tab.eta_val 0 ev 0 start;
+    tab.eta_idx <- ei;
+    tab.eta_val <- ev
+  end;
+  let ei = tab.eta_idx and ev = tab.eta_val in
+  let k = ref start in
   for i = 0 to m - 1 do
     if i <> r && w.(i) <> 0. then begin
       ei.(!k) <- i;
@@ -437,14 +446,13 @@ let append_eta tab w r =
       incr k
     end
   done;
-  let idx = tab.eta_n in
+  let n = !k - start in
   tab.eta_slot.(idx) <- r;
   tab.eta_piv.(idx) <- w.(r);
-  tab.eta_idx.(idx) <- ei;
-  tab.eta_val.(idx) <- ev;
+  tab.eta_ptr.(idx + 1) <- !k;
   tab.eta_n <- idx + 1;
-  tab.eta_live_nnz <- tab.eta_live_nnz + !n + 1;
-  Metrics.incr ~by:(!n + 1) c_eta_nnz
+  tab.eta_live_nnz <- tab.eta_live_nnz + n + 1;
+  Metrics.incr ~by:(n + 1) c_eta_nnz
 
 let change_basis tab r j =
   tab.in_basis.(tab.basis.(r)) <- false;
@@ -507,7 +515,7 @@ let install_warm tab entries =
     let feasible_now () =
       let ok = ref true in
       for i = 0 to m - 1 do
-        if tab.xb.(i) < -.eps_feas || tab.xb.(i) > tab.upper.(tab.basis.(i)) +. eps_feas
+        if tab.xb.(i) < -.Tol.eps_feas || tab.xb.(i) > tab.upper.(tab.basis.(i)) +. Tol.eps_feas
         then ok := false
       done;
       !ok
@@ -567,7 +575,7 @@ let install_warm tab entries =
       done;
       let shifted_ok = ref true in
       for i = 0 to m - 1 do
-        if tab.xb.(i) < -.eps_feas then shifted_ok := false
+        if tab.xb.(i) < -.Tol.eps_feas then shifted_ok := false
       done;
       if not !shifted_ok then begin
         Array.fill tab.at_upper 0 tab.ncols false;
@@ -583,16 +591,16 @@ let install_warm tab entries =
          that would are simply skipped, and the result is a partially-warm
          basis that is feasible by construction. *)
       let pivot_keeps_feasible j i =
-        if abs_float w.(i) <= eps_pivot then false
+        if abs_float w.(i) <= Tol.eps_pivot then false
         else begin
           let xi = tab.xb.(i) /. w.(i) in
-          if xi < -.eps_feas || xi > tab.upper.(j) +. eps_feas then false
+          if xi < -.Tol.eps_feas || xi > tab.upper.(j) +. Tol.eps_feas then false
           else begin
             let ok = ref true in
             for k = 0 to m - 1 do
               if k <> i then begin
                 let v = tab.xb.(k) -. (w.(k) *. xi) in
-                if v < -.eps_feas || v > tab.upper.(tab.basis.(k)) +. eps_feas then
+                if v < -.Tol.eps_feas || v > tab.upper.(tab.basis.(k)) +. Tol.eps_feas then
                   ok := false
               end
             done;
@@ -607,7 +615,7 @@ let install_warm tab entries =
             ftran tab j w;
             (* Replace a default basic only: an artificial, or a row's own
                starting slack that the warm basis does not claim. *)
-            let best = ref (-1) and best_v = ref 1e-7 in
+            let best = ref (-1) and best_v = ref Tol.crash_pivot in
             for i = 0 to m - 1 do
               let bi = tab.basis.(i) in
               let replaceable =
@@ -659,8 +667,9 @@ let install_warm tab entries =
     end
   end
 
-(* One simplex phase: minimize [cost] over columns with [allowed j = true].
-   Returns [`Optimal] or [`Unbounded].  Mutates the tableau in place.
+(* One simplex phase: minimize [cost] over the tableau's columns, or over
+   its non-artificial columns when [artificials] is false.  Returns
+   [`Optimal] or [`Unbounded].  Mutates the tableau in place.
 
    The dual vector y = c_B B^-1 is maintained incrementally: after a pivot
    that enters column q with reduced cost d_q on slot r, the new duals are
@@ -679,15 +688,24 @@ let install_warm tab entries =
    downward (eligible on a positive reduced cost), the ratio test is
    two-sided — a basic variable may leave at zero or at its own bound — and
    when the entering column's bound is the tightest limit the pivot
-   degenerates to a bound flip with no basis change. *)
-let run_phase tab cost allowed iter_budget iter_count =
+   degenerates to a bound flip with no basis change.
+
+   The loop allocates nothing per pivot: pricing and the ratio test run
+   inline on unboxed locals, and the devex pass keeps its touched columns
+   in a stamp array and an index stack allocated once per phase. *)
+let run_phase tab cost ~artificials iter_budget iter_count =
   let m = tab.m in
   let y = Array.make m 0. in
   let rho = Array.make m 0. in
   let w = tab.work_w in
   let devex = Array.make tab.ncols 1. in
   let devex_max = ref 1. in
+  (* The devex pass accumulates the pivot row over nonbasic columns in
+     [acc]; [touched] lists the columns it reached, and [stamp.(c) = pass]
+     marks c as already listed in the current pass. *)
   let acc = Array.make tab.ncols 0. in
+  let stamp = Array.make tab.ncols 0 and pass = ref 0 in
+  let touched = Array.make tab.ncols 0 in
   let degenerate_streak = ref 0 in
   (* Bland's rule is the anti-cycling backstop of last resort, not a working
      mode: switching to it early starves devex exactly when the LP is most
@@ -701,8 +719,8 @@ let run_phase tab cost allowed iter_budget iter_count =
   let cursor = ref 0 in
   let window = max 32 (tab.ncols / 8) in
   compute_duals tab cost y;
-  let enterable j d = if tab.at_upper.(j) then d > eps_cost else d < -.eps_cost in
-  let rec loop () =
+  let finished = ref false and unbounded = ref false in
+  while not !finished do
     if !iter_count > iter_budget then raise (Iteration_limit !iter_count);
     if !since_dual_refresh >= 500 then begin
       since_dual_refresh := 0;
@@ -715,9 +733,9 @@ let run_phase tab cost allowed iter_budget iter_count =
       Metrics.incr c_full_pricing_scans;
       try
         for j = 0 to tab.ncols - 1 do
-          if (not tab.in_basis.(j)) && allowed j then begin
+          if allowed tab ~artificials j then begin
             let d = reduced_cost tab cost y j in
-            if enterable j d then begin
+            if enterable tab j d then begin
               enter := j;
               d_enter := d;
               raise Exit
@@ -735,9 +753,9 @@ let run_phase tab cost allowed iter_budget iter_count =
         for _ = 1 to chunk do
           let j = !cursor in
           cursor := if !cursor + 1 >= tab.ncols then 0 else !cursor + 1;
-          if (not tab.in_basis.(j)) && allowed j then begin
+          if allowed tab ~artificials j then begin
             let d = reduced_cost tab cost y j in
-            if enterable j d then begin
+            if enterable tab j d then begin
               let score = d *. d /. devex.(j) in
               if score > !best then begin
                 best := score;
@@ -757,14 +775,10 @@ let run_phase tab cost allowed iter_budget iter_count =
       Metrics.incr c_full_pricing_scans;
       let really_optimal = ref true in
       for j = 0 to tab.ncols - 1 do
-        if (not tab.in_basis.(j)) && allowed j && enterable j (reduced_cost tab cost y j)
-        then really_optimal := false
+        if allowed tab ~artificials j && enterable tab j (reduced_cost tab cost y j) then
+          really_optimal := false
       done;
-      if !really_optimal then `Optimal
-      else begin
-        since_dual_refresh := 0;
-        loop ()
-      end
+      if !really_optimal then finished := true else since_dual_refresh := 0
     end
     else begin
       let j = !enter in
@@ -779,43 +793,45 @@ let run_phase tab cost allowed iter_budget iter_count =
       let ub_j = tab.upper.(j) in
       (* Two-sided ratio test. *)
       let leave = ref (-1) and theta = ref infinity and leave_at_upper = ref false in
-      let consider i ratio to_upper =
-        if
-          ratio < !theta -. eps_pivot
-          || (ratio < !theta +. eps_pivot
-             && (!leave < 0
-                ||
-                if bland then tab.basis.(i) < tab.basis.(!leave)
-                else abs_float w.(i) > abs_float w.(!leave)))
-        then begin
-          theta := ratio;
-          leave := i;
-          leave_at_upper := to_upper
-        end
-      in
       for i = 0 to m - 1 do
         let wi = dir *. w.(i) in
-        if wi > eps_pivot then consider i (tab.xb.(i) /. wi) false
-        else if wi < -.eps_pivot then begin
-          let ui = tab.upper.(tab.basis.(i)) in
-          if ui < infinity then consider i ((ui -. tab.xb.(i)) /. -.wi) true
+        let to_upper = wi < -.Tol.eps_pivot in
+        if wi > Tol.eps_pivot || (to_upper && tab.upper.(tab.basis.(i)) < infinity) then begin
+          let ratio =
+            if to_upper then (tab.upper.(tab.basis.(i)) -. tab.xb.(i)) /. -.wi
+            else tab.xb.(i) /. wi
+          in
+          if
+            ratio < !theta -. Tol.eps_pivot
+            || (ratio < !theta +. Tol.eps_pivot
+               && (!leave < 0
+                  ||
+                  if bland then tab.basis.(i) < tab.basis.(!leave)
+                  else abs_float w.(i) > abs_float w.(!leave)))
+          then begin
+            theta := ratio;
+            leave := i;
+            leave_at_upper := to_upper
+          end
         end
       done;
-      if ub_j < !theta -. eps_pivot || (!leave < 0 && ub_j < infinity) then begin
+      if ub_j < !theta -. Tol.eps_pivot || (!leave < 0 && ub_j < infinity) then begin
         (* Bound flip: the entering column's own bound is the tightest
            limit; it moves to its other bound and the basis is unchanged
            (so are the duals). *)
         for i = 0 to m - 1 do
           let v = tab.xb.(i) -. (ub_j *. dir *. w.(i)) in
-          tab.xb.(i) <- (if v < 0. && v > -.eps_feas then 0. else v)
+          tab.xb.(i) <- (if v < 0. && v > -.Tol.eps_feas then 0. else v)
         done;
         tab.at_upper.(j) <- not tab.at_upper.(j);
         Metrics.incr c_bound_flips;
-        if ub_j < eps_pivot then incr degenerate_streak else degenerate_streak := 0;
-        loop ()
+        if ub_j < Tol.eps_pivot then incr degenerate_streak else degenerate_streak := 0
       end
-      else if !leave < 0 then `Unbounded
-      else if abs_float w.(!leave) < 1e-6 && tab.eta_n > 0 then begin
+      else if !leave < 0 then begin
+        finished := true;
+        unbounded := true
+      end
+      else if abs_float w.(!leave) < Tol.suspicious_pivot && tab.eta_n > 0 then begin
         (* Suspicious pivot element through a live eta file: a value this
            small may be pure accumulated roundoff, and committing the pivot
            would make the basis genuinely singular.  Refactorize and redo
@@ -823,17 +839,16 @@ let run_phase tab cost allowed iter_budget iter_count =
            trustworthy pivot or steers the ratio test elsewhere. *)
         refactorize tab;
         compute_duals tab cost y;
-        since_dual_refresh := 0;
-        loop ()
+        since_dual_refresh := 0
       end
       else begin
         let r = !leave in
         let step = if !theta < 0. then 0. else !theta in
-        if step < eps_pivot then incr degenerate_streak else degenerate_streak := 0;
+        if step < Tol.eps_pivot then incr degenerate_streak else degenerate_streak := 0;
         for i = 0 to m - 1 do
           if i <> r then begin
             let v = tab.xb.(i) -. (step *. dir *. w.(i)) in
-            tab.xb.(i) <- (if v < 0. && v > -.eps_feas then 0. else v)
+            tab.xb.(i) <- (if v < 0. && v > -.Tol.eps_feas then 0. else v)
           end
         done;
         let lc = tab.basis.(r) in
@@ -855,36 +870,44 @@ let run_phase tab cost allowed iter_budget iter_count =
         done;
         incr since_dual_refresh;
         (* Devex weight update over the pivot row, computed sparsely from
-           the CSR rows in the support of rho.  Never skipped outside
-           Bland's rule: on the heavily degenerate scheduling LPs, stale
-           weights collapse devex into Dantzig pricing, which stalls in
-           zero-step pivots (measured 15-20x the pivot count on the large
-           bench tier). *)
+           the CSR rows in the support of rho.  Basic columns are skipped
+           while accumulating: their weights are not updated.  Never
+           skipped outside Bland's rule: on the heavily degenerate
+           scheduling LPs, stale weights collapse devex into Dantzig
+           pricing, which stalls in zero-step pivots (measured 15-20x the
+           pivot count on the large bench tier). *)
         if not bland then begin
-          let touched = ref [] in
+          incr pass;
+          let n_touched = ref 0 in
           for i = 0 to m - 1 do
             let rv = rho.(i) in
-            if abs_float rv > 1e-12 then
+            if abs_float rv > Tol.devex_rho then
               for e = tab.row_ptr.(i) to tab.row_ptr.(i + 1) - 1 do
                 let c = tab.row_idx.(e) in
-                if acc.(c) = 0. then touched := c :: !touched;
-                acc.(c) <- acc.(c) +. (tab.row_val.(e) *. rv)
+                if not tab.in_basis.(c) then begin
+                  if stamp.(c) <> !pass then begin
+                    stamp.(c) <- !pass;
+                    touched.(!n_touched) <- c;
+                    incr n_touched
+                  end;
+                  acc.(c) <- acc.(c) +. (tab.row_val.(e) *. rv)
+                end
               done
           done;
           let wq = devex.(j) in
-          List.iter
-            (fun c ->
-              let a = acc.(c) in
-              acc.(c) <- 0.;
-              if a <> 0. && not tab.in_basis.(c) then begin
-                let ratio = a /. alpha in
-                let cand = ratio *. ratio *. wq in
-                if cand > devex.(c) then begin
-                  devex.(c) <- cand;
-                  if cand > !devex_max then devex_max := cand
-                end
-              end)
-            !touched;
+          for k = 0 to !n_touched - 1 do
+            let c = touched.(k) in
+            let a = acc.(c) in
+            acc.(c) <- 0.;
+            if a <> 0. then begin
+              let ratio = a /. alpha in
+              let cand = ratio *. ratio *. wq in
+              if cand > devex.(c) then begin
+                devex.(c) <- cand;
+                if cand > !devex_max then devex_max := cand
+              end
+            end
+          done;
           let wl = wq /. (alpha *. alpha) in
           devex.(lc) <- (if wl > 1. then wl else 1.);
           if devex.(lc) > !devex_max then devex_max := devex.(lc);
@@ -897,16 +920,15 @@ let run_phase tab cost allowed iter_budget iter_count =
         end;
         (* A tiny pivot element makes an ill-conditioned eta: refactorize
            away the whole file rather than letting the error compound. *)
-        if abs_float alpha < 1e-6 && tab.eta_n > 0 then begin
+        if abs_float alpha < Tol.suspicious_pivot && tab.eta_n > 0 then begin
           refactorize tab;
           compute_duals tab cost y;
           since_dual_refresh := 0
-        end;
-        loop ()
+        end
       end
     end
-  in
-  loop ()
+  done;
+  if !unbounded then `Unbounded else `Optimal
 
 (* After phase 1, pivot basic artificials out of the basis where possible so
    phase 2 works on structural + slack columns only.  Rows whose artificial
@@ -923,7 +945,7 @@ let evict_artificials tab =
         if (not tab.in_basis.(!j)) && (not tab.is_artificial.(!j)) && not tab.at_upper.(!j)
         then begin
           ftran tab !j w;
-          if abs_float w.(i) > 1e-7 then found := !j
+          if abs_float w.(i) > Tol.crash_pivot then found := !j
         end;
         incr j
       done;
@@ -973,6 +995,10 @@ let final_basis tab =
   done;
   Array.of_list !acc
 
+(* Phase times are wall time on the calling domain's clock (the one spans
+   use), so domains solving at once each report only their own time. *)
+let seconds_since t0_us = (Trace.now_us () -. t0_us) /. 1e6
+
 let solve_tab ?max_iters ?warm model =
   Metrics.incr c_solves;
   let tab = build model in
@@ -990,9 +1016,9 @@ let solve_tab ?max_iters ?warm model =
   let has_artificial = Array.exists (fun a -> a) tab.is_artificial in
   let infeasible = ref false in
   if has_artificial then begin
-    let t1 = Sys.time () in
+    let t1 = Trace.now_us () in
     Trace.with_span "simplex.phase1" (fun () ->
-        if art_sum tab <= 1e-9 then begin
+        if art_sum tab <= Tol.art_skip then begin
           Metrics.incr c_phase1_skipped;
           if any_artificial_basic tab then evict_artificials tab
         end
@@ -1001,12 +1027,13 @@ let solve_tab ?max_iters ?warm model =
           for j = 0 to tab.ncols - 1 do
             if tab.is_artificial.(j) then cost1.(j) <- 1.
           done;
-          (match run_phase tab cost1 (fun _ -> true) budget iter_count with
+          (match run_phase tab cost1 ~artificials:true budget iter_count with
           | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
           | `Optimal -> ());
-          if art_sum tab > 1e-6 then infeasible := true else evict_artificials tab
+          if art_sum tab > Tol.art_infeasible then infeasible := true
+          else evict_artificials tab
         end);
-    Metrics.add_gauge g_phase1_seconds (Sys.time () -. t1)
+    Metrics.add_gauge g_phase1_seconds (seconds_since t1)
   end;
   if !infeasible then
     {
@@ -1018,12 +1045,12 @@ let solve_tab ?max_iters ?warm model =
       basis = [||];
     }
   else begin
-    let t2 = Sys.time () in
-    let allowed j = not tab.is_artificial.(j) in
+    let t2 = Trace.now_us () in
     let phase2 =
-      Trace.with_span "simplex.phase2" (fun () -> run_phase tab tab.cost2 allowed budget iter_count)
+      Trace.with_span "simplex.phase2" (fun () ->
+          run_phase tab tab.cost2 ~artificials:false budget iter_count)
     in
-    Metrics.add_gauge g_phase2_seconds (Sys.time () -. t2);
+    Metrics.add_gauge g_phase2_seconds (seconds_since t2);
     match phase2 with
     | `Unbounded ->
         {

@@ -78,7 +78,10 @@ type counters = {
       (** Ratio tests resolved by flipping the entering column to its other
           bound (no basis change; not counted in [pivots]). *)
   mutable phase1_seconds : float;
-  mutable phase2_seconds : float;
+      (** Wall time in phase 1, on the clock of the domain that ran the
+          solve ({!Flowsched_obs.Trace.now_us}); solves running at once on
+          other domains do not add to it. *)
+  mutable phase2_seconds : float;  (** Likewise for phase 2. *)
 }
 (** Cumulative solver statistics since the last {!reset_counters}.
 

@@ -15,10 +15,14 @@ type span = {
 let on = Atomic.make false
 let t0_us = Atomic.make 0.
 
-type local = { mutable events : span list; mutable depth : int; mutable last_us : float }
+(* The clamp lives in a float-only record, which stores its field unboxed:
+   a float field of [local] would allocate a box whenever the clock
+   advanced, so a caller's allocation would depend on the time. *)
+type clock = { mutable last_us : float }
+type local = { mutable events : span list; mutable depth : int; clock : clock }
 
 let local_key : local Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { events = []; depth = 0; last_us = 0. })
+  Domain.DLS.new_key (fun () -> { events = []; depth = 0; clock = { last_us = 0. } })
 
 let local () = Domain.DLS.get local_key
 
@@ -26,10 +30,10 @@ let local () = Domain.DLS.get local_key
    exposes no monotonic clock, and a backwards wall-clock step would
    otherwise produce negative span durations. *)
 let now_us () =
-  let l = local () in
+  let c = (local ()).clock in
   let t = Unix.gettimeofday () *. 1e6 in
-  if t > l.last_us then l.last_us <- t;
-  l.last_us
+  if t > c.last_us then c.last_us <- t;
+  c.last_us
 
 let enabled () = Atomic.get on
 
@@ -37,7 +41,7 @@ let start () =
   let l = local () in
   l.events <- [];
   l.depth <- 0;
-  l.last_us <- 0.;
+  l.clock.last_us <- 0.;
   Atomic.set t0_us (now_us ());
   Atomic.set on true
 

@@ -31,6 +31,11 @@ type span = {
 
 val enabled : unit -> bool
 
+val now_us : unit -> float
+(** The clock spans use: wall time in microseconds, clamped to be
+    non-decreasing on the calling domain.  Readable whether or not tracing
+    is enabled. *)
+
 val start : unit -> unit
 (** Enable tracing and clear any previously recorded spans. *)
 

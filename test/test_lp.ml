@@ -594,6 +594,43 @@ let test_counters_shim_matches_registry () =
   Alcotest.(check int) "reset zeroes the registry too" 0 (reg "simplex.solves");
   Alcotest.(check int) "reset zeroes pivots in registry" 0 (reg "simplex.pivots")
 
+(* Phase times are wall time on the solving domain: two domains solving
+   at once each report no more phase time than their own solve took
+   (process CPU time would count both domains). *)
+let test_phase_time_is_per_domain_wall_time () =
+  let module M = Flowsched_obs.Metrics in
+  let phases () =
+    M.gauge_value (M.gauge "simplex.phase1_seconds")
+    +. M.gauge_value (M.gauge "simplex.phase2_seconds")
+  in
+  (* LP (1)-(4) of 96 unit flows on a 6x6 switch released over 8 rounds,
+     the size of the benchmark's offline instances. *)
+  let model seed =
+    let g = Flowsched_util.Prng.create seed in
+    let int k = Flowsched_util.Prng.int g k in
+    let inst =
+      Flowsched_switch.Instance.of_flows ~m:6 ~m':6 (List.init 96 (fun _ -> (int 6, int 6, 1, int 8)))
+    in
+    (Flowsched_core.Art_lp.build_round_lp inst).Flowsched_core.Art_lp.model
+  in
+  let solve_in_domain seed =
+    Domain.spawn (fun () ->
+        let model = model seed in
+        let before = phases () in
+        let t0 = Unix.gettimeofday () in
+        ignore (Simplex.solve_or_fail model);
+        let wall = Unix.gettimeofday () -. t0 in
+        (phases () -. before, wall))
+  in
+  let d1 = solve_in_domain 1 and d2 = solve_in_domain 2 in
+  List.iter
+    (fun (phase, wall) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "phase time %.6fs within the solve's wall time %.6fs" phase wall)
+        true
+        (phase > 0. && phase <= wall +. 1e-6))
+    [ Domain.join d1; Domain.join d2 ]
+
 (* --- sparse LU --- *)
 
 (* Dense Gaussian elimination with partial pivoting, as the oracle for
@@ -676,6 +713,22 @@ let gen_matrix seed n =
   in
   (a, col)
 
+(* The matrix whose slot [s] column is [col s] as compressed sparse
+   columns, factored in place with the identity basis. *)
+let csc_of_cols n col =
+  let cols = Array.init n col in
+  let col_ptr = Array.make (n + 1) 0 in
+  Array.iteri (fun j (rows, _) -> col_ptr.(j + 1) <- col_ptr.(j) + Array.length rows) cols;
+  ( col_ptr,
+    Array.concat (Array.to_list (Array.map fst cols)),
+    Array.concat (Array.to_list (Array.map snd cols)) )
+
+let factor_cols n col =
+  let col_ptr, row_ind, values = csc_of_cols n col in
+  let lu = Sparse_lu.create n in
+  Sparse_lu.factorize lu ~col_ptr ~row_ind ~values ~basis:(Array.init n Fun.id);
+  lu
+
 let prop_sparse_lu_matches_dense =
   QCheck2.Test.make ~name:"sparse LU solve/solve_t = dense Gaussian oracle" ~count:500
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 9))
@@ -687,7 +740,7 @@ let prop_sparse_lu_matches_dense =
       | None -> (
           (* Oracle says (near-)singular: the LU must agree rather than
              silently produce garbage. *)
-          match Sparse_lu.factorize ~m:n ~col with
+          match factor_cols n col with
           | exception Sparse_lu.Singular -> true
           | lu ->
               (* Threshold pivoting may still factor a matrix the oracle
@@ -696,7 +749,7 @@ let prop_sparse_lu_matches_dense =
               Sparse_lu.solve lu rhs x;
               Array.for_all (fun v -> Float.is_finite v) x)
       | Some x_ref -> (
-          match Sparse_lu.factorize ~m:n ~col with
+          match factor_cols n col with
           | exception Sparse_lu.Singular -> false (* oracle solved it *)
           | lu ->
               let x = Array.make n 0. in
@@ -719,27 +772,177 @@ let prop_sparse_lu_matches_dense =
 let test_sparse_lu_singular_zero_column () =
   (* A structurally empty column must raise Singular, not crash or loop. *)
   let col j = if j = 0 then ([| 0; 1 |], [| 1.; 2. |]) else ([||], [||]) in
-  Alcotest.check_raises "zero column" Sparse_lu.Singular (fun () ->
-      ignore (Sparse_lu.factorize ~m:2 ~col))
+  Alcotest.check_raises "zero column" Sparse_lu.Singular (fun () -> ignore (factor_cols 2 col))
 
 let test_sparse_lu_singular_duplicate_column () =
   (* Two identical columns: numerically singular, caught during
      elimination rather than up front. *)
   let col _ = ([| 0; 1 |], [| 1.; 2. |]) in
   Alcotest.check_raises "duplicate columns" Sparse_lu.Singular (fun () ->
-      ignore (Sparse_lu.factorize ~m:2 ~col))
+      ignore (factor_cols 2 col))
 
 let test_sparse_lu_identity_and_permutation () =
   (* Identity: solve is the identity map. *)
-  let lu = Sparse_lu.factorize ~m:3 ~col:(fun j -> ([| j |], [| 1. |])) in
+  let lu = factor_cols 3 (fun j -> ([| j |], [| 1. |])) in
   let x = Array.make 3 0. in
   Sparse_lu.solve lu [| 7.; -2.; 5. |] x;
   Alcotest.(check (array (float 1e-9))) "identity solve" [| 7.; -2.; 5. |] x;
   (* Permutation with scaling: column j has its entry on row (j+1) mod 3. *)
-  let lu = Sparse_lu.factorize ~m:3 ~col:(fun j -> ([| (j + 1) mod 3 |], [| 2. |])) in
+  let lu = factor_cols 3 (fun j -> ([| (j + 1) mod 3 |], [| 2. |])) in
   Sparse_lu.solve lu [| 2.; 4.; 6. |] x;
   (* x_j carries b at row (j+1) mod 3, halved. *)
   Alcotest.(check (array (float 1e-9))) "permutation solve" [| 2.; 3.; 1. |] x
+
+(* A factorization that fails must leave the live one in use: factor A,
+   then B into the reused storage, then try singular and malformed
+   matrices; every solve must still be B's. *)
+let test_sparse_lu_singular_keeps_live () =
+  let n = 3 in
+  let a = [| [| 2.; 0.; 1. |]; [| 1.; 3.; 0. |]; [| 0.; 1.; 4. |] |] in
+  let b = [| [| 1.; 2.; 0. |]; [| 0.; 1.; 5. |]; [| 3.; 0.; 1. |] |] in
+  (* Columns 0-2 are A's, 3-5 are B's, 6 and 7 both B's first column, and
+     8 is empty. *)
+  let cols =
+    Array.init 9 (fun c ->
+        if c >= 8 then ([||], [||])
+        else
+          let mat, j = if c < 3 then (a, c) else if c < 6 then (b, c - 3) else (b, 0) in
+          let rows = List.filter (fun i -> mat.(i).(j) <> 0.) (List.init n Fun.id) in
+          (Array.of_list rows, Array.of_list (List.map (fun i -> mat.(i).(j)) rows)))
+  in
+  let col_ptr, row_ind, values = csc_of_cols 9 (fun c -> cols.(c)) in
+  let lu = Sparse_lu.create n in
+  let factor basis = Sparse_lu.factorize lu ~col_ptr ~row_ind ~values ~basis in
+  let rhs = [| 1.; -2.; 3. |] in
+  let x_of mat = match dense_solve mat rhs with Some x -> x | None -> assert false in
+  let y_of mat = match dense_solve (transpose mat) rhs with Some y -> y | None -> assert false in
+  let check_live what =
+    let x = Array.make n 0. and y = Array.make n 0. in
+    Sparse_lu.solve lu rhs x;
+    Sparse_lu.solve_t lu rhs y;
+    Alcotest.(check (array (float 1e-9))) (what ^ ": solve") (x_of b) x;
+    Alcotest.(check (array (float 1e-9))) (what ^ ": solve_t") (y_of b) y
+  in
+  factor [| 0; 1; 2 |];
+  factor [| 3; 4; 5 |];
+  check_live "after two factorizations";
+  let nnz = Sparse_lu.nnz lu in
+  Alcotest.check_raises "duplicate columns" Sparse_lu.Singular (fun () -> factor [| 6; 7; 4 |]);
+  check_live "after a singular candidate";
+  Alcotest.check_raises "empty column" Sparse_lu.Singular (fun () -> factor [| 3; 8; 5 |]);
+  check_live "after a second singular candidate";
+  Alcotest.check_raises "short basis"
+    (Invalid_argument "Sparse_lu.factorize: basis length is not m") (fun () -> factor [| 0; 1 |]);
+  check_live "after a malformed basis";
+  Alcotest.(check int) "nnz unchanged" nnz (Sparse_lu.nnz lu);
+  factor [| 0; 1; 2 |];
+  let x = Array.make n 0. in
+  Sparse_lu.solve lu rhs x;
+  Alcotest.(check (array (float 1e-9))) "refactored A" (x_of a) x
+
+(* A pool of sparse columns over [n] rows and a way to draw bases from
+   it, in one of three styles:
+   - LP-like: each slot is a row's unit slack or one of two structural
+     columns homed on that row (2-3 entries, the home entry dominating the
+     column, so the basis is nonsingular);
+   - the dense [gen_matrix];
+   - that matrix with about a third of its columns replaced by slacks.
+   Slacks and short columns make many equal lengths, so the column
+   order's tie rule decides a lot.  One basis in six duplicates a column
+   and one in twelve takes an empty one, which makes it singular.  Values
+   are inexact in binary, so a changed elimination order shows in the low
+   bits.  Bases list their columns in shuffled slot order. *)
+let gen_lu_pool seed n =
+  let g = Flowsched_util.Prng.create seed in
+  let int k = Flowsched_util.Prng.int g k in
+  let sign v = if int 2 = 0 then v else -.v in
+  let shuffle a =
+    for k = Array.length a - 1 downto 1 do
+      let r = int (k + 1) in
+      let x = a.(k) in
+      a.(k) <- a.(r);
+      a.(r) <- x
+    done;
+    a
+  in
+  let slack r = ([| r |], [| sign 1. |]) in
+  let structural home =
+    let others = List.filter (( <> ) home) (Array.to_list (shuffle (Array.init n Fun.id))) in
+    let others = List.filteri (fun i _ -> i < 1 + int 2) others in
+    let rows = shuffle (Array.of_list (home :: others)) in
+    ( rows,
+      Array.map
+        (fun r ->
+          if r = home then sign (5. +. (float_of_int (int 28) /. 7.))
+          else sign (float_of_int (1 + int 14) /. 7.))
+        rows )
+  in
+  let dense, _ = gen_matrix seed n in
+  let dense_col j =
+    let rows = List.filter (fun i -> dense.(i).(j) <> 0.) (List.init n Fun.id) in
+    (Array.of_list rows, Array.of_list (List.map (fun i -> dense.(i).(j) /. 7.) rows))
+  in
+  let style = int 3 in
+  (* Slacks at 0 .. n-1, then two structural columns per row or the dense
+     columns, then one empty column. *)
+  let pool =
+    Array.init
+      ((if style = 0 then 3 * n else 2 * n) + 1)
+      (fun c ->
+        if c < n then slack c
+        else if c = (if style = 0 then 3 * n else 2 * n) then ([||], [||])
+        else if style = 0 then structural ((c - n) / 2)
+        else dense_col (c - n))
+  in
+  let empty = Array.length pool - 1 in
+  let basis () =
+    let b =
+      Array.init n (fun r ->
+          match style with
+          | 0 -> ( match int 3 with 0 -> r | k -> n + (2 * r) + k - 1)
+          | 1 -> n + r
+          | _ -> if int 3 = 0 then r else n + r)
+    in
+    if int 6 = 0 then b.(int n) <- b.(int n);
+    if int 12 = 0 then b.(int n) <- empty;
+    shuffle b
+  in
+  let rhs () = Array.init n (fun _ -> if int 4 = 0 then 0. else sign (1. +. (float_of_int (int 64) /. 7.))) in
+  (pool, rhs, basis)
+
+let prop_sparse_lu_matches_reference =
+  QCheck2.Test.make ~name:"sparse LU = reference LU, bit for bit" ~count:400
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 60))
+    (fun (seed, n) ->
+      let pool, rhs, basis = gen_lu_pool seed n in
+      let col_ptr, row_ind, values = csc_of_cols (Array.length pool) (fun c -> pool.(c)) in
+      let bits v = Array.map Int64.bits_of_float v in
+      (* Three bases through one storage, so reuse and the swap after a
+         singular candidate are exercised too. *)
+      let lu = Sparse_lu.create n in
+      List.for_all
+        (fun _ ->
+          let basis = basis () in
+          let reference =
+            match Reference.Sparse_lu.factorize ~m:n ~col:(fun s -> pool.(basis.(s))) with
+            | exception Reference.Sparse_lu.Singular -> None
+            | r -> Some r
+          in
+          let factored =
+            match Sparse_lu.factorize lu ~col_ptr ~row_ind ~values ~basis with
+            | exception Sparse_lu.Singular -> false
+            | () -> true
+          in
+          match reference with
+          | None -> not factored
+          | Some _ when not factored -> false
+          | Some r ->
+              let b = rhs () in
+              let solved f t = let out = Array.make n 0. in f t b out; bits out in
+              Reference.Sparse_lu.nnz r = Sparse_lu.nnz lu
+              && solved Reference.Sparse_lu.solve r = solved Sparse_lu.solve lu
+              && solved Reference.Sparse_lu.solve_t r = solved Sparse_lu.solve_t lu)
+        [ 1; 2; 3 ])
 
 (* --- bounded variables --- *)
 
@@ -886,6 +1089,7 @@ let () =
         prop_scaling_invariance;
         prop_matches_reference_solver;
         prop_sparse_lu_matches_dense;
+        prop_sparse_lu_matches_reference;
         prop_declared_bounds_match_rows;
         prop_warm_matches_cold;
         prop_warm_garbage_basis_is_safe;
@@ -922,6 +1126,8 @@ let () =
           Alcotest.test_case "counters accounting" `Quick test_counters_accounting;
           Alcotest.test_case "counters shim matches registry" `Quick
             test_counters_shim_matches_registry;
+          Alcotest.test_case "phase time is per-domain wall time" `Quick
+            test_phase_time_is_per_domain_wall_time;
         ] );
       ( "sparse-lu",
         [
@@ -930,6 +1136,8 @@ let () =
             test_sparse_lu_singular_duplicate_column;
           Alcotest.test_case "identity and permutation" `Quick
             test_sparse_lu_identity_and_permutation;
+          Alcotest.test_case "singular candidate keeps live factors" `Quick
+            test_sparse_lu_singular_keeps_live;
         ] );
       ( "bounded",
         [

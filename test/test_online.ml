@@ -266,16 +266,54 @@ let prop_policies_always_feasible =
           Schedule.is_valid inst r.Engine.schedule)
         (all_policies seed))
 
-let prop_minrtime_bounded_unfairness =
-  (* MinRTime's priority rule keeps maximum response within a small factor
-     of FIFO's (both are near-FIFO for max response). *)
-  QCheck2.Test.make ~name:"MinRTime max response <= FIFO's" ~count:30
+(* MinRTime's maximum response is not bounded by FIFO's (nor by FIFO's
+   plus a constant): on this instance it keeps one flow waiting until its
+   8th slot, while FIFO's worst flow finishes in its 5th.  The bounds that
+   do hold are the two properties below. *)
+let test_minrtime_max_response_can_exceed_fifo () =
+  let inst = random_instance 43371 ~m:4 ~n:20 ~maxrel:6 in
+  let mr = Engine.run_instance Heuristics.minrtime inst in
+  let ff = Engine.run_instance Heuristics.fifo inst in
+  Alcotest.(check int) "MinRTime max response" 8 (Engine.max_response mr);
+  Alcotest.(check int) "FIFO max response" 5 (Engine.max_response ff)
+
+(* On a unit instance every work-conserving policy keeps each flow's
+   response within deg_in(src) + deg_out(dst) - 1, the degrees counting
+   all flows at the port.  A waiting flow loses each slot to a distinct
+   flow that shares one of its ports: the selection is a maximal matching
+   (a max-weight matching with positive weights is maximal), and each
+   blocking flow is scheduled once. *)
+let prop_response_within_port_degrees =
+  QCheck2.Test.make ~name:"response <= deg_in(src) + deg_out(dst) - 1" ~count:60
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 5 30))
     (fun (seed, n) ->
       let inst = random_instance seed ~m:4 ~n ~maxrel:6 in
-      let mr = Engine.run_instance Heuristics.minrtime inst in
-      let ff = Engine.run_instance Heuristics.fifo inst in
-      Engine.max_response mr <= Engine.max_response ff + 2)
+      let deg_in = Array.make 4 0 and deg_out = Array.make 4 0 in
+      Array.iter
+        (fun (f : Flow.t) ->
+          deg_in.(f.Flow.src) <- deg_in.(f.Flow.src) + 1;
+          deg_out.(f.Flow.dst) <- deg_out.(f.Flow.dst) + 1)
+        inst.Instance.flows;
+      List.for_all
+        (fun (p : Policy.t) ->
+          let r = Engine.run_instance p inst in
+          Array.for_all
+            (fun (f : Flow.t) ->
+              r.Engine.responses.(f.Flow.id) <= deg_in.(f.Flow.src) + deg_out.(f.Flow.dst) - 1)
+            inst.Instance.flows)
+        (all_policies seed))
+
+(* LP (19)-(21) relaxes every valid schedule, so no policy's maximum
+   response is below the smallest fractionally feasible rho. *)
+let prop_max_response_at_least_fractional_rho =
+  QCheck2.Test.make ~name:"max response >= min fractional rho" ~count:30
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 5 30))
+    (fun (seed, n) ->
+      let inst = random_instance seed ~m:4 ~n ~maxrel:6 in
+      let rho = Mrt_scheduler.min_fractional_rho inst in
+      List.for_all
+        (fun p -> Engine.max_response (Engine.run_instance p inst) >= rho)
+        (all_policies seed))
 
 (* A pending queue on a small switch with capacities 1-3 and demands 1-3:
    few ports and many flows, so parallel flows and equal weights abound. *)
@@ -365,7 +403,8 @@ let () =
       [
         prop_amrt_competitive;
         prop_policies_always_feasible;
-        prop_minrtime_bounded_unfairness;
+        prop_response_within_port_degrees;
+        prop_max_response_at_least_fractional_rho;
         prop_selections_match_reference;
         prop_wide_selections_match_reference;
       ]
@@ -388,6 +427,8 @@ let () =
           Alcotest.test_case "maxweight valid" `Quick test_maxweight_uses_queue_lengths;
           Alcotest.test_case "srpt prefers small demands" `Quick test_srpt_prefers_small_demands;
           Alcotest.test_case "srpt = fifo on unit demands" `Quick test_srpt_equals_fifo_on_unit_demands;
+          Alcotest.test_case "minrtime max response can exceed fifo's" `Quick
+            test_minrtime_max_response_can_exceed_fifo;
           Alcotest.test_case "policies on demand workloads" `Quick test_policies_on_demand_workloads;
           Alcotest.test_case "general capacities" `Quick test_policies_respect_general_capacities;
         ] );
