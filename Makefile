@@ -1,6 +1,5 @@
 .PHONY: build test bench bench-smoke bench-lp serve-smoke obs-smoke chaos-smoke \
-  domains-smoke bench-exec scenarios-smoke bench-scenarios dist-smoke bench-dist \
-  perfbench-smoke reproduce goldens clean
+  domains-smoke scenarios-smoke dist-smoke perfbench-smoke reproduce goldens clean
 
 build:
 	dune build
@@ -76,23 +75,22 @@ chaos-smoke: build
 	  || (echo "chaos-smoke: resumed artifact diverges" && exit 1)
 	@rm -f _chaos_ref.json _chaos_run.json _chaos_resume.json _chaos_ckpt.jsonl _chaos_*.f
 
-# Cold-vs-warm simplex pipeline bench on representative figure-cell LPs,
-# plus the large-instance tier (single ART round-LPs at 240 and 600 flows,
-# the sparse engine's target regime) in smoke form.  Exits non-zero if any
-# warm-started solve disagrees with the cold objective beyond 1e-6; writes
-# BENCH_lp.json (per-cell pivots, sparsity counters, wall time) so future
-# changes have a perf trajectory to compare against.
+# Large-instance LP gate: single ART round-LPs at 240 and 600 flows (the
+# sparse engine's target regime), each solved cold and re-solved warm from
+# its own optimal basis.  lp-large exits non-zero if the warm objective
+# disagrees with the cold one beyond 1e-6; its summary line records pivots,
+# LU fill-in and wall time.  The warm = cold gate on the smaller offline
+# pipelines lives in test_art/test_mrt/test_lp.
 bench-lp:
-	dune exec bench/main.exe -- lp --json --smoke
-	@grep -q '"schema": "flowsched-bench-lp/2"' BENCH_lp.json \
-	  && echo "bench-lp: OK (BENCH_lp.json valid)" \
-	  || (echo "bench-lp: BAD artifact" && exit 1)
+	dune exec bench/main.exe -- lp-large 240
+	dune exec bench/main.exe -- lp-large 600
 
 # Serve-loop gate: a 100k-slot bounded-memory run with the incremental
 # matching core must be byte-stable across two invocations for a fixed
-# seed (the outcome is all-integer, so wall-clock variance cannot leak in),
-# and the serve bench's exactness gate must report the incremental matching
-# cardinality equal to a from-scratch Hopcroft-Karp on every slot.
+# seed (the outcome is all-integer, so wall-clock variance cannot leak in).
+# The per-slot exactness gate (incremental cardinality = from-scratch
+# Hopcroft-Karp) is the test_serve case "incremental = Hopcroft-Karp every
+# slot".
 serve-smoke:
 	dune exec bin/main.exe -- serve --core incremental --workload uniform \
 	  -m 8 --rate 6 --slots 100000 --seed 7 --status-every 0 --json \
@@ -106,11 +104,6 @@ serve-smoke:
 	@grep -q '"completed": 0' _serve_a.json \
 	  && (echo "serve-smoke: no flows completed" && exit 1) \
 	  || echo "serve-smoke: OK ($$(grep -o '"completed": [0-9]*' _serve_a.json | head -1 | grep -o '[0-9]*') flows completed)"
-	dune exec bench/main.exe -- serve --json
-	@grep -q '"schema": "flowsched-bench-serve/1"' BENCH_serve.json \
-	  && grep -q '"disagreements": 0' BENCH_serve.json \
-	  && echo "serve-smoke: OK (BENCH_serve.json valid, exactness gate clean)" \
-	  || (echo "serve-smoke: BAD artifact or exactness gate failure" && exit 1)
 	@rm -f _serve_a.json _serve_b.json
 
 # Domains-executor byte-identity gate: the same LP-enabled sweep grid on the
@@ -146,17 +139,6 @@ domains-smoke: build
 	  || (echo "domains-smoke: counter totals diverge between domains --jobs 4 and --jobs 1" && exit 1)
 	@rm -f _dom_*.json _dom_*.txt _dom_*.f
 
-# Executor bench: fork vs domains vs inline over the same sweep grid (the
-# artifacts must agree byte-for-byte modulo timing) plus the parallel-rho
-# k-section micro (must find the same rho as the sequential bisection).
-# Writes BENCH_exec.json; exits non-zero on any disagreement.
-bench-exec:
-	dune exec bench/main.exe -- exec --json --jobs 4
-	@grep -q '"schema": "flowsched-bench-exec/1"' BENCH_exec.json \
-	  && grep -q '"disagreements": 0' BENCH_exec.json \
-	  && echo "bench-exec: OK (BENCH_exec.json valid, backends agree)" \
-	  || (echo "bench-exec: BAD artifact or backend disagreement" && exit 1)
-
 # Scenario-matrix byte-identity gate: the same policy x workload x mode grid
 # (8 zoo kinds x 3 problem modes x 2 seeds, LP bounds on) through 1 inline
 # worker and 4 shared-memory domains workers must write byte-for-byte
@@ -179,16 +161,6 @@ scenarios-smoke: build
 	  && echo "scenarios-smoke: OK (_matrix_j1.json valid)" \
 	  || (echo "scenarios-smoke: BAD artifact" && exit 1)
 	@rm -f _matrix_j1.json _matrix_j4.json
-
-# Scenarios bench: the same matrix grid on the inline, fork and domains
-# backends; any byte-level artifact disagreement exits non-zero.  Writes the
-# schema-checked BENCH_scenarios.json for the CI artifact upload.
-bench-scenarios:
-	dune exec bench/main.exe -- scenarios --json --jobs 4
-	@grep -q '"schema": "flowsched-bench-scenarios/1"' BENCH_scenarios.json \
-	  && grep -q '"disagreements": 0' BENCH_scenarios.json \
-	  && echo "bench-scenarios: OK (BENCH_scenarios.json valid, backends agree)" \
-	  || (echo "bench-scenarios: BAD artifact or backend disagreement" && exit 1)
 
 # Distributed-sweep chaos gate: three shard workers over the chaos grid.
 # Worker 0 is killed mid-shard (deterministic fault plan, no retries — the
@@ -236,16 +208,6 @@ dist-smoke: build
 	  && echo "dist-smoke: merged artifact byte-identical to single-box --jobs 1 run" \
 	  || (echo "dist-smoke: merged artifact diverges from the clean run" && exit 1)
 	@rm -rf $(DIST_DIR) _dist_*.json _dist_*.f _dist_takeover.log
-
-# Sharded sweep + verifying merge vs the single-box run; any byte-level
-# disagreement (after the timing lines) exits non-zero.  Writes the
-# schema-checked BENCH_dist.json for the CI artifact upload.
-bench-dist:
-	dune exec bench/main.exe -- dist --json --jobs 2
-	@grep -q '"schema": "flowsched-bench-dist/1"' BENCH_dist.json \
-	  && grep -q '"disagreements": 0' BENCH_dist.json \
-	  && echo "bench-dist: OK (BENCH_dist.json valid, merge agrees)" \
-	  || (echo "bench-dist: BAD artifact or merge disagreement" && exit 1)
 
 # The benchmark's own test: every perfbench workload at a tiny size, traced
 # and untraced, must pass its output checks and print exactly the metrics

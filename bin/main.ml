@@ -128,6 +128,53 @@ let backend_term =
            $(b,inline) (sequential, in-process).  The artifact is byte-identical across \
            all three.")
 
+(* Flags the grid drivers share: [sweep], [merge] and [matrix] read these
+   terms, so the commands cannot drift apart in meaning or default. *)
+let jobs_term =
+  Arg.(
+    value
+    & opt (some jobs_conv) None
+    & info [ "jobs" ] ~docv:"N"
+        ~doc:
+          "Workers for the cell grid: a positive count or $(b,auto) for the detected core \
+           count (also the default).")
+
+let timeout_term =
+  Arg.(
+    value & opt (some float) None
+    & info [ "timeout" ] ~docv:"SECS"
+        ~doc:"Per-cell attempt timeout in seconds (default: none; 10s under sweep --chaos).")
+
+let retries_term =
+  Arg.(
+    value & opt (some int) None
+    & info [ "retries" ] ~docv:"N"
+        ~doc:"Retry budget per cell beyond the first attempt (default 1).")
+
+let checkpoint_term =
+  Arg.(
+    value & opt (some string) None
+    & info [ "checkpoint" ] ~docv:"FILE"
+        ~doc:
+          "Append each completed cell to FILE (JSONL, CRC-sealed per line) as it settles, so \
+           an interrupted run can be resumed with --resume.")
+
+let resume_term =
+  Arg.(
+    value & flag
+    & info [ "resume" ]
+        ~doc:"Skip cells already present in the --checkpoint file instead of truncating it.")
+
+let ports_term = Arg.(value & opt int 6 & info [ "m" ] ~doc:"Ports per side.")
+
+let seeds_term =
+  Arg.(
+    value & opt (list int) [ 1 ]
+    & info [ "seeds" ] ~docv:"SEEDS" ~doc:"Comma-separated PRNG seeds, one cell each.")
+
+let lp_term =
+  Arg.(value & flag & info [ "lp" ] ~doc:"Include the LP lower bounds in every cell (slow).")
+
 let print_schedule_stats inst schedule =
   Printf.printf "flows:            %d\n" (Instance.n inst);
   Printf.printf "makespan:         %d\n" (Schedule.makespan schedule);
@@ -195,7 +242,7 @@ let lp_bound path stats trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
   let inst = load_instance path in
   let module Simplex = Flowsched_lp.Simplex in
-  if stats then Simplex.reset_counters ();
+  let before = Simplex.read_counters () in
   let bound = Art_lp.lower_bound inst in
   let rho = Mrt_scheduler.min_fractional_rho inst in
   Printf.printf "flows:                     %d\n" (Instance.n inst);
@@ -203,7 +250,7 @@ let lp_bound path stats trace metrics =
   Printf.printf "LP (1)-(4) avg response:   %.3f\n" bound.Art_lp.average;
   Printf.printf "LP (19)-(21) min rho:      %d\n" rho;
   if stats then begin
-    let c = Simplex.read_counters () in
+    let c = Simplex.diff_counters (Simplex.read_counters ()) before in
     Printf.printf "simplex solves:            %d\n" c.Simplex.solves;
     Printf.printf "simplex pivots:            %d\n" c.Simplex.pivots;
     Printf.printf "ftran calls:               %d\n" c.Simplex.ftran_calls;
@@ -591,9 +638,59 @@ let figures_cmd =
 
 (* ----- sweep ----- *)
 
-(* The sweep grid as a pure function of the CLI flags — shared by [sweep]
-   (all modes) and [merge], which must agree on the grid cell-for-cell. *)
-let sweep_cells_or_exit ~kinds ~m ~rates ~rounds_list ~max_demand ~seeds ~with_lp =
+(* The sweep grid flags.  [sweep] (all modes) and [merge] must agree on
+   the grid cell for cell, so both read it from [sweep_grid_term]. *)
+type sweep_grid = {
+  kinds : string list;
+  m : int;
+  rates : float list;
+  rounds_list : int list;
+  max_demand : int;
+  seeds : int list;
+  policy_names : string list;
+  with_lp : bool;
+}
+
+let sweep_grid_term =
+  let kinds =
+    Arg.(
+      value
+      & opt (list string) [ "poisson" ]
+      & info [ "kinds" ] ~docv:"KINDS"
+          ~doc:
+            "Comma-separated workload kinds: poisson | poisson-demands | uniform | skewed | \
+             hotspot | pareto | lognormal | bursty | diurnal | flash-crowd | bimodal | \
+             staircase | crossflow; the zoo kinds (pareto onward) take optional \
+             :parameters, e.g. pareto:1.5.")
+  in
+  let rates =
+    Arg.(
+      value & opt (list float) [ 2.0; 4.0 ]
+      & info [ "rates" ] ~docv:"RATES" ~doc:"Comma-separated arrival rates (the paper's M).")
+  in
+  let rounds_list =
+    Arg.(
+      value & opt (list int) [ 6; 8 ]
+      & info [ "rounds" ] ~docv:"ROUNDS" ~doc:"Comma-separated generation lengths (T).")
+  in
+  let max_demand =
+    Arg.(value & opt int 3 & info [ "max-demand" ] ~doc:"Demand bound (poisson-demands).")
+  in
+  let policy_names =
+    Arg.(
+      value
+      & opt (list string) [ "maxcard"; "minrtime"; "maxweight" ]
+      & info [ "policies" ] ~docv:"POLICIES"
+          ~doc:"Comma-separated policies (maxcard|minrtime|maxweight|fifo|random).")
+  in
+  let grid kinds m rates rounds_list max_demand seeds policy_names with_lp =
+    { kinds; m; rates; rounds_list; max_demand; seeds; policy_names; with_lp }
+  in
+  Term.(
+    const grid $ kinds $ ports_term $ rates $ rounds_list $ max_demand $ seeds_term
+    $ policy_names $ lp_term)
+
+let sweep_cells_or_exit { kinds; m; rates; rounds_list; max_demand; seeds; with_lp; _ } =
   List.iter
     (fun kind ->
       if not (Flowsched_sim.Experiment.sweep_kind_known kind) then begin
@@ -693,9 +790,10 @@ let sweep_shard_worker ~policies ~policy_names ~backend ~jobs ~timeout ~retries 
       Printf.eprintf "shard %d/%d complete: %d cells in %s\n%!" index shards
         (List.length mine) path
 
-let sweep kinds m rates rounds_list max_demand seeds policy_names with_lp backend jobs
-    timeout retries chaos shard checkpoint_dir lease_ttl checkpoint resume out trace metrics =
+let sweep grid backend jobs timeout retries chaos shard checkpoint_dir lease_ttl checkpoint
+    resume out trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
+  let policy_names = grid.policy_names in
   let policies = List.map (fun name -> policy_of_name name 1) policy_names in
   if resume && checkpoint = None then begin
     Printf.eprintf "error: --resume requires --checkpoint FILE\n";
@@ -719,7 +817,7 @@ let sweep kinds m rates rounds_list max_demand seeds policy_names with_lp backen
   let timeout =
     match (timeout, faults) with None, Some _ -> Some 10. | t, _ -> t
   in
-  let cells = sweep_cells_or_exit ~kinds ~m ~rates ~rounds_list ~max_demand ~seeds ~with_lp in
+  let cells = sweep_cells_or_exit grid in
   let jobs = match jobs with Some j -> j | None -> Flowsched_exec.Pool.default_jobs () in
   match (shard, checkpoint_dir) with
   | Some (index, shards), Some dir ->
@@ -778,64 +876,6 @@ let sweep kinds m rates rounds_list max_demand seeds policy_names with_lp backen
         (Unix.gettimeofday () -. t0))
 
 let sweep_cmd =
-  let list_of kind = Arg.list kind in
-  let kinds =
-    Arg.(
-      value
-      & opt (list_of string) [ "poisson" ]
-      & info [ "kinds" ] ~docv:"KINDS"
-          ~doc:"Comma-separated workload kinds (poisson|poisson-demands|uniform|skewed|hotspot).")
-  in
-  let m = Arg.(value & opt int 6 & info [ "m" ] ~doc:"Ports per side.") in
-  let rates =
-    Arg.(
-      value & opt (list_of float) [ 2.0; 4.0 ]
-      & info [ "rates" ] ~docv:"RATES" ~doc:"Comma-separated arrival rates (the paper's M).")
-  in
-  let rounds_list =
-    Arg.(
-      value & opt (list_of int) [ 6; 8 ]
-      & info [ "rounds" ] ~docv:"ROUNDS" ~doc:"Comma-separated generation lengths (T).")
-  in
-  let max_demand =
-    Arg.(value & opt int 3 & info [ "max-demand" ] ~doc:"Demand bound (poisson-demands).")
-  in
-  let seeds =
-    Arg.(
-      value & opt (list_of int) [ 1 ]
-      & info [ "seeds" ] ~docv:"SEEDS" ~doc:"Comma-separated PRNG seeds, one cell each.")
-  in
-  let policy_names =
-    Arg.(
-      value
-      & opt (list_of string) [ "maxcard"; "minrtime"; "maxweight" ]
-      & info [ "policies" ] ~docv:"POLICIES"
-          ~doc:"Comma-separated policies (maxcard|minrtime|maxweight|fifo|random).")
-  in
-  let with_lp =
-    Arg.(value & flag & info [ "lp" ] ~doc:"Also compute the LP lower bounds per cell (slow).")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some jobs_conv) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Workers for the cell grid: a positive count or $(b,auto) for the detected \
-             core count (also the default).")
-  in
-  let timeout =
-    Arg.(
-      value & opt (some float) None
-      & info [ "timeout" ] ~docv:"SECS"
-          ~doc:"Per-cell attempt timeout in seconds (default: none; 10s under --chaos).")
-  in
-  let retries =
-    Arg.(
-      value & opt (some int) None
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Retry budget per cell beyond the first attempt (default 1).")
-  in
   let chaos =
     Arg.(
       value & opt (some int) None
@@ -872,20 +912,6 @@ let sweep_cmd =
             "Staleness horizon for shard leases: a shard whose lease heartbeat is older \
              than SECS (or whose same-host pid is dead) can be taken over.")
   in
-  let checkpoint =
-    Arg.(
-      value & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Append each completed cell to FILE (JSONL) as it settles, so an interrupted \
-             run can be resumed with --resume.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:"Skip cells already present in the --checkpoint file instead of truncating it.")
-  in
   let out =
     Arg.(
       value & opt string "sweep.json"
@@ -897,16 +923,15 @@ let sweep_cmd =
          "Run a (workload x policy x seed) grid through the parallel experiment pool and \
           write a machine-readable JSON artifact.")
     Term.(
-      const sweep $ kinds $ m $ rates $ rounds_list $ max_demand $ seeds $ policy_names
-      $ with_lp $ backend_term $ jobs $ timeout $ retries $ chaos $ shard $ checkpoint_dir
-      $ lease_ttl $ checkpoint $ resume $ out $ trace_term $ metrics_term)
+      const sweep $ sweep_grid_term $ backend_term $ jobs_term $ timeout_term $ retries_term
+      $ chaos $ shard $ checkpoint_dir $ lease_ttl $ checkpoint_term $ resume_term $ out
+      $ trace_term $ metrics_term)
 
 (* ----- merge ----- *)
 
-let merge kinds m rates rounds_list max_demand seeds policy_names with_lp dir allow_partial
-    out =
-  let cells = sweep_cells_or_exit ~kinds ~m ~rates ~rounds_list ~max_demand ~seeds ~with_lp in
-  match Flowsched_dist.Merge.sweep ~dir ~policies:policy_names cells with
+let merge grid dir allow_partial out =
+  let cells = sweep_cells_or_exit grid in
+  match Flowsched_dist.Merge.sweep ~dir ~policies:grid.policy_names cells with
   | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       exit 1
@@ -941,43 +966,6 @@ let merge kinds m rates rounds_list max_demand seeds policy_names with_lp dir al
           Printf.eprintf "wrote %s (%d cells)\n%!" path report.M.found_cells)
 
 let merge_cmd =
-  let list_of kind = Arg.list kind in
-  let kinds =
-    Arg.(
-      value
-      & opt (list_of string) [ "poisson" ]
-      & info [ "kinds" ] ~docv:"KINDS"
-          ~doc:"Comma-separated workload kinds — must match the sharded sweep's flags.")
-  in
-  let m = Arg.(value & opt int 6 & info [ "m" ] ~doc:"Ports per side.") in
-  let rates =
-    Arg.(
-      value & opt (list_of float) [ 2.0; 4.0 ]
-      & info [ "rates" ] ~docv:"RATES" ~doc:"Comma-separated arrival rates.")
-  in
-  let rounds_list =
-    Arg.(
-      value & opt (list_of int) [ 6; 8 ]
-      & info [ "rounds" ] ~docv:"ROUNDS" ~doc:"Comma-separated generation lengths (T).")
-  in
-  let max_demand =
-    Arg.(value & opt int 3 & info [ "max-demand" ] ~doc:"Demand bound (poisson-demands).")
-  in
-  let seeds =
-    Arg.(
-      value & opt (list_of int) [ 1 ]
-      & info [ "seeds" ] ~docv:"SEEDS" ~doc:"Comma-separated PRNG seeds, one cell each.")
-  in
-  let policy_names =
-    Arg.(
-      value
-      & opt (list_of string) [ "maxcard"; "minrtime"; "maxweight" ]
-      & info [ "policies" ] ~docv:"POLICIES"
-          ~doc:"Comma-separated policies — must match the sharded sweep's flags.")
-  in
-  let with_lp =
-    Arg.(value & flag & info [ "lp" ] ~doc:"The sharded sweep ran with --lp.")
-  in
   let dir =
     Arg.(
       required
@@ -1005,10 +993,8 @@ let merge_cmd =
           --checkpoint-dir DIR) into the single artifact an uninterrupted --jobs 1 run \
           would have written. Validates every shard manifest against this grid's \
           fingerprint, requires duplicated cells to agree byte-for-byte, and refuses \
-          partial grids unless --allow-partial.")
-    Term.(
-      const merge $ kinds $ m $ rates $ rounds_list $ max_demand $ seeds $ policy_names
-      $ with_lp $ dir $ allow_partial $ out)
+          partial grids unless --allow-partial. Give it the sharded sweep's grid flags.")
+    Term.(const merge $ sweep_grid_term $ dir $ allow_partial $ out)
 
 (* ----- matrix ----- *)
 
@@ -1102,11 +1088,10 @@ let matrix kinds mode_names m rates rounds_list max_demand seeds policy_names wi
         (Unix.gettimeofday () -. t0))
 
 let matrix_cmd =
-  let list_of kind = Arg.list kind in
   let kinds =
     Arg.(
       value
-      & opt (list_of string)
+      & opt (list string)
           [ "poisson"; "pareto"; "lognormal"; "bursty"; "diurnal"; "flash-crowd"; "bimodal" ]
       & info [ "kinds" ] ~docv:"KINDS"
           ~doc:
@@ -1117,76 +1102,35 @@ let matrix_cmd =
   let modes =
     Arg.(
       value
-      & opt (list_of string) [ "flows"; "endpoint"; "coflow" ]
+      & opt (list string) [ "flows"; "endpoint"; "coflow" ]
       & info [ "modes" ] ~docv:"MODES"
           ~doc:
             "Comma-separated problem modes: flows (the paper's problem), \
              endpoint[:nodes[:cap]] (per-node capacities), coflow[:groups[:max_weight]] \
              (weighted coflow completion).")
   in
-  let m = Arg.(value & opt int 6 & info [ "m" ] ~doc:"Ports per side.") in
   let rates =
     Arg.(
-      value & opt (list_of float) [ 3.0 ]
+      value & opt (list float) [ 3.0 ]
       & info [ "rates" ] ~docv:"RATES" ~doc:"Comma-separated arrival rates (the paper's M).")
   in
   let rounds_list =
     Arg.(
-      value & opt (list_of int) [ 8 ]
+      value & opt (list int) [ 8 ]
       & info [ "rounds" ] ~docv:"ROUNDS" ~doc:"Comma-separated generation lengths (T).")
   in
   let max_demand =
     Arg.(value & opt int 3 & info [ "max-demand" ] ~doc:"Demand bound (demand-carrying kinds).")
   in
-  let seeds =
-    Arg.(
-      value & opt (list_of int) [ 1 ]
-      & info [ "seeds" ] ~docv:"SEEDS" ~doc:"Comma-separated PRNG seeds, one cell each.")
-  in
   let policy_names =
     Arg.(
       value
-      & opt (list_of string) [ "maxcard"; "minrtime"; "maxweight"; "fifo" ]
+      & opt (list string) [ "maxcard"; "minrtime"; "maxweight"; "fifo" ]
       & info [ "policies" ] ~docv:"POLICIES"
           ~doc:
             "Comma-separated policies for the flows/endpoint modes \
              (maxcard|minrtime|maxweight|fifo|random); coflow mode runs its own \
              wsebf/sebf/flow-fifo set.")
-  in
-  let with_lp =
-    Arg.(value & flag & info [ "lp" ] ~doc:"Also compute the LP lower bounds per cell (slow).")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some jobs_conv) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:"Workers for the cell grid: a positive count or $(b,auto) (the default).")
-  in
-  let timeout =
-    Arg.(
-      value & opt (some float) None
-      & info [ "timeout" ] ~docv:"SECS" ~doc:"Per-cell attempt timeout in seconds.")
-  in
-  let retries =
-    Arg.(
-      value & opt (some int) None
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Retry budget per cell beyond the first attempt (default 1).")
-  in
-  let checkpoint =
-    Arg.(
-      value & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Append each completed cell to FILE (JSONL, CRC-sealed per line) as it settles, \
-             so an interrupted run can be resumed with --resume.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:"Skip cells already present in the --checkpoint file instead of truncating it.")
   in
   let out =
     Arg.(
@@ -1200,9 +1144,9 @@ let matrix_cmd =
           endpoint-capacity and weighted-coflow problem variants) and write a \
           machine-readable JSON artifact, byte-identical across --jobs and backends.")
     Term.(
-      const matrix $ kinds $ modes $ m $ rates $ rounds_list $ max_demand $ seeds
-      $ policy_names $ with_lp $ backend_term $ jobs $ timeout $ retries $ checkpoint
-      $ resume $ out $ trace_term $ metrics_term)
+      const matrix $ kinds $ modes $ ports_term $ rates $ rounds_list $ max_demand $ seeds_term
+      $ policy_names $ lp_term $ backend_term $ jobs_term $ timeout_term $ retries_term
+      $ checkpoint_term $ resume_term $ out $ trace_term $ metrics_term)
 
 (* ----- check-trace ----- *)
 

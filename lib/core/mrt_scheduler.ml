@@ -20,7 +20,7 @@ let default_hi inst =
      every flow finishes within this span of its release. *)
   Art_lp.default_horizon inst
 
-let min_fractional_rho ?hi ?(warm_start = true) ?(probes = 1) inst =
+let min_fractional_rho ?hi ?(warm_start = true) inst =
   Trace.with_span "mrt.min_fractional_rho" (fun () ->
   let hi = match hi with Some h -> h | None -> default_hi inst in
   (* The probe LPs of the binary search differ only in their active sets, so
@@ -29,74 +29,29 @@ let min_fractional_rho ?hi ?(warm_start = true) ?(probes = 1) inst =
      The result — the least feasible rho — is independent of which vertex
      each probe lands on, so warm starting cannot change the answer. *)
   let warm = ref None in
-  (* The reusable probe core: reads a warm basis snapshot (immutable key
-     list, safe to share across domains), returns the feasible basis if
-     any.  Metric increments land in whichever domain runs the probe and
-     merge back deterministically. *)
-  let probe_basis ~warm rho =
+  let probe rho =
     Metrics.incr c_rho_probes;
     Trace.with_span "mrt.rho_probe"
       ~args:(fun () -> [ ("rho", Flowsched_util.Json.Int rho) ])
       (fun () ->
         Flowsched_domains.Deadline.check ();
         let active = Mrt_lp.active_of_rho inst rho in
-        match Mrt_lp.solve ?warm inst active with
-        | None -> None
+        match Mrt_lp.solve ?warm:(if warm_start then !warm else None) inst active with
+        | None -> false
         | Some frac ->
             Metrics.incr c_rho_feasible;
-            Some frac.Mrt_lp.basis)
-  in
-  let probe rho =
-    match probe_basis ~warm:(if warm_start then !warm else None) rho with
-    | None -> false
-    | Some basis ->
-        warm := Some basis;
-        true
+            warm := Some frac.Mrt_lp.basis;
+            true)
   in
   if not (probe hi) then
     failwith "Mrt_scheduler.min_fractional_rho: upper bound infeasible";
   let lo = ref 1 and hi = ref hi in
   (* invariant: hi feasible, lo - 1 infeasible (rho = 0 is vacuously
      infeasible for a non-empty instance) *)
-  if probes <= 1 then
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if probe mid then hi := mid else lo := mid + 1
-    done
-  else
-    (* Multi-way (k-section) search: w probes per round shrink [lo, hi] by
-       a factor of w + 1 instead of 2.  Each probe warm-starts from the
-       same shared prior basis snapshot; the reduction is deterministic by
-       probe index — the smallest feasible candidate becomes the new hi
-       (and donates the next warm basis), the largest infeasible candidate
-       below it bumps lo — so the result cannot depend on which domain
-       finished first. *)
-    while !lo < !hi do
-      let lo0 = !lo and span = !hi - !lo in
-      let w = min probes span in
-      let candidates =
-        let cs = Array.init w (fun k -> lo0 + ((k + 1) * span / (w + 1))) in
-        (* Integer division can repeat a value when span < w + 1. *)
-        Array.of_list
-          (List.sort_uniq compare (Array.to_list cs))
-      in
-      let ncs = Array.length candidates in
-      let snapshot = if warm_start then !warm else None in
-      let outcomes =
-        Flowsched_domains.Parallel.map ~width:ncs ncs (fun i ->
-            probe_basis ~warm:snapshot candidates.(i))
-      in
-      let first_feasible = ref None in
-      Array.iteri
-        (fun i o -> if !first_feasible = None && o <> None then first_feasible := Some i)
-        outcomes;
-      (match !first_feasible with
-      | Some s ->
-          hi := candidates.(s);
-          (match outcomes.(s) with Some b -> warm := Some b | None -> ());
-          if s > 0 then lo := candidates.(s - 1) + 1
-      | None -> lo := candidates.(ncs - 1) + 1)
-    done;
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if probe mid then hi := mid else lo := mid + 1
+  done;
   !lo)
 
 let augmentation inst = max 0 ((2 * Instance.dmax inst) - 1)

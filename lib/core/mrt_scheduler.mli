@@ -22,23 +22,14 @@ type solution = {
 val feasible_rho : Flowsched_switch.Instance.t -> int -> bool
 (** Fractional feasibility of a target maximum response time. *)
 
-val min_fractional_rho :
-  ?hi:int -> ?warm_start:bool -> ?probes:int -> Flowsched_switch.Instance.t -> int
+val min_fractional_rho : ?hi:int -> ?warm_start:bool -> Flowsched_switch.Instance.t -> int
 (** Binary search for the smallest fractionally feasible rho.  [hi]
     defaults to a horizon at which feasibility is guaranteed.
     [warm_start] (default [true]) seeds each probe LP with the optimal
     basis of the last feasible probe; the result is identical either way
-    (feasibility does not depend on the vertex reached), only faster.
-    [probes] (default 1) > 1 turns each bisection round into a k-section:
-    that many candidate rhos are probed concurrently on spawned domains
-    ({!Flowsched_domains.Parallel}), every probe warm-starting from the
-    same shared basis snapshot, and the round reduces deterministically by
-    probe index — the returned rho (and the [mrt.rho_probes_feasible] /
-    probe-count trajectory for a fixed [probes]) is reproducible, but the
-    probe {e count} differs from the sequential search, so sweeps that
-    gate on counter identity keep [probes = 1].  A probe checks the
-    cooperative {!Flowsched_domains.Deadline} before solving, so executor
-    timeouts interrupt the search between LPs. *)
+    (feasibility does not depend on the vertex reached), only faster.  A
+    probe checks the cooperative {!Flowsched_domains.Deadline} before
+    solving, so executor timeouts interrupt the search between LPs. *)
 
 val solve : ?rho:int -> Flowsched_switch.Instance.t -> solution
 (** [solve inst] computes [rho = min_fractional_rho inst] (unless given)

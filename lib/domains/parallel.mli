@@ -4,9 +4,10 @@
     plus up to [width - 1] freshly spawned domains (index [i] runs on
     domain [i mod width]; the caller takes residue class 0) and returns the
     results in index order.  This is what the fork pool could never offer:
-    a sweep cell, itself already running on an executor domain, can fan a
-    hot inner loop (parallel rho probes, BvN stripes) across cores and
-    join before returning, with no serialization.
+    a job, itself possibly already running on an executor domain, can fan
+    work across cores and join before returning, with no serialization.
+    [flowsched serve --jobs N] uses it to run [N] service replicas, one
+    per domain.
 
     Determinism and observability: every spawned domain's metric cells and
     trace spans are absorbed into the caller {e in chunk index order} when

@@ -37,7 +37,7 @@ module Trace = Flowsched_obs.Trace
 (* The solver's event counts live in the process-wide metrics registry under
    "simplex.*", so they survive the worker-pool fork boundary (workers ship
    registry diffs back in their result frames) and show up next to the rest
-   of the pipeline's metrics.  [read_counters]/[reset_counters] below are a
+   of the pipeline's metrics.  [read_counters]/[diff_counters] below are a
    back-compat shim over these handles. *)
 let c_solves = Metrics.counter "simplex.solves"
 let c_pivots = Metrics.counter "simplex.pivots"
@@ -54,24 +54,6 @@ let c_eta_nnz = Metrics.counter "simplex.eta_nnz"
 let c_bound_flips = Metrics.counter "simplex.bound_flips"
 let g_phase1_seconds = Metrics.gauge "simplex.phase1_seconds"
 let g_phase2_seconds = Metrics.gauge "simplex.phase2_seconds"
-
-let reset_counters () =
-  let zero c = Metrics.incr ~by:(-Metrics.counter_value c) c in
-  zero c_solves;
-  zero c_pivots;
-  zero c_ftran;
-  zero c_refactorizations;
-  zero c_full_pricing_scans;
-  zero c_partial_pricing_rounds;
-  zero c_warm_attempts;
-  zero c_warm_accepted;
-  zero c_phase1_skipped;
-  zero c_basis_nnz;
-  zero c_factor_nnz;
-  zero c_eta_nnz;
-  zero c_bound_flips;
-  Metrics.set_gauge g_phase1_seconds 0.;
-  Metrics.set_gauge g_phase2_seconds 0.
 
 let read_counters () =
   {

@@ -83,7 +83,7 @@ type counters = {
           other domains do not add to it. *)
   mutable phase2_seconds : float;  (** Likewise for phase 2. *)
 }
-(** Cumulative solver statistics since the last {!reset_counters}.
+(** Cumulative solver statistics of the process.
 
     {b Deprecated interface}: the authoritative store is now the
     process-wide {!Flowsched_obs.Metrics} registry, under the
@@ -91,17 +91,11 @@ type counters = {
     [simplex.ftran_calls], ...); this record is a shim read off those
     handles and kept for existing callers.  New code should read the
     registry — unlike this record, registry snapshots merge across the
-    worker-pool fork boundary.  Prefer bracketing a section with
-    {!read_counters} and {!diff_counters} over calling {!reset_counters},
-    which zeroes the shared registry for every other reader in the
-    process. *)
+    worker-pool fork boundary.  Count one section by bracketing it with
+    {!read_counters} and {!diff_counters}. *)
 
 val read_counters : unit -> counters
 (** Snapshot (a copy; safe to retain) of the registry-backed counters. *)
-
-val reset_counters : unit -> unit
-(** Zero the ["simplex.*"] registry metrics (and hence this record).
-    Deprecated for new code — see {!type:counters}. *)
 
 val diff_counters : counters -> counters -> counters
 (** [diff_counters after before]: field-wise subtraction, for per-section

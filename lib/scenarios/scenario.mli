@@ -7,8 +7,8 @@
     {!Flowsched_sim.Workload}, the rest to {!Zoo}.
 
     {!of_string}/{!to_string} are THE workload-kind parser: the CLI
-    ([generate], [serve], [sweep], [matrix]), the sweep registry, and the
-    bench all go through this pair, so adding a kind means extending the
+    ([generate], [serve], [sweep], [matrix]) and the sweep registry both
+    go through this pair, so adding a kind means extending the
     variant and these two functions — nothing else.  Loading this module
     also registers the zoo kinds with
     {!Flowsched_sim.Workload.register_kinds}, which makes strings like

@@ -24,13 +24,6 @@ let of_instance (inst : Instance.t) =
         | None -> []);
   }
 
-let of_stream stream ~horizon =
-  if horizon < 0 then invalid_arg "Source.of_stream: negative horizon";
-  {
-    more = (fun _slot -> Flowsched_sim.Workload.stream_slot stream < horizon);
-    pull = (fun _slot -> Flowsched_sim.Workload.stream_next stream);
-  }
-
 let of_scenario spec ~horizon =
   if horizon < 0 then invalid_arg "Source.of_scenario: negative horizon";
   match Flowsched_scenarios.Scenario.stream spec with

@@ -19,15 +19,13 @@ val of_instance : Flowsched_switch.Instance.t -> t
 (** Replay a fixed instance: each flow is produced at its release slot, in
     the instance's flow order within a slot. *)
 
-val of_stream : Flowsched_sim.Workload.stream -> horizon:int -> t
-(** Pull from a seeded workload generator for [horizon] source slots, then
-    stop.  The stream advances only when the server actually pulls, so
-    backpressure pauses the generator rather than dropping arrivals. *)
-
 val of_scenario : Flowsched_scenarios.Scenario.spec -> horizon:int -> t
-(** Same contract over any streamable scenario kind (the workload zoo
-    included); the spec's own [rounds] is ignored in favour of [horizon].
-    Raises [Invalid_argument] for batch-only kinds (["uniform"]). *)
+(** Pull from the seeded generator of any streamable scenario kind (the
+    workload zoo included) for [horizon] source slots, then stop; the
+    spec's own [rounds] is ignored in favour of [horizon].  The stream
+    advances only when the server actually pulls, so backpressure pauses
+    the generator rather than dropping arrivals.  Raises
+    [Invalid_argument] for batch-only kinds (["uniform"]). *)
 
 val more : t -> int -> bool
 val pull : t -> int -> (int * int * int) list

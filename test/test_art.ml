@@ -211,28 +211,48 @@ let prop_rounding_iterations_logarithmic =
       let log2n = int_of_float (ceil (log (float_of_int n) /. log 2.)) in
       diag.Iterative_rounding.iterations <= log2n + 3)
 
+(* Offline-pipeline instances of 6-60 unit flows (poisson, uniform and
+   skewed generators); the first is the bench-smoke sweep cell. *)
+let pipeline_cells =
+  let module W = Flowsched_sim.Workload in
+  [
+    ("poisson m=4 rate=2 T=4 s=1", W.poisson ~m:4 ~rate:2.0 ~rounds:4 ~seed:1);
+    ("poisson m=4 rate=2 T=4 s=2", W.poisson ~m:4 ~rate:2.0 ~rounds:4 ~seed:2);
+    ("poisson m=6 rate=4 T=6 s=3", W.poisson ~m:6 ~rate:4.0 ~rounds:6 ~seed:3);
+    ("uniform m=4 n=24", W.uniform_total ~m:4 ~n:24 ~max_release:6 ~seed:41);
+    ("uniform m=3 n=60", W.uniform_total ~m:3 ~n:60 ~max_release:8 ~seed:1);
+    ("skewed m=5 rate=2 T=6", W.skewed ~m:5 ~rate:2.0 ~rounds:6 ~seed:7 ());
+  ]
+
 let test_rounding_warm_matches_cold () =
-  (* Warm-started iterative rounding must be byte-identical to cold-start
-     and spend strictly fewer simplex pivots on a multi-iteration run. *)
+  (* Warm-started iterative rounding must reproduce the cold-start schedule
+     and LP(0) objective, and spend strictly fewer simplex pivots on a
+     multi-iteration run. *)
   let module Simplex = Flowsched_lp.Simplex in
+  let run ~warm_start inst =
+    let before = Simplex.read_counters () in
+    let s, d = Iterative_rounding.run ~warm_start inst in
+    (s, d, (Simplex.diff_counters (Simplex.read_counters ()) before).Simplex.pivots)
+  in
+  let same ~tol label inst =
+    let s_cold, d_cold, cold_pivots = run ~warm_start:false inst in
+    let s_warm, d_warm, warm_pivots = run ~warm_start:true inst in
+    Alcotest.(check (array int)) (label ^ ": identical schedules")
+      (Schedule.assignment s_cold) (Schedule.assignment s_warm);
+    Alcotest.(check bool) (label ^ ": identical LP(0) objective") true
+      (abs_float
+         (d_cold.Iterative_rounding.lp_objective -. d_warm.Iterative_rounding.lp_objective)
+      <= tol);
+    (d_cold, cold_pivots, warm_pivots)
+  in
   let inst = Flowsched_sim.Workload.uniform_total ~m:3 ~n:60 ~max_release:2 ~seed:6 in
-  Simplex.reset_counters ();
-  let s_cold, d_cold = Iterative_rounding.run ~warm_start:false inst in
-  let cold_pivots = (Simplex.read_counters ()).Simplex.pivots in
-  Simplex.reset_counters ();
-  let s_warm, d_warm = Iterative_rounding.run ~warm_start:true inst in
-  let warm_pivots = (Simplex.read_counters ()).Simplex.pivots in
+  let d_cold, cold_pivots, warm_pivots = same ~tol:1e-9 "uniform m=3 n=60 T=2" inst in
   Alcotest.(check bool) "multi-iteration run" true (d_cold.Iterative_rounding.iterations >= 2);
-  Alcotest.(check (array int)) "identical schedules"
-    (Schedule.assignment s_cold) (Schedule.assignment s_warm);
-  Alcotest.(check bool) "identical LP(0) objective" true
-    (abs_float
-       (d_cold.Iterative_rounding.lp_objective -. d_warm.Iterative_rounding.lp_objective)
-    <= 1e-9);
   Alcotest.(check bool)
     (Printf.sprintf "strictly fewer pivots (%d < %d)" warm_pivots cold_pivots)
     true
-    (warm_pivots < cold_pivots)
+    (warm_pivots < cold_pivots);
+  List.iter (fun (label, inst) -> ignore (same ~tol:1e-6 label inst)) pipeline_cells
 
 (* --- Theorem 1 end to end --- *)
 

@@ -509,14 +509,22 @@ let prop_scaling_invariance =
 
 let test_warm_resolve_same_model () =
   (* Re-solving a model seeded with its own optimal basis must confirm the
-     same optimum in (at most) as many pivots — near zero in practice. *)
-  let m, _ = build_random_lp (7, 10, 6) in
-  let r1 = Simplex.solve_or_fail m in
-  let r2 = Simplex.solve_or_fail ~warm:(Array.to_list r1.Simplex.basis) m in
-  Alcotest.(check bool) "same objective" true
-    (abs_float (r1.Simplex.objective -. r2.Simplex.objective) <= 1e-9);
-  Alcotest.(check bool) "no more pivots than cold" true
-    (r2.Simplex.iterations <= r1.Simplex.iterations)
+     same optimum in (at most) as many pivots — near zero in practice.  The
+     second model is LP (1)-(4) of 24 unit flows on a 4x4 switch. *)
+  let art_lp =
+    (Flowsched_core.Art_lp.build_round_lp
+       (Flowsched_sim.Workload.uniform_total ~m:4 ~n:24 ~max_release:6 ~seed:41))
+      .Flowsched_core.Art_lp.model
+  in
+  List.iter
+    (fun (label, m) ->
+      let r1 = Simplex.solve_or_fail m in
+      let r2 = Simplex.solve_or_fail ~warm:(Array.to_list r1.Simplex.basis) m in
+      Alcotest.(check bool) (label ^ ": same objective") true
+        (abs_float (r1.Simplex.objective -. r2.Simplex.objective) <= 1e-9);
+      Alcotest.(check bool) (label ^ ": no more pivots than cold") true
+        (r2.Simplex.iterations <= r1.Simplex.iterations))
+    [ ("random LP", fst (build_random_lp (7, 10, 6))); ("ART round LP, n=24", art_lp) ]
 
 let test_warm_basis_shape () =
   (* The returned basis only names structural vars and row slacks, never
@@ -541,58 +549,55 @@ let test_warm_basis_shape () =
   | _ -> ()
 
 let test_counters_accounting () =
-  Simplex.reset_counters ();
+  let before = Simplex.read_counters () in
   let m, _ = build_random_lp (11, 8, 5) in
   let r = Simplex.solve_or_fail m in
-  let c = Simplex.read_counters () in
+  let c = Simplex.diff_counters (Simplex.read_counters ()) before in
   Alcotest.(check int) "one solve recorded" 1 c.Simplex.solves;
   Alcotest.(check int) "pivots = result iterations" r.Simplex.iterations c.Simplex.pivots;
   Alcotest.(check bool) "snapshot is detached" true
     (let snap = Simplex.read_counters () in
      ignore (Simplex.solve m);
-     snap.Simplex.solves = 1);
-  Simplex.reset_counters ();
-  Alcotest.(check int) "reset zeroes" 0 (Simplex.read_counters ()).Simplex.solves
+     snap.Simplex.solves = before.Simplex.solves + 1)
 
-(* The legacy counters record is now a shim over the flowsched_obs metrics
-   registry; the two views must stay equal, and reset must zero both. *)
+(* The legacy counters record is a shim over the flowsched_obs metrics
+   registry: over any section, its diff must equal the registry's. *)
 let test_counters_shim_matches_registry () =
   let module M = Flowsched_obs.Metrics in
-  Simplex.reset_counters ();
-  let m, _ = build_random_lp (13, 9, 7) in
-  ignore (Simplex.solve_or_fail m);
-  ignore (Simplex.solve m);
-  let c = Simplex.read_counters () in
   let reg name = M.counter_value (M.counter name) in
-  Alcotest.(check int) "solves" (reg "simplex.solves") c.Simplex.solves;
-  Alcotest.(check int) "pivots" (reg "simplex.pivots") c.Simplex.pivots;
-  Alcotest.(check int) "ftran" (reg "simplex.ftran_calls") c.Simplex.ftran_calls;
-  Alcotest.(check int) "refactorizations" (reg "simplex.refactorizations")
-    c.Simplex.refactorizations;
-  Alcotest.(check int) "full scans" (reg "simplex.full_pricing_scans")
-    c.Simplex.full_pricing_scans;
-  Alcotest.(check int) "partial rounds" (reg "simplex.partial_pricing_rounds")
-    c.Simplex.partial_pricing_rounds;
-  Alcotest.(check int) "warm attempts" (reg "simplex.warm_attempts") c.Simplex.warm_attempts;
-  Alcotest.(check int) "warm accepted" (reg "simplex.warm_accepted") c.Simplex.warm_accepted;
-  Alcotest.(check int) "phase1 skipped" (reg "simplex.phase1_skipped") c.Simplex.phase1_skipped;
-  Alcotest.(check int) "basis nnz" (reg "simplex.basis_nnz") c.Simplex.basis_nnz;
-  Alcotest.(check int) "factor nnz" (reg "simplex.factor_nnz") c.Simplex.factor_nnz;
-  Alcotest.(check int) "eta nnz" (reg "simplex.eta_nnz") c.Simplex.eta_nnz;
-  Alcotest.(check int) "bound flips" (reg "simplex.bound_flips") c.Simplex.bound_flips;
+  let gauge name = M.gauge_value (M.gauge name) in
+  let names =
+    [
+      "simplex.solves"; "simplex.pivots"; "simplex.ftran_calls"; "simplex.refactorizations";
+      "simplex.full_pricing_scans"; "simplex.partial_pricing_rounds"; "simplex.warm_attempts";
+      "simplex.warm_accepted"; "simplex.phase1_skipped"; "simplex.basis_nnz";
+      "simplex.factor_nnz"; "simplex.eta_nnz"; "simplex.bound_flips";
+    ]
+  in
+  let reg_before = List.map reg names in
+  let phase1_before = gauge "simplex.phase1_seconds" in
+  let phase2_before = gauge "simplex.phase2_seconds" in
+  let before = Simplex.read_counters () in
+  let m, _ = build_random_lp (13, 9, 7) in
+  let r = Simplex.solve_or_fail m in
+  ignore (Simplex.solve ~warm:(Array.to_list r.Simplex.basis) m);
+  let d = Simplex.diff_counters (Simplex.read_counters ()) before in
+  let reg_diff = List.map2 (fun name b -> reg name - b) names reg_before in
+  Alcotest.(check (list int)) "counter diffs"
+    reg_diff
+    [
+      d.Simplex.solves; d.Simplex.pivots; d.Simplex.ftran_calls; d.Simplex.refactorizations;
+      d.Simplex.full_pricing_scans; d.Simplex.partial_pricing_rounds; d.Simplex.warm_attempts;
+      d.Simplex.warm_accepted; d.Simplex.phase1_skipped; d.Simplex.basis_nnz;
+      d.Simplex.factor_nnz; d.Simplex.eta_nnz; d.Simplex.bound_flips;
+    ];
+  Alcotest.(check int) "two solves" 2 d.Simplex.solves;
   Alcotest.(check (float 1e-9)) "phase1 seconds"
-    (M.gauge_value (M.gauge "simplex.phase1_seconds"))
-    c.Simplex.phase1_seconds;
+    (gauge "simplex.phase1_seconds" -. phase1_before)
+    d.Simplex.phase1_seconds;
   Alcotest.(check (float 1e-9)) "phase2 seconds"
-    (M.gauge_value (M.gauge "simplex.phase2_seconds"))
-    c.Simplex.phase2_seconds;
-  (* diff_counters subtracts field-wise *)
-  let d = Simplex.diff_counters c c in
-  Alcotest.(check int) "self-diff solves" 0 d.Simplex.solves;
-  Alcotest.(check int) "self-diff pivots" 0 d.Simplex.pivots;
-  Simplex.reset_counters ();
-  Alcotest.(check int) "reset zeroes the registry too" 0 (reg "simplex.solves");
-  Alcotest.(check int) "reset zeroes pivots in registry" 0 (reg "simplex.pivots")
+    (gauge "simplex.phase2_seconds" -. phase2_before)
+    d.Simplex.phase2_seconds
 
 (* Phase times are wall time on the solving domain: two domains solving
    at once each report no more phase time than their own solve took
@@ -962,13 +967,13 @@ let test_bounded_pure_flip_no_rows () =
      flip — no basis, no pivots. *)
   let m = Model.create () in
   let x = Model.add_var ~obj:(-1.) ~ub:3. m in
-  Simplex.reset_counters ();
+  let before = Simplex.read_counters () in
   let r = Simplex.solve_or_fail m in
   check_close "objective" (-3.) r.Simplex.objective;
   check_close "x at bound" 3. r.Simplex.values.(x);
   Alcotest.(check int) "no pivots" 0 r.Simplex.iterations;
   Alcotest.(check bool) "flip counted" true
-    ((Simplex.read_counters ()).Simplex.bound_flips >= 1)
+    ((Simplex.diff_counters (Simplex.read_counters ()) before).Simplex.bound_flips >= 1)
 
 let test_bounded_infeasible_vs_row () =
   (* x >= 5 but x <= 2 declared: phase 1 cannot reach feasibility. *)

@@ -88,43 +88,43 @@ let prop_feasibility_monotone =
       && Mrt_scheduler.feasible_rho inst (rho + 1)
       && ((rho = 1) || not (Mrt_scheduler.feasible_rho inst (rho - 1))))
 
+(* Offline-pipeline instances of 6-60 unit flows (poisson, uniform and
+   skewed generators); the first is the bench-smoke sweep cell. *)
+let pipeline_cells =
+  let module W = Flowsched_sim.Workload in
+  [
+    ("poisson m=4 rate=2 T=4 s=1", W.poisson ~m:4 ~rate:2.0 ~rounds:4 ~seed:1);
+    ("poisson m=4 rate=2 T=4 s=2", W.poisson ~m:4 ~rate:2.0 ~rounds:4 ~seed:2);
+    ("poisson m=6 rate=4 T=6 s=3", W.poisson ~m:6 ~rate:4.0 ~rounds:6 ~seed:3);
+    ("uniform m=4 n=24", W.uniform_total ~m:4 ~n:24 ~max_release:6 ~seed:41);
+    ("uniform m=3 n=60", W.uniform_total ~m:3 ~n:60 ~max_release:8 ~seed:1);
+    ("skewed m=5 rate=2 T=6", W.skewed ~m:5 ~rate:2.0 ~rounds:6 ~seed:7 ());
+  ]
+
 let test_rho_search_warm_matches_cold () =
   (* Basis reuse across the binary-search probes must not change the
      answer (feasibility of each probe LP is vertex-independent) and
      must strictly reduce the total pivot count. *)
   let module Simplex = Flowsched_lp.Simplex in
+  let search ~warm_start inst =
+    let before = Simplex.read_counters () in
+    let rho = Mrt_scheduler.min_fractional_rho ~warm_start inst in
+    (rho, (Simplex.diff_counters (Simplex.read_counters ()) before).Simplex.pivots)
+  in
   let inst = tiny_instance 71 ~m:4 ~n:24 ~maxrel:4 in
-  Simplex.reset_counters ();
-  let rho_cold = Mrt_scheduler.min_fractional_rho ~warm_start:false inst in
-  let cold_pivots = (Simplex.read_counters ()).Simplex.pivots in
-  Simplex.reset_counters ();
-  let rho_warm = Mrt_scheduler.min_fractional_rho ~warm_start:true inst in
-  let warm_pivots = (Simplex.read_counters ()).Simplex.pivots in
+  let rho_cold, cold_pivots = search ~warm_start:false inst in
+  let rho_warm, warm_pivots = search ~warm_start:true inst in
   Alcotest.(check int) "identical rho" rho_cold rho_warm;
   Alcotest.(check bool)
     (Printf.sprintf "strictly fewer pivots (%d < %d)" warm_pivots cold_pivots)
     true
-    (warm_pivots < cold_pivots)
-
-let test_rho_search_parallel_probes_match () =
-  (* The k-section search on spawned domains must find exactly the rho of
-     the sequential bisection, for every probe width and with warm starts
-     on or off (the reduction is deterministic by probe index). *)
+    (warm_pivots < cold_pivots);
   List.iter
-    (fun seed ->
-      let inst = tiny_instance seed ~m:4 ~n:20 ~maxrel:4 in
-      let reference = Mrt_scheduler.min_fractional_rho ~probes:1 inst in
-      List.iter
-        (fun probes ->
-          List.iter
-            (fun warm_start ->
-              Alcotest.(check int)
-                (Printf.sprintf "probes=%d warm=%b (seed %d)" probes warm_start seed)
-                reference
-                (Mrt_scheduler.min_fractional_rho ~warm_start ~probes inst))
-            [ true; false ])
-        [ 2; 3; 4 ])
-    [ 72; 73; 74 ]
+    (fun (label, inst) ->
+      Alcotest.(check int) (label ^ ": identical rho")
+        (fst (search ~warm_start:false inst))
+        (fst (search ~warm_start:true inst)))
+    pipeline_cells
 
 let prop_declared_ub_matches_explicit_rows =
   (* The declared-bound formulation (x_{e,t} <= 1 enforced by the simplex's
@@ -288,8 +288,6 @@ let () =
           Alcotest.test_case "feasibility + binary search" `Quick test_lp_feasibility_basic;
           Alcotest.test_case "fractional below integral" `Quick test_lp_fractional_below_integral;
           Alcotest.test_case "warm rho search matches cold" `Quick test_rho_search_warm_matches_cold;
-          Alcotest.test_case "parallel probes match sequential" `Quick
-            test_rho_search_parallel_probes_match;
         ] );
       ( "rounding",
         [

@@ -7,9 +7,13 @@ open Flowsched_serve
 module Engine = Flowsched_sim.Engine
 module Workload = Flowsched_sim.Workload
 module Heuristics = Flowsched_online.Heuristics
+module Bmatching = Flowsched_bipartite.Bmatching
+module Scenario = Flowsched_scenarios.Scenario
 
 let stream_source ~m ~rate ~slots ~seed =
-  Source.of_stream (Workload.stream Workload.Uniform ~m ~rate ~seed) ~horizon:slots
+  Source.of_scenario
+    { Scenario.kind = Scenario.Poisson; m; rate; rounds = slots; max_demand = 1; seed }
+    ~horizon:slots
 
 (* A 1e5-slot bounded-memory serve run must reproduce the batch engine's
    aggregate statistics on the same trace, for each matching policy.
@@ -92,6 +96,53 @@ let test_cores_agree_on_throughput () =
   Alcotest.(check int) "same arrivals" pol.Server.arrived inc.Server.arrived;
   Alcotest.(check int) "incremental completes all" inc.Server.arrived inc.Server.completed;
   Alcotest.(check int) "policy completes all" pol.Server.arrived pol.Server.completed
+
+(* Exactness of the incremental core: on every slot of a seeded stream its
+   cardinality must equal a from-scratch Hopcroft-Karp over the same pending
+   flows (unit capacities, where the per-flow reduction is exact).  The
+   drain is bounded, so a core that stops matching fails here instead of
+   looping forever. *)
+let test_incremental_matches_hopcroft_karp () =
+  List.iter
+    (fun (label, kind, m, rate, slots, seed) ->
+      let stream =
+        match Scenario.stream { Scenario.kind; m; rate; rounds = slots; max_demand = 1; seed } with
+        | Ok a -> a
+        | Error msg -> Alcotest.fail msg
+      in
+      let inc =
+        Bmatching.incremental ~nl:m ~nr:m ~cap_in:(Array.make m 1) ~cap_out:(Array.make m 1)
+      in
+      let live = Hashtbl.create 1024 in
+      let next_id = ref 0 and checks = ref 0 and mismatches = ref 0 in
+      while
+        (Scenario.arrivals_slot stream < slots || Bmatching.Incremental.pending inc > 0)
+        && !checks < 2 * slots
+      do
+        if Scenario.arrivals_slot stream < slots then
+          List.iter
+            (fun (src, dst, _demand) ->
+              Bmatching.Incremental.add inc ~id:!next_id ~src ~dst;
+              Hashtbl.add live !next_id (src, dst);
+              incr next_id)
+            (Scenario.arrivals_next stream);
+        let edges = Array.of_list (Hashtbl.fold (fun _ sd acc -> sd :: acc) live []) in
+        let scratch =
+          Flowsched_bipartite.Matching.max_cardinality_size
+            (Flowsched_bipartite.Bgraph.create ~nl:m ~nr:m edges)
+        in
+        incr checks;
+        if Bmatching.Incremental.cardinality inc <> scratch then incr mismatches;
+        List.iter (Hashtbl.remove live) (Bmatching.Incremental.take_matched inc)
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "%s: slots off Hopcroft-Karp (of %d)" label !checks)
+        0 !mismatches;
+      Alcotest.(check int) (label ^ ": drained") 0 (Bmatching.Incremental.pending inc))
+    [
+      ("poisson m=6 rate=4", Scenario.Poisson, 6, 4.0, 2_000, 5);
+      ("hotspot m=8 rate=2 f=.3", Scenario.Hotspot 0.3, 8, 2.0, 1_500, 6);
+    ]
 
 (* max_slots is a hard stop: an overloaded run is cut at the cap and the
    leftovers are reported instead of silently discarded. *)
@@ -197,6 +248,8 @@ let () =
           Alcotest.test_case "backpressure lossless" `Quick test_backpressure_lossless;
           Alcotest.test_case "cores agree on throughput" `Quick
             test_cores_agree_on_throughput;
+          Alcotest.test_case "incremental = Hopcroft-Karp every slot" `Quick
+            test_incremental_matches_hopcroft_karp;
           Alcotest.test_case "max_slots hard stop" `Quick test_max_slots_stops;
           Alcotest.test_case "status snapshots" `Quick test_status_snapshots;
           Alcotest.test_case "stop flag drains" `Quick test_stop_flag_drains;
