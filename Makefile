@@ -106,15 +106,16 @@ serve-smoke:
 	  || echo "serve-smoke: OK ($$(grep -o '"completed": [0-9]*' _serve_a.json | head -1 | grep -o '[0-9]*') flows completed)"
 	@rm -f _serve_a.json _serve_b.json
 
-# Domains-executor byte-identity gate: the same LP-enabled sweep grid on the
-# shared-memory domains backend with 4 workers vs the sequential run must
+# Domains-executor byte-identity gate: the same LP-enabled sweep grid (a
+# base kind, a parameterized base kind and a zoo kind among its workloads)
+# on the shared-memory domains backend with 4 workers vs the sequential run must
 # produce (a) byte-identical artifacts after dropping the timing lines and
 # the worker-count metadata line (the only field that records how the run
 # was parallelized) and (b) byte-identical counter totals (executor-internal
 # pool.*/domains.* counters depend on worker count, so both families are
 # excluded — every algorithmic counter must match exactly).
-DOMAINS_GRID = --kinds poisson,uniform -m 4 --rates 2 --rounds 4,5 --seeds 1,2 \
-  --policies maxcard,minrtime --lp
+DOMAINS_GRID = --kinds poisson,uniform,skewed:1.2,pareto:1.5 -m 4 --rates 2 --rounds 4,5 \
+  --seeds 1,2 --policies maxcard,minrtime --lp
 DOMAINS_FILTER = grep -v 'wall_clock_s\|phase1_seconds\|phase2_seconds\|"jobs":'
 
 domains-smoke: build

@@ -347,8 +347,8 @@ let skew_block ~jobs () =
   pool_rows ~jobs rows_for
     [
       ("uniform", Workload.poisson ~m ~rate:4.0 ~rounds:10 ~seed:71);
-      ("zipf(1.0)", Workload.skewed ~m ~rate:4.0 ~rounds:10 ~alpha:1.0 ~seed:71 ());
-      ("hotspot(50%)", Workload.hotspot ~m ~rate:4.0 ~rounds:10 ~fraction:0.5 ~seed:71 ());
+      ("zipf(1.0)", Workload.skewed ~m ~rate:4.0 ~rounds:10 ~alpha:1.0 ~seed:71);
+      ("hotspot(50%)", Workload.hotspot ~m ~rate:4.0 ~rounds:10 ~fraction:0.5 ~seed:71);
     ]
   |> List.iter (fun rows ->
          List.iter (Table.add_row t) rows;

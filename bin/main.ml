@@ -7,6 +7,7 @@
 open Cmdliner
 open Flowsched_switch
 open Flowsched_core
+module Scenario = Flowsched_sim.Scenario
 
 (* ----- shared helpers ----- *)
 
@@ -175,6 +176,36 @@ let seeds_term =
 let lp_term =
   Arg.(value & flag & info [ "lp" ] ~doc:"Include the LP lower bounds in every cell (slow).")
 
+let kind_names = String.concat " | " Scenario.names
+
+let parse_or_exit parse s =
+  match parse s with
+  | Ok v -> v
+  | Error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 1
+
+(* The generators range-check their own parameters, so build each distinct
+   (kind, m, rate, rounds, max_demand) of a grid once, here in the parent: a
+   rejected parameter then fails with the generator's message before any
+   worker forks.  No seed is rejected, so one stands in for all. *)
+let check_generators_or_exit ~kinds ~m ~rates ~rounds_list ~max_demand =
+  List.concat_map
+    (fun kind ->
+      List.concat_map
+        (fun rate ->
+          List.map (fun rounds -> { Scenario.kind; m; rate; rounds; max_demand; seed = 0 })
+            rounds_list)
+        rates)
+    kinds
+  |> List.sort_uniq compare
+  |> List.iter (fun spec ->
+         match Scenario.instance spec with
+         | _ -> ()
+         | exception Invalid_argument msg ->
+             Printf.eprintf "error: %s\n" msg;
+             exit 1)
+
 let print_schedule_stats inst schedule =
   Printf.printf "flows:            %d\n" (Instance.n inst);
   Printf.printf "makespan:         %d\n" (Schedule.makespan schedule);
@@ -193,21 +224,24 @@ let print_timeline inst schedule caps_note =
 (* ----- generate ----- *)
 
 let generate kind m rate rounds n max_release max_demand seed =
-  let module Scenario = Flowsched_scenarios.Scenario in
   let inst =
-    match kind with
-    (* generate's "uniform" predates the scenario namespace and keeps its
-       --n/--max-release knobs rather than the rate * rounds volume. *)
-    | "uniform" -> Flowsched_sim.Workload.uniform_total ~m ~n ~max_release ~seed
-    | "slack1" -> Open_problem.generate ~seed ~m ~rounds ()
-    | "fig4a" -> Lower_bounds.fig4a_static ~t:(rounds / 2) ~total_rounds:rounds
-    | "fig4b" -> Lower_bounds.fig4b_static ()
-    | other -> (
-        match Scenario.of_string other with
-        | Ok k -> Scenario.instance { Scenario.kind = k; m; rate; rounds; max_demand; seed }
-        | Error msg ->
-            Printf.eprintf "error: %s (also: slack1|fig4a|fig4b)\n" msg;
-            exit 1)
+    try
+      match kind with
+      (* generate's "uniform" predates the scenario namespace and keeps its
+         --n/--max-release knobs rather than the rate * rounds volume. *)
+      | "uniform" -> Flowsched_sim.Workload.uniform_total ~m ~n ~max_release ~seed
+      | "slack1" -> Open_problem.generate ~seed ~m ~rounds ()
+      | "fig4a" -> Lower_bounds.fig4a_static ~t:(rounds / 2) ~total_rounds:rounds
+      | "fig4b" -> Lower_bounds.fig4b_static ()
+      | other -> (
+          match Scenario.of_string other with
+          | Ok k -> Scenario.instance { Scenario.kind = k; m; rate; rounds; max_demand; seed }
+          | Error msg ->
+              Printf.eprintf "error: %s (also: slack1|fig4a|fig4b)\n" msg;
+              exit 1)
+    with Invalid_argument msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 1
   in
   print_string (Instance.to_string inst)
 
@@ -217,10 +251,9 @@ let generate_cmd =
       value & pos 0 string "poisson"
       & info [] ~docv:"KIND"
           ~doc:
-            "Any scenario kind — poisson | poisson-demands | uniform | skewed | hotspot | \
-             pareto | lognormal | bursty | diurnal | flash-crowd | bimodal | staircase | \
-             crossflow, with optional :parameters (e.g. pareto:1.2) — or one of the \
-             specials slack1 | fig4a | fig4b.")
+            ("Any scenario kind — " ^ kind_names
+           ^ ", with optional :parameters (e.g. pareto:1.2) — or one of the specials \
+              slack1 | fig4a | fig4b."))
   in
   let m = Arg.(value & opt int 8 & info [ "m" ] ~doc:"Ports per side.") in
   let rate = Arg.(value & opt float 4.0 & info [ "rate" ] ~doc:"Poisson arrival rate (M).") in
@@ -385,8 +418,8 @@ let simulate_cmd =
 
 (* ----- serve ----- *)
 
-let serve inst_path core_name seed jobs workload m rate slots max_demand alpha fraction
-    queue_cap buffer_cap max_slots idle_limit status_every json trace metrics =
+let serve inst_path core_name seed jobs workload m rate slots max_demand queue_cap buffer_cap
+    max_slots idle_limit status_every json trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
   let module Serve = Flowsched_serve.Server in
   let inst = Option.map load_instance inst_path in
@@ -401,24 +434,12 @@ let serve inst_path core_name seed jobs workload m rate slots max_demand alpha f
           Some inst.Instance.cap_in,
           Some inst.Instance.cap_out )
     | None ->
-        let module Scenario = Flowsched_scenarios.Scenario in
-        let name =
-          (* Workload names parse centrally (Scenario.of_string); bare
-             legacy names keep their historical meaning — "uniform" was
-             serve's name for the Poisson stream, and the bare kinds pick
-             their parameter up from the dedicated flag. *)
-          match String.lowercase_ascii workload with
-          | "uniform" -> "poisson"
-          | "skewed" -> Printf.sprintf "skewed:%g" alpha
-          | "hotspot" -> Printf.sprintf "hotspot:%g" fraction
-          | other -> other
-        in
         let kind =
-          match Scenario.of_string name with
-          | Ok k -> k
-          | Error msg ->
-              Printf.eprintf "error: %s\n" msg;
-              exit 1
+          (* "uniform" was serve's name for the Poisson stream before the
+             scenario namespace; generate's "uniform" is a batch-only kind. *)
+          match String.lowercase_ascii workload with
+          | "uniform" -> Scenario.Poisson
+          | name -> parse_or_exit Scenario.of_string name
         in
         let spec = { Scenario.kind; m; rate; rounds = slots; max_demand; seed } in
         let source =
@@ -522,8 +543,8 @@ let serve_cmd =
           ~doc:
             "Generated stream kind: any streamable scenario (poisson | demands | skewed | \
              hotspot | pareto | lognormal | bursty | diurnal | flash-crowd | bimodal | \
-             staircase | crossflow, with optional :parameters); uniform is a legacy alias \
-             for poisson.")
+             staircase | crossflow, with optional :parameters, e.g. skewed:1.2 or \
+             hotspot:0.3); uniform is a legacy alias for poisson.")
   in
   let m = Arg.(value & opt int 8 & info [ "m" ] ~doc:"Ports per side (stream mode).") in
   let rate =
@@ -536,13 +557,6 @@ let serve_cmd =
   in
   let max_demand =
     Arg.(value & opt int 3 & info [ "max-demand" ] ~doc:"Demand bound (demands workload).")
-  in
-  let alpha =
-    Arg.(value & opt float 1.0 & info [ "alpha" ] ~doc:"Zipf exponent (skewed workload).")
-  in
-  let fraction =
-    Arg.(
-      value & opt float 0.5 & info [ "fraction" ] ~doc:"Incast fraction (hotspot workload).")
   in
   let queue_cap =
     Arg.(
@@ -585,7 +599,7 @@ let serve_cmd =
           arrival stream.")
     Term.(
       const serve $ inst $ core $ seed_term $ jobs $ workload $ m $ rate $ slots $ max_demand
-      $ alpha $ fraction $ queue_cap $ buffer_cap $ max_slots $ idle_limit $ status_every
+      $ queue_cap $ buffer_cap $ max_slots $ idle_limit $ status_every
       $ json $ trace_term $ metrics_term)
 
 (* ----- exact ----- *)
@@ -658,10 +672,9 @@ let sweep_grid_term =
       & opt (list string) [ "poisson" ]
       & info [ "kinds" ] ~docv:"KINDS"
           ~doc:
-            "Comma-separated workload kinds: poisson | poisson-demands | uniform | skewed | \
-             hotspot | pareto | lognormal | bursty | diurnal | flash-crowd | bimodal | \
-             staircase | crossflow; the zoo kinds (pareto onward) take optional \
-             :parameters, e.g. pareto:1.5.")
+            ("Comma-separated workload kinds: " ^ kind_names
+           ^ ", with optional :parameters (e.g. skewed:1.2, pareto:1.5).  Artifacts record \
+              each kind string as given."))
   in
   let rates =
     Arg.(
@@ -691,16 +704,9 @@ let sweep_grid_term =
     $ policy_names $ lp_term)
 
 let sweep_cells_or_exit { kinds; m; rates; rounds_list; max_demand; seeds; with_lp; _ } =
-  List.iter
-    (fun kind ->
-      if not (Flowsched_sim.Experiment.sweep_kind_known kind) then begin
-        Printf.eprintf "error: unknown workload %S (expected %s)\n" kind
-          (String.concat "|"
-             (Flowsched_sim.Experiment.sweep_workloads
-             @ Flowsched_sim.Workload.registered_kind_names ()));
-        exit 1
-      end)
-    kinds;
+  check_generators_or_exit
+    ~kinds:(List.map (parse_or_exit Scenario.of_string) kinds)
+    ~m ~rates ~rounds_list ~max_demand;
   let cells =
     List.concat_map
       (fun kind ->
@@ -1001,22 +1007,15 @@ let merge_cmd =
 let matrix kinds mode_names m rates rounds_list max_demand seeds policy_names with_lp
     backend jobs timeout retries checkpoint resume out trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
-  let module Scenario = Flowsched_scenarios.Scenario in
   let module Matrix = Flowsched_scenarios.Matrix in
   let policies = List.map (fun name -> policy_of_name name 1) policy_names in
   if resume && checkpoint = None then begin
     Printf.eprintf "error: --resume requires --checkpoint FILE\n";
     exit 1
   end;
-  let parse_or_exit parse what s =
-    match parse s with
-    | Ok v -> v
-    | Error msg ->
-        Printf.eprintf "error: %s %s\n" what msg;
-        exit 1
-  in
-  let kinds = List.map (parse_or_exit Scenario.of_string "") kinds in
-  let modes = List.map (parse_or_exit Matrix.mode_of_string "") mode_names in
+  let kinds = List.map (parse_or_exit Scenario.of_string) kinds in
+  let modes = List.map (parse_or_exit Matrix.mode_of_string) mode_names in
+  check_generators_or_exit ~kinds ~m ~rates ~rounds_list ~max_demand;
   let cells =
     List.concat_map
       (fun kind ->
@@ -1095,9 +1094,8 @@ let matrix_cmd =
           [ "poisson"; "pareto"; "lognormal"; "bursty"; "diurnal"; "flash-crowd"; "bimodal" ]
       & info [ "kinds" ] ~docv:"KINDS"
           ~doc:
-            "Comma-separated scenario kinds, any of poisson | poisson-demands | uniform | \
-             skewed | hotspot | pareto | lognormal | bursty | diurnal | flash-crowd | \
-             bimodal | staircase | crossflow, with optional :parameters (e.g. pareto:1.2).")
+            ("Comma-separated scenario kinds, any of " ^ kind_names
+           ^ ", with optional :parameters (e.g. pareto:1.2)."))
   in
   let modes =
     Arg.(

@@ -36,10 +36,10 @@ let fig4b_optimum = 2
 let fig4b_dashed ~remaining_solid_outputs =
   List.map (fun out -> (2, out, 1)) remaining_solid_outputs
 
-(* Generalizations of the Figure 4 gadgets to m-port switches, used by the
-   scenario zoo's adversarial workloads.  Both emit their specs per round in
-   canonical (input, output) order, so the slot-clocked stream view of the
-   same pattern is prefix-identical by construction. *)
+(* Generalizations of the Figure 4 gadgets to m-port switches, the
+   workload zoo's adversarial generators.  Both emit their specs per round
+   in canonical (input, output) order; the generators stream them slot by
+   slot and fold the stream into the batch instance. *)
 
 let fig4a_general_specs ~m ~t ~total_rounds round =
   if round < t then
@@ -52,18 +52,6 @@ let fig4a_general_specs ~m ~t ~total_rounds round =
     List.init (m - 1) (fun i -> (i + 1, i + 1, 1))
   else []
 
-let fig4a_general ~m ~t ~total_rounds =
-  if m < 2 then invalid_arg "Lower_bounds.fig4a_general: need m >= 2";
-  if t < 1 || total_rounds <= t then
-    invalid_arg "Lower_bounds.fig4a_general: need 1 <= t < total_rounds";
-  let specs = ref [] in
-  for r = 0 to total_rounds - 1 do
-    List.iter
-      (fun (src, dst, d) -> specs := (src, dst, d, r) :: !specs)
-      (fig4a_general_specs ~m ~t ~total_rounds r)
-  done;
-  Instance.of_flows ~m ~m':m (List.rev !specs)
-
 let fig4b_general_specs ~m round =
   let k = m - 1 in
   if round = 0 then
@@ -75,13 +63,3 @@ let fig4b_general_specs ~m round =
        now collides on all of them at once. *)
     List.init k (fun i -> (k, (2 * i) + 1, 1))
   else []
-
-let fig4b_general ~m =
-  if m < 3 then invalid_arg "Lower_bounds.fig4b_general: need m >= 3";
-  let specs = ref [] in
-  for r = 0 to 1 do
-    List.iter
-      (fun (src, dst, d) -> specs := (src, dst, d, r) :: !specs)
-      (fig4b_general_specs ~m r)
-  done;
-  Instance.of_flows ~m ~m':(2 * (m - 1)) (List.rev !specs)

@@ -35,32 +35,25 @@ val fig4b_dashed : remaining_solid_outputs:int list -> (int * int * int) list
 
 (** {2 m-port generalizations}
 
-    The scenario zoo's adversarial workloads: the Figure 4 gadgets scaled to
-    an [m x m] (resp. [m x 2(m-1)]) switch by stacking the 2x2 (resp. 3x4)
-    conflict pattern across adjacent port pairs.  Deterministic — no PRNG
-    draws — and defined per round ({!fig4a_general_specs},
-    {!fig4b_general_specs}) so the batch instances and the slot-clocked
-    stream views are prefix-identical by construction. *)
+    The workload zoo's adversarial generators ([Workload.staircase] and
+    [Workload.crossflow] in [flowsched_sim]): the Figure 4 gadgets scaled
+    to an [m x m] (resp. [m x 2(m-1)]) switch by stacking the 2x2 (resp.
+    3x4) conflict pattern across adjacent port pairs.  Deterministic — no
+    PRNG draws — and defined per round, so the generators stream them and
+    fold the stream into the batch instance. *)
 
 val fig4a_general_specs :
   m:int -> t:int -> total_rounds:int -> int -> (int * int * int) list
-(** The [(src, dst, demand)] specs released in the given round of
-    {!fig4a_general}; empty at or beyond [total_rounds]. *)
-
-val fig4a_general : m:int -> t:int -> total_rounds:int -> Flowsched_switch.Instance.t
-(** Staircase generalization of {!fig4a_static}: for rounds in [\[0, t)]
+(** The [(src, dst, demand)] specs released in the given round of the
+    staircase generalization of {!fig4a_static}: for rounds in [\[0, t)]
     every input [i < m-1] releases flows to outputs [i] and [i+1]; for
     rounds in [\[t, total_rounds)] inputs [1..m-1] each release a flow to
-    their own output.  [m = 2] is the original gadget's load pattern.
-    Raises [Invalid_argument] unless [m >= 2] and [1 <= t < total_rounds]. *)
+    their own output; empty at or beyond [total_rounds].  [m = 2] is the
+    original gadget's load pattern. *)
 
 val fig4b_general_specs : m:int -> int -> (int * int * int) list
-(** The specs released in the given round of {!fig4b_general}; empty after
-    round 1. *)
-
-val fig4b_general : m:int -> Flowsched_switch.Instance.t
-(** Crossing generalization of {!fig4b_static} on [m] inputs and
-    [2(m-1)] outputs: inputs [0..m-2] each claim a private output pair in
-    round 0, then input [m-1] crosses one output of every pair in round 1.
-    [m = 3] matches the original gadget's shape.  Raises
-    [Invalid_argument] unless [m >= 3]. *)
+(** The specs released in the given round of the crossing generalization
+    of {!fig4b_static} on [m] inputs and [2(m-1)] outputs: inputs
+    [0..m-2] each claim a private output pair in round 0, then input [m-1]
+    crosses one output of every pair in round 1; empty after round 1.
+    [m = 3] matches the original gadget's shape. *)

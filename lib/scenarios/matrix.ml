@@ -1,5 +1,6 @@
 open Flowsched_switch
 open Flowsched_util
+module Scenario = Flowsched_sim.Scenario
 
 type mode =
   | Flows

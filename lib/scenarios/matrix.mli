@@ -1,6 +1,6 @@
 (** The policy x workload sweep matrix, with neighboring-problem modes.
 
-    A cell is a {!Scenario.spec} (which workload), a {!mode} (which problem
+    A cell is a {!Flowsched_sim.Scenario.spec} (which workload), a {!mode} (which problem
     variant), and an LP flag.  Modes:
 
     - {!Flows}: the paper's problem — every policy runs the instance, LP
@@ -36,7 +36,7 @@ val mode_of_string : string -> (mode, string) result
 
 val mode_to_string : mode -> string
 
-type cell = { scenario : Scenario.spec; mode : mode; lp : bool }
+type cell = { scenario : Flowsched_sim.Scenario.spec; mode : mode; lp : bool }
 
 type entry = { name : string; art : float; mrt : int }
 (** One algorithm's row in a cell: average and maximum response time (for

@@ -26,11 +26,10 @@ let of_instance (inst : Instance.t) =
 
 let of_scenario spec ~horizon =
   if horizon < 0 then invalid_arg "Source.of_scenario: negative horizon";
-  match Flowsched_scenarios.Scenario.stream spec with
+  match Flowsched_sim.Scenario.stream spec with
   | Error msg -> invalid_arg ("Source.of_scenario: " ^ msg)
-  | Ok arrivals ->
+  | Ok s ->
       {
-        more =
-          (fun _slot -> Flowsched_scenarios.Scenario.arrivals_slot arrivals < horizon);
-        pull = (fun _slot -> Flowsched_scenarios.Scenario.arrivals_next arrivals);
+        more = (fun _slot -> Flowsched_sim.Workload.slot s < horizon);
+        pull = (fun _slot -> Flowsched_sim.Workload.next s);
       }

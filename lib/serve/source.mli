@@ -19,7 +19,7 @@ val of_instance : Flowsched_switch.Instance.t -> t
 (** Replay a fixed instance: each flow is produced at its release slot, in
     the instance's flow order within a slot. *)
 
-val of_scenario : Flowsched_scenarios.Scenario.spec -> horizon:int -> t
+val of_scenario : Flowsched_sim.Scenario.spec -> horizon:int -> t
 (** Pull from the seeded generator of any streamable scenario kind (the
     workload zoo included) for [horizon] source slots, then stop; the
     spec's own [rounds] is ignored in favour of [horizon].  The stream

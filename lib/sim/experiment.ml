@@ -140,44 +140,19 @@ type sweep_result = {
   wall_s : float;
 }
 
-let sweep_workloads = [ "poisson"; "poisson-demands"; "uniform"; "skewed"; "hotspot" ]
-
 let sweep_instance s =
-  match s.workload with
-  | "poisson" ->
-      Workload.poisson ~m:s.ports ~rate:s.arrival_rate ~rounds:s.horizon ~seed:s.sweep_seed
-  | "poisson-demands" ->
-      Workload.poisson_with_demands ~m:s.ports ~rate:s.arrival_rate ~rounds:s.horizon
-        ~max_demand:s.max_demand ~seed:s.sweep_seed
-  | "skewed" ->
-      Workload.skewed ~m:s.ports ~rate:s.arrival_rate ~rounds:s.horizon ~seed:s.sweep_seed ()
-  | "hotspot" ->
-      Workload.hotspot ~m:s.ports ~rate:s.arrival_rate ~rounds:s.horizon ~seed:s.sweep_seed ()
-  | "uniform" ->
-      (* Same expected volume as the arrival processes: rate * rounds flows. *)
-      let n = max 1 (int_of_float (s.arrival_rate *. float_of_int s.horizon)) in
-      Workload.uniform_total ~m:s.ports ~n ~max_release:s.horizon ~seed:s.sweep_seed
-  | other -> (
-      (* Not a built-in: consult the extensible kind registry (the scenario
-         zoo registers its generators there at init time). *)
-      match Workload.lookup_kind other with
-      | Some generate ->
-          generate
-            {
-              Workload.gen_m = s.ports;
-              gen_rate = s.arrival_rate;
-              gen_rounds = s.horizon;
-              gen_max_demand = s.max_demand;
-              gen_seed = s.sweep_seed;
-            }
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Experiment.sweep_instance: unknown workload %S (expected %s)"
-               other
-               (String.concat "|" (sweep_workloads @ Workload.registered_kind_names ()))))
-
-let sweep_kind_known kind =
-  List.mem kind sweep_workloads || Workload.lookup_kind kind <> None
+  match Scenario.of_string s.workload with
+  | Error msg -> invalid_arg ("Experiment.sweep_instance: " ^ msg)
+  | Ok kind ->
+      Scenario.instance
+        {
+          Scenario.kind;
+          m = s.ports;
+          rate = s.arrival_rate;
+          rounds = s.horizon;
+          max_demand = s.max_demand;
+          seed = s.sweep_seed;
+        }
 
 (* Test seam: when set, the LP section of a sweep cell raises this
    exception instead of solving — the only way to exercise the graceful-

@@ -1,9 +1,11 @@
-(** Experiment grid driver for the Figure 6 / Figure 7 reproduction.
+(** Experiment grid driver for the Figure 6 / Figure 7 reproduction, and
+    the sweep cells behind [flowsched sweep].
 
-    A cell fixes the switch size [m], arrival rate (the paper's M), and
-    generation length T; [tries] instances are generated with derived seeds
-    and each policy plus the LP lower bounds are averaged over them — the
-    paper's "each result is the average of 10 tries".
+    A grid cell fixes the switch size [m], arrival rate (the paper's M), and
+    generation length T; [tries] Poisson instances are generated with
+    derived seeds and each policy plus the LP lower bounds are averaged over
+    them — the paper's "each result is the average of 10 tries".  A sweep
+    cell names any {!Scenario} kind by its string and runs one instance.
 
     LP bounds: average response uses LP (1)–(4) (its optimum divided by n
     lower bounds the achievable average response, Lemma 3.1 — the horizon is
@@ -68,11 +70,14 @@ val run_grid :
     (MRT) response, optional LP lower bounds, and the cell's wall-clock. *)
 
 type sweep_config = {
-  workload : string;  (** One of {!sweep_workloads}. *)
+  workload : string;
+      (** A {!Scenario.of_string} kind string, kept verbatim (e.g.
+          ["pareto:1.5"]) in artifacts, checkpoint keys and shard
+          fingerprints. *)
   ports : int;
   arrival_rate : float;  (** The paper's M (flows per round). *)
   horizon : int;  (** Generation rounds T. *)
-  max_demand : int;  (** Only used by ["poisson-demands"]. *)
+  max_demand : int;  (** Only used by the demand-carrying kinds. *)
   sweep_seed : int;
   lp : bool;  (** Compute LP lower bounds (the expensive part). *)
 }
@@ -96,21 +101,11 @@ type sweep_result = {
   wall_s : float;  (** Wall-clock seconds spent on this cell. *)
 }
 
-val sweep_workloads : string list
-(** Built-in workload kinds accepted by {!sweep_instance}:
-    poisson | poisson-demands | uniform | skewed | hotspot.  Kinds
-    registered through {!Workload.register_kinds} (the scenario zoo) are
-    accepted as well. *)
-
 val sweep_instance : sweep_config -> Flowsched_switch.Instance.t
-(** The (deterministic) instance a sweep cell runs on.  Raises
-    [Invalid_argument] on an unknown [workload].  ["uniform"] maps the rate
-    to a fixed flow count [rate * horizon] with releases in [0, horizon];
-    non-built-in kinds resolve through the {!Workload} registry. *)
-
-val sweep_kind_known : string -> bool
-(** Whether the kind string is a built-in or resolves through the
-    registry — the CLI's validation hook. *)
+(** The (deterministic) instance a sweep cell runs on: {!Scenario.instance}
+    on the cell's parsed [workload].  Raises [Invalid_argument] on a kind
+    string {!Scenario.of_string} rejects or on parameters the generator
+    rejects. *)
 
 val map_cells :
   ?backend:Flowsched_domains.Backend.t ->

@@ -1,5 +1,3 @@
-open Flowsched_sim
-
 type kind =
   | Poisson
   | Poisson_demands
@@ -32,11 +30,12 @@ let names =
   ]
 
 (* One of_string/to_string pair next to the kind type: the CLI (generate,
-   serve, sweep, matrix), the sweep registry, and the bench all parse
-   workload kinds through here, so a new kind registers in exactly one
-   place.  Syntax is "name[:p1[:p2...]]"; omitted parameters take the
-   defaults encoded below, and [to_string] always prints the full
-   parameter list, so [of_string (to_string k) = Ok k]. *)
+   serve, sweep, merge, matrix) and the sweep cells parse workload kinds
+   through here, so a kind's name and parameters are read in exactly one
+   place.  Syntax is
+   "name[:p1[:p2...]]"; omitted parameters take the defaults encoded below,
+   and [to_string] always prints the full parameter list, so
+   [of_string (to_string k) = Ok k]. *)
 
 let float_param ~kind s =
   match float_of_string_opt s with
@@ -147,89 +146,41 @@ let instance spec =
       (* Same expected volume as the arrival processes: rate * rounds flows. *)
       let n = max 1 (int_of_float (rate *. float_of_int rounds)) in
       Workload.uniform_total ~m ~n ~max_release:rounds ~seed
-  | Skewed alpha -> Workload.skewed ~m ~rate ~rounds ~alpha ~seed ()
-  | Hotspot fraction -> Workload.hotspot ~m ~rate ~rounds ~fraction ~seed ()
-  | Pareto alpha -> Zoo.pareto ~m ~rate ~alpha ~max_demand ~rounds ~seed
-  | Lognormal { mu; sigma } -> Zoo.lognormal ~m ~rate ~mu ~sigma ~max_demand ~rounds ~seed
-  | Bursty { burst; period; duty } -> Zoo.bursty ~m ~rate ~burst ~period ~duty ~rounds ~seed
-  | Diurnal { period; amplitude } -> Zoo.diurnal ~m ~rate ~period ~amplitude ~rounds ~seed
+  | Skewed alpha -> Workload.skewed ~m ~rate ~rounds ~alpha ~seed
+  | Hotspot fraction -> Workload.hotspot ~m ~rate ~rounds ~fraction ~seed
+  | Pareto alpha -> Workload.pareto ~m ~rate ~alpha ~max_demand ~rounds ~seed
+  | Lognormal { mu; sigma } -> Workload.lognormal ~m ~rate ~mu ~sigma ~max_demand ~rounds ~seed
+  | Bursty { burst; period; duty } ->
+      Workload.bursty ~m ~rate ~burst ~period ~duty ~rounds ~seed
+  | Diurnal { period; amplitude } -> Workload.diurnal ~m ~rate ~period ~amplitude ~rounds ~seed
   | Flash_crowd { at; len; mult; fraction } ->
-      Zoo.flash_crowd ~m ~rate ~at ~len ~mult ~fraction ~rounds ~seed
-  | Bimodal { hot; weight } -> Zoo.bimodal ~m ~rate ~hot ~weight ~rounds ~seed
+      Workload.flash_crowd ~m ~rate ~at ~len ~mult ~fraction ~rounds ~seed
+  | Bimodal { hot; weight } -> Workload.bimodal ~m ~rate ~hot ~weight ~rounds ~seed
   | Staircase ->
       let t, total_rounds = staircase_params spec in
-      Zoo.staircase ~m ~t ~total_rounds
-  | Crossflow -> Zoo.crossflow ~m
-
-type arrivals = {
-  next : unit -> (int * int * int) list;
-  slot : unit -> int;
-}
-
-let arrivals_next a = a.next ()
-let arrivals_slot a = a.slot ()
+      Workload.staircase ~m ~t ~total_rounds
+  | Crossflow -> Workload.crossflow ~m
 
 let stream spec =
   let { kind; m; rate; rounds = _; max_demand; seed } = spec in
-  let workload k =
-    let ws = Workload.stream k ~m ~rate ~seed in
-    Ok
-      {
-        next = (fun () -> Workload.stream_next ws);
-        slot = (fun () -> Workload.stream_slot ws);
-      }
-  in
-  let zoo z =
-    Ok { next = (fun () -> Zoo.stream_next z); slot = (fun () -> Zoo.stream_slot z) }
-  in
   match kind with
-  | Poisson -> workload Workload.Uniform
-  | Poisson_demands -> workload (Workload.Uniform_demands max_demand)
-  | Skewed alpha -> workload (Workload.Skewed alpha)
-  | Hotspot fraction -> workload (Workload.Hotspot fraction)
   | Uniform_total ->
       Error "workload \"uniform\" draws releases out of slot order; it has no stream form"
-  | Pareto alpha -> zoo (Zoo.pareto_stream ~m ~rate ~alpha ~max_demand ~seed)
-  | Lognormal { mu; sigma } -> zoo (Zoo.lognormal_stream ~m ~rate ~mu ~sigma ~max_demand ~seed)
-  | Bursty { burst; period; duty } -> zoo (Zoo.bursty_stream ~m ~rate ~burst ~period ~duty ~seed)
-  | Diurnal { period; amplitude } -> zoo (Zoo.diurnal_stream ~m ~rate ~period ~amplitude ~seed)
+  | Poisson -> Ok (Workload.poisson_stream ~m ~rate ~seed)
+  | Poisson_demands -> Ok (Workload.poisson_with_demands_stream ~m ~rate ~max_demand ~seed)
+  | Skewed alpha -> Ok (Workload.skewed_stream ~m ~rate ~alpha ~seed)
+  | Hotspot fraction -> Ok (Workload.hotspot_stream ~m ~rate ~fraction ~seed)
+  | Pareto alpha -> Ok (Workload.pareto_stream ~m ~rate ~alpha ~max_demand ~seed)
+  | Lognormal { mu; sigma } ->
+      Ok (Workload.lognormal_stream ~m ~rate ~mu ~sigma ~max_demand ~seed)
+  | Bursty { burst; period; duty } ->
+      Ok (Workload.bursty_stream ~m ~rate ~burst ~period ~duty ~seed)
+  | Diurnal { period; amplitude } ->
+      Ok (Workload.diurnal_stream ~m ~rate ~period ~amplitude ~seed)
   | Flash_crowd { at; len; mult; fraction } ->
-      zoo (Zoo.flash_crowd_stream ~m ~rate ~at ~len ~mult ~fraction ~seed)
-  | Bimodal { hot; weight } -> zoo (Zoo.bimodal_stream ~m ~rate ~hot ~weight ~seed)
+      Ok (Workload.flash_crowd_stream ~m ~rate ~at ~len ~mult ~fraction ~seed)
+  | Bimodal { hot; weight } -> Ok (Workload.bimodal_stream ~m ~rate ~hot ~weight ~seed)
   | Staircase ->
       let t, total_rounds = staircase_params spec in
-      zoo (Zoo.staircase_stream ~m ~t ~total_rounds)
-  | Crossflow -> zoo (Zoo.crossflow_stream ~m)
-
-(* Register the zoo kinds with the sweep's workload registry at module
-   initialization, before any worker forks or domain spawns: "pareto:1.2"
-   etc. become valid sweep/matrix workload strings everywhere.  The base
-   kinds stay with Experiment.sweep_instance (registering them too would
-   double-list them in error messages). *)
-let zoo_names =
-  [ "pareto"; "lognormal"; "bursty"; "diurnal"; "flash-crowd"; "bimodal";
-    "staircase"; "crossflow" ]
-
-let () =
-  Workload.register_kinds ~names:zoo_names (fun name ->
-      let base =
-        match String.index_opt name ':' with
-        | Some i -> String.sub name 0 i
-        | None -> name
-      in
-      if not (List.mem base zoo_names) then None
-      else
-        match of_string name with
-        | Error _ -> None
-        | Ok kind ->
-            Some
-              (fun { Workload.gen_m; gen_rate; gen_rounds; gen_max_demand; gen_seed } ->
-                instance
-                  {
-                    kind;
-                    m = gen_m;
-                    rate = gen_rate;
-                    rounds = gen_rounds;
-                    max_demand = gen_max_demand;
-                    seed = gen_seed;
-                  }))
+      Ok (Workload.staircase_stream ~m ~t ~total_rounds)
+  | Crossflow -> Ok (Workload.crossflow_stream ~m)

@@ -116,7 +116,7 @@ let test_lp_file_roundtrip () =
 (* --- skewed / hotspot workloads --- *)
 
 let test_skewed_workload () =
-  let inst = Workload.skewed ~m:6 ~rate:4.0 ~rounds:10 ~alpha:1.2 ~seed:5 () in
+  let inst = Workload.skewed ~m:6 ~rate:4.0 ~rounds:10 ~alpha:1.2 ~seed:5 in
   Alcotest.(check bool) "non-trivial" true (Instance.n inst > 0);
   (* port 0 must be strictly more popular than port m-1 under Zipf *)
   let count p =
@@ -127,7 +127,7 @@ let test_skewed_workload () =
   Alcotest.(check bool) "head heavier than tail" true (count 0 > count 5)
 
 let test_hotspot_workload () =
-  let inst = Workload.hotspot ~m:6 ~rate:5.0 ~rounds:20 ~fraction:0.5 ~seed:6 () in
+  let inst = Workload.hotspot ~m:6 ~rate:5.0 ~rounds:20 ~fraction:0.5 ~seed:6 in
   let to_zero =
     Array.fold_left
       (fun acc (f : Flow.t) -> if f.Flow.dst = 0 then acc + 1 else acc)
@@ -141,7 +141,7 @@ let test_skew_hurts_response () =
   (* hotspot load produces a strictly worse average response than uniform
      traffic at the same rate (queueing at the hot port) *)
   let uni = Workload.poisson ~m:6 ~rate:4.0 ~rounds:10 ~seed:9 in
-  let hot = Workload.hotspot ~m:6 ~rate:4.0 ~rounds:10 ~fraction:0.7 ~seed:9 () in
+  let hot = Workload.hotspot ~m:6 ~rate:4.0 ~rounds:10 ~fraction:0.7 ~seed:9 in
   let avg inst = Engine.average_response (Engine.run_instance Heuristics.maxweight inst) in
   Alcotest.(check bool) "hotspot worse" true (avg hot > avg uni)
 

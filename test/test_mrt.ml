@@ -98,7 +98,7 @@ let pipeline_cells =
     ("poisson m=6 rate=4 T=6 s=3", W.poisson ~m:6 ~rate:4.0 ~rounds:6 ~seed:3);
     ("uniform m=4 n=24", W.uniform_total ~m:4 ~n:24 ~max_release:6 ~seed:41);
     ("uniform m=3 n=60", W.uniform_total ~m:3 ~n:60 ~max_release:8 ~seed:1);
-    ("skewed m=5 rate=2 T=6", W.skewed ~m:5 ~rate:2.0 ~rounds:6 ~seed:7 ());
+    ("skewed m=5 rate=2 T=6", W.skewed ~m:5 ~rate:2.0 ~rounds:6 ~alpha:1.0 ~seed:7);
   ]
 
 let test_rho_search_warm_matches_cold () =

@@ -1,10 +1,12 @@
-(* Tests for the scenarios subsystem: the workload zoo (parameter
+(* Tests for the scenarios subsystem: the workload generators (parameter
    validation, determinism, the stream-prefix property), the centralized
    kind parser, the neighboring-problem modes (endpoint capacities,
    weighted coflows), and the matrix driver's backend-identical artifact. *)
 
 open Flowsched_switch
 open Flowsched_scenarios
+module Scenario = Flowsched_sim.Scenario
+module Workload = Flowsched_sim.Workload
 
 let spec kind = { Scenario.kind; m = 5; rate = 2.0; rounds = 8; max_demand = 3; seed = 11 }
 
@@ -18,54 +20,54 @@ let test_workload_validation () =
   rejects "poisson rate 0" (fun () -> W.poisson ~m:4 ~rate:0. ~rounds:5 ~seed:1);
   rejects "poisson rate < 0" (fun () -> W.poisson ~m:4 ~rate:(-1.) ~rounds:5 ~seed:1);
   rejects "poisson rate nan" (fun () -> W.poisson ~m:4 ~rate:nan ~rounds:5 ~seed:1);
-  rejects "skewed alpha 0" (fun () -> W.skewed ~m:4 ~rate:1. ~rounds:5 ~alpha:0. ~seed:1 ());
+  rejects "skewed alpha 0" (fun () -> W.skewed ~m:4 ~rate:1. ~rounds:5 ~alpha:0. ~seed:1);
   rejects "skewed alpha < 0" (fun () ->
-      W.skewed ~m:4 ~rate:1. ~rounds:5 ~alpha:(-2.) ~seed:1 ());
+      W.skewed ~m:4 ~rate:1. ~rounds:5 ~alpha:(-2.) ~seed:1);
   rejects "hotspot fraction > 1" (fun () ->
-      W.hotspot ~m:4 ~rate:1. ~rounds:5 ~fraction:1.5 ~seed:1 ());
+      W.hotspot ~m:4 ~rate:1. ~rounds:5 ~fraction:1.5 ~seed:1);
   rejects "hotspot fraction < 0" (fun () ->
-      W.hotspot ~m:4 ~rate:1. ~rounds:5 ~fraction:(-0.1) ~seed:1 ());
+      W.hotspot ~m:4 ~rate:1. ~rounds:5 ~fraction:(-0.1) ~seed:1);
   rejects "demands max_demand 0" (fun () ->
       W.poisson_with_demands ~m:4 ~rate:1. ~rounds:5 ~max_demand:0 ~seed:1);
-  rejects "stream rate 0" (fun () -> W.stream W.Uniform ~m:4 ~rate:0. ~seed:1);
-  rejects "stream bad alpha" (fun () -> W.stream (W.Skewed 0.) ~m:4 ~rate:1. ~seed:1);
+  rejects "stream rate 0" (fun () -> W.poisson_stream ~m:4 ~rate:0. ~seed:1);
+  rejects "stream bad alpha" (fun () -> W.skewed_stream ~m:4 ~rate:1. ~alpha:0. ~seed:1);
   rejects "stream bad max_demand" (fun () ->
-      W.stream (W.Uniform_demands 0) ~m:4 ~rate:1. ~seed:1)
+      W.poisson_with_demands_stream ~m:4 ~rate:1. ~max_demand:0 ~seed:1)
 
 let test_zoo_validation () =
   rejects "pareto alpha 0" (fun () ->
-      Zoo.pareto ~m:4 ~rate:1. ~alpha:0. ~max_demand:3 ~rounds:5 ~seed:1);
+      Workload.pareto ~m:4 ~rate:1. ~alpha:0. ~max_demand:3 ~rounds:5 ~seed:1);
   rejects "pareto max_demand 0" (fun () ->
-      Zoo.pareto ~m:4 ~rate:1. ~alpha:1.5 ~max_demand:0 ~rounds:5 ~seed:1);
+      Workload.pareto ~m:4 ~rate:1. ~alpha:1.5 ~max_demand:0 ~rounds:5 ~seed:1);
   rejects "pareto rate -1" (fun () ->
-      Zoo.pareto ~m:4 ~rate:(-1.) ~alpha:1.5 ~max_demand:3 ~rounds:5 ~seed:1);
+      Workload.pareto ~m:4 ~rate:(-1.) ~alpha:1.5 ~max_demand:3 ~rounds:5 ~seed:1);
   rejects "lognormal sigma 0" (fun () ->
-      Zoo.lognormal ~m:4 ~rate:1. ~mu:0.5 ~sigma:0. ~max_demand:3 ~rounds:5 ~seed:1);
+      Workload.lognormal ~m:4 ~rate:1. ~mu:0.5 ~sigma:0. ~max_demand:3 ~rounds:5 ~seed:1);
   rejects "bursty duty > 1" (fun () ->
-      Zoo.bursty ~m:4 ~rate:1. ~burst:4. ~period:10 ~duty:1.5 ~rounds:5 ~seed:1);
+      Workload.bursty ~m:4 ~rate:1. ~burst:4. ~period:10 ~duty:1.5 ~rounds:5 ~seed:1);
   rejects "bursty period 0" (fun () ->
-      Zoo.bursty ~m:4 ~rate:1. ~burst:4. ~period:0 ~duty:0.5 ~rounds:5 ~seed:1);
+      Workload.bursty ~m:4 ~rate:1. ~burst:4. ~period:0 ~duty:0.5 ~rounds:5 ~seed:1);
   rejects "bursty burst 0" (fun () ->
-      Zoo.bursty ~m:4 ~rate:1. ~burst:0. ~period:10 ~duty:0.5 ~rounds:5 ~seed:1);
+      Workload.bursty ~m:4 ~rate:1. ~burst:0. ~period:10 ~duty:0.5 ~rounds:5 ~seed:1);
   rejects "diurnal amplitude < 0" (fun () ->
-      Zoo.diurnal ~m:4 ~rate:1. ~period:10 ~amplitude:(-0.1) ~rounds:5 ~seed:1);
+      Workload.diurnal ~m:4 ~rate:1. ~period:10 ~amplitude:(-0.1) ~rounds:5 ~seed:1);
   rejects "diurnal amplitude > 1" (fun () ->
-      Zoo.diurnal ~m:4 ~rate:1. ~period:10 ~amplitude:1.1 ~rounds:5 ~seed:1);
+      Workload.diurnal ~m:4 ~rate:1. ~period:10 ~amplitude:1.1 ~rounds:5 ~seed:1);
   rejects "flash mult 0" (fun () ->
-      Zoo.flash_crowd ~m:4 ~rate:1. ~at:2 ~len:2 ~mult:0. ~fraction:0.5 ~rounds:5 ~seed:1);
+      Workload.flash_crowd ~m:4 ~rate:1. ~at:2 ~len:2 ~mult:0. ~fraction:0.5 ~rounds:5 ~seed:1);
   rejects "flash fraction > 1" (fun () ->
-      Zoo.flash_crowd ~m:4 ~rate:1. ~at:2 ~len:2 ~mult:2. ~fraction:1.5 ~rounds:5 ~seed:1);
+      Workload.flash_crowd ~m:4 ~rate:1. ~at:2 ~len:2 ~mult:2. ~fraction:1.5 ~rounds:5 ~seed:1);
   rejects "flash negative at" (fun () ->
-      Zoo.flash_crowd ~m:4 ~rate:1. ~at:(-1) ~len:2 ~mult:2. ~fraction:0.5 ~rounds:5 ~seed:1);
+      Workload.flash_crowd ~m:4 ~rate:1. ~at:(-1) ~len:2 ~mult:2. ~fraction:0.5 ~rounds:5 ~seed:1);
   rejects "bimodal hot 0" (fun () ->
-      Zoo.bimodal ~m:4 ~rate:1. ~hot:0 ~weight:0.5 ~rounds:5 ~seed:1);
+      Workload.bimodal ~m:4 ~rate:1. ~hot:0 ~weight:0.5 ~rounds:5 ~seed:1);
   rejects "bimodal hot > m" (fun () ->
-      Zoo.bimodal ~m:4 ~rate:1. ~hot:5 ~weight:0.5 ~rounds:5 ~seed:1);
+      Workload.bimodal ~m:4 ~rate:1. ~hot:5 ~weight:0.5 ~rounds:5 ~seed:1);
   rejects "bimodal weight > 1" (fun () ->
-      Zoo.bimodal ~m:4 ~rate:1. ~hot:2 ~weight:1.5 ~rounds:5 ~seed:1);
-  rejects "staircase t >= total" (fun () -> Zoo.staircase ~m:4 ~t:5 ~total_rounds:5);
-  rejects "staircase m 1" (fun () -> Zoo.staircase ~m:1 ~t:1 ~total_rounds:3);
-  rejects "crossflow m 2" (fun () -> Zoo.crossflow ~m:2)
+      Workload.bimodal ~m:4 ~rate:1. ~hot:2 ~weight:1.5 ~rounds:5 ~seed:1);
+  rejects "staircase t >= total" (fun () -> Workload.staircase ~m:4 ~t:5 ~total_rounds:5);
+  rejects "staircase m 1" (fun () -> Workload.staircase ~m:1 ~t:1 ~total_rounds:3);
+  rejects "crossflow m 2" (fun () -> Workload.crossflow ~m:2)
 
 (* --- the centralized kind parser --- *)
 
@@ -124,34 +126,6 @@ let test_mode_roundtrip () =
     (match Matrix.mode_of_string "nodes" with Error _ -> true | Ok _ -> false);
   Alcotest.(check bool) "bad param rejected" true
     (match Matrix.mode_of_string "endpoint:0" with Error _ -> true | Ok _ -> false)
-
-(* --- the sweep registry --- *)
-
-let test_registry_resolves_zoo_kinds () =
-  let sweep workload =
-    {
-      Flowsched_sim.Experiment.workload;
-      ports = 4;
-      arrival_rate = 2.0;
-      horizon = 6;
-      max_demand = 3;
-      sweep_seed = 5;
-      lp = false;
-    }
-  in
-  let inst = Flowsched_sim.Experiment.sweep_instance (sweep "pareto:1.5") in
-  Alcotest.(check bool) "pareto sweepable" true (Instance.n inst >= 0);
-  let direct = Zoo.pareto ~m:4 ~rate:2.0 ~alpha:1.5 ~max_demand:3 ~rounds:6 ~seed:5 in
-  Alcotest.(check string) "registry matches direct generator" (Instance.to_string direct)
-    (Instance.to_string inst);
-  Alcotest.(check bool) "kind known" true
-    (Flowsched_sim.Experiment.sweep_kind_known "bursty:4:10:0.3");
-  Alcotest.(check bool) "unknown kind unknown" false
-    (Flowsched_sim.Experiment.sweep_kind_known "fractal");
-  Alcotest.(check bool) "unknown kind raises" true
-    (match Flowsched_sim.Experiment.sweep_instance (sweep "fractal") with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
 
 (* --- endpoint (node) capacities --- *)
 
@@ -308,7 +282,7 @@ let prop_stream_prefix_equals_batch =
           for t = 0 to rounds - 1 do
             List.iter
               (fun (src, dst, d) -> specs := (src, dst, d, t) :: !specs)
-              (Scenario.arrivals_next arrivals)
+              (Workload.next arrivals)
           done;
           let m, m' = Scenario.geometry s in
           let cap = Scenario.port_capacity s in
@@ -396,8 +370,6 @@ let () =
           Alcotest.test_case "defaults and aliases" `Quick test_of_string_defaults_and_aliases;
           Alcotest.test_case "mode round-trip" `Quick test_mode_roundtrip;
         ] );
-      ( "registry",
-        [ Alcotest.test_case "zoo kinds sweepable" `Quick test_registry_resolves_zoo_kinds ] );
       ( "endpoint",
         [
           Alcotest.test_case "blocks" `Quick test_endpoint_blocks;

@@ -8,7 +8,7 @@ module Engine = Flowsched_sim.Engine
 module Workload = Flowsched_sim.Workload
 module Heuristics = Flowsched_online.Heuristics
 module Bmatching = Flowsched_bipartite.Bmatching
-module Scenario = Flowsched_scenarios.Scenario
+module Scenario = Flowsched_sim.Scenario
 
 let stream_source ~m ~rate ~slots ~seed =
   Source.of_scenario
@@ -116,16 +116,16 @@ let test_incremental_matches_hopcroft_karp () =
       let live = Hashtbl.create 1024 in
       let next_id = ref 0 and checks = ref 0 and mismatches = ref 0 in
       while
-        (Scenario.arrivals_slot stream < slots || Bmatching.Incremental.pending inc > 0)
+        (Workload.slot stream < slots || Bmatching.Incremental.pending inc > 0)
         && !checks < 2 * slots
       do
-        if Scenario.arrivals_slot stream < slots then
+        if Workload.slot stream < slots then
           List.iter
             (fun (src, dst, _demand) ->
               Bmatching.Incremental.add inc ~id:!next_id ~src ~dst;
               Hashtbl.add live !next_id (src, dst);
               incr next_id)
-            (Scenario.arrivals_next stream);
+            (Workload.next stream);
         let edges = Array.of_list (Hashtbl.fold (fun _ sd acc -> sd :: acc) live []) in
         let scratch =
           Flowsched_bipartite.Matching.max_cardinality_size

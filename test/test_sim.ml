@@ -53,10 +53,9 @@ let test_uniform_total () =
    the batch instance built from the same seed, in generation order — the
    prefix property the serve layer leans on to replay served traces through
    the batch engine. *)
-let check_stream_prefix name kind inst ~m ~rate ~rounds ~seed =
-  let s = Workload.stream kind ~m ~rate ~seed in
-  let streamed = Array.init rounds (fun _ -> Workload.stream_next s) in
-  Alcotest.(check int) (name ^ ": slots generated") rounds (Workload.stream_slot s);
+let check_stream_prefix name s inst ~rounds =
+  let streamed = Array.init rounds (fun _ -> Workload.next s) in
+  Alcotest.(check int) (name ^ ": slots generated") rounds (Workload.slot s);
   let by_release = Array.make rounds [] in
   Array.iter
     (fun (f : Flow.t) ->
@@ -71,24 +70,28 @@ let check_stream_prefix name kind inst ~m ~rate ~rounds ~seed =
   done
 
 let test_stream_prefix_uniform () =
-  check_stream_prefix "uniform" Workload.Uniform
+  check_stream_prefix "uniform"
+    (Workload.poisson_stream ~m:5 ~rate:2.5 ~seed:42)
     (Workload.poisson ~m:5 ~rate:2.5 ~rounds:40 ~seed:42)
-    ~m:5 ~rate:2.5 ~rounds:40 ~seed:42
+    ~rounds:40
 
 let test_stream_prefix_demands () =
-  check_stream_prefix "demands" (Workload.Uniform_demands 3)
+  check_stream_prefix "demands"
+    (Workload.poisson_with_demands_stream ~m:4 ~rate:2.0 ~max_demand:3 ~seed:5)
     (Workload.poisson_with_demands ~m:4 ~rate:2.0 ~rounds:30 ~max_demand:3 ~seed:5)
-    ~m:4 ~rate:2.0 ~rounds:30 ~seed:5
+    ~rounds:30
 
 let test_stream_prefix_skewed () =
-  check_stream_prefix "skewed" (Workload.Skewed 1.2)
-    (Workload.skewed ~m:6 ~rate:3.0 ~rounds:30 ~alpha:1.2 ~seed:8 ())
-    ~m:6 ~rate:3.0 ~rounds:30 ~seed:8
+  check_stream_prefix "skewed"
+    (Workload.skewed_stream ~m:6 ~rate:3.0 ~alpha:1.2 ~seed:8)
+    (Workload.skewed ~m:6 ~rate:3.0 ~rounds:30 ~alpha:1.2 ~seed:8)
+    ~rounds:30
 
 let test_stream_prefix_hotspot () =
-  check_stream_prefix "hotspot" (Workload.Hotspot 0.4)
-    (Workload.hotspot ~m:6 ~rate:3.0 ~rounds:30 ~fraction:0.4 ~seed:11 ())
-    ~m:6 ~rate:3.0 ~rounds:30 ~seed:11
+  check_stream_prefix "hotspot"
+    (Workload.hotspot_stream ~m:6 ~rate:3.0 ~fraction:0.4 ~seed:11)
+    (Workload.hotspot ~m:6 ~rate:3.0 ~rounds:30 ~fraction:0.4 ~seed:11)
+    ~rounds:30
 
 (* --- horizon guard --- *)
 
@@ -243,6 +246,35 @@ let prop_workload_poisson_counts =
       let inst = Workload.poisson ~m ~rate:1.5 ~rounds ~seed in
       Instance.last_release inst <= rounds - 1 || Instance.n inst = 0)
 
+let prop_generators_match_reference =
+  (* The paper generators are folds of their streams; the batch loops they
+     replaced ([Reference.Workload]) must give the same instances.  No
+     golden runs poisson-demands, skewed or hotspot, so this is their
+     behaviour contract. *)
+  QCheck2.Test.make ~name:"generators = pre-stream batch loops" ~count:300
+    ~print:(fun (m, rate, rounds, seed, alpha, fraction, max_demand) ->
+      Printf.sprintf "m=%d rate=%h rounds=%d seed=%d alpha=%h fraction=%h max_demand=%d" m
+        rate rounds seed alpha fraction max_demand)
+    QCheck2.Gen.(
+      tup7 (int_range 1 8)
+        (map (fun x -> 6. -. x) (float_bound_exclusive 6.))
+        (int_range 1 30) (int_bound 1_000_000)
+        (map (fun x -> 3. -. x) (float_bound_exclusive 3.))
+        (float_range 0. 1.) (int_range 1 5))
+    (fun (m, rate, rounds, seed, alpha, fraction, max_demand) ->
+      let module R = Reference.Workload in
+      let same a b = Instance.to_string a = Instance.to_string b in
+      same (Workload.poisson ~m ~rate ~rounds ~seed) (R.poisson ~m ~rate ~rounds ~seed)
+      && same
+           (Workload.poisson_with_demands ~m ~rate ~rounds ~max_demand ~seed)
+           (R.poisson_with_demands ~m ~rate ~rounds ~max_demand ~seed)
+      && same
+           (Workload.skewed ~m ~rate ~rounds ~alpha ~seed)
+           (R.skewed ~m ~rate ~rounds ~alpha ~seed ())
+      && same
+           (Workload.hotspot ~m ~rate ~rounds ~fraction ~seed)
+           (R.hotspot ~m ~rate ~rounds ~fraction ~seed ()))
+
 let prop_engine_matches_offline_fifo =
   (* the online FIFO engine and the offline FIFO baseline must agree *)
   QCheck2.Test.make ~name:"online FIFO = offline FIFO baseline" ~count:40
@@ -377,10 +409,36 @@ let test_sweep_unknown_workload_rejected () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* test_sim names no module of lib/scenarios, so this also checks that
+   sweep cells resolve zoo and parameterized kinds with nothing else
+   linked. *)
+let test_sweep_resolves_every_kind () =
+  List.iter
+    (fun workload ->
+      let cell = { (List.hd sweep_cells) with Experiment.workload; horizon = 6; max_demand = 3 } in
+      let spec =
+        {
+          Scenario.kind = Scenario.of_string_exn workload;
+          m = cell.Experiment.ports;
+          rate = cell.Experiment.arrival_rate;
+          rounds = cell.Experiment.horizon;
+          max_demand = cell.Experiment.max_demand;
+          seed = cell.Experiment.sweep_seed;
+        }
+      in
+      Alcotest.(check string) workload
+        (Instance.to_string (Scenario.instance spec))
+        (Instance.to_string (Experiment.sweep_instance cell)))
+    [ "pareto:1.5"; "staircase"; "skewed:1.2" ]
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_workload_poisson_counts; prop_engine_matches_offline_fifo ]
+      [
+        prop_workload_poisson_counts;
+        prop_generators_match_reference;
+        prop_engine_matches_offline_fifo;
+      ]
   in
   Alcotest.run "flowsched_sim"
     [
@@ -428,6 +486,8 @@ let () =
             test_lp_failure_degrades_gracefully;
           Alcotest.test_case "sweep unknown workload" `Quick
             test_sweep_unknown_workload_rejected;
+          Alcotest.test_case "sweep resolves every kind" `Quick
+            test_sweep_resolves_every_kind;
         ] );
       ("properties", props);
     ]
