@@ -1,5 +1,6 @@
 .PHONY: build test bench bench-smoke bench-lp serve-smoke obs-smoke chaos-smoke \
-  domains-smoke scenarios-smoke dist-smoke perfbench-smoke reproduce goldens clean
+  domains-smoke scenarios-smoke dist-smoke perfbench-smoke reproduce goldens trajectory \
+  clean
 
 build:
 	dune build
@@ -215,6 +216,14 @@ dist-smoke: build
 # BENCHMARK.json names.  Builds perfbench/main.exe into .bench_build.
 perfbench-smoke:
 	python3 perfbench/test_bench.py
+
+# The committed perf records: each bench/trajectory/*.jsonl holds one
+# change's perfbench runs, parent and change side by side, with the host and
+# rev of every run.  The compare fails on a line that lost a field or a run
+# that failed its checks, and prints each workload, seed and end-to-end
+# metric's parent and change medians and their ratio.
+trajectory:
+	python3 bench/trajectory/compare.py bench/trajectory/*.jsonl
 
 # Artifact-evaluation harness, first slice: rerun the deterministic
 # evaluation artifacts and diff them byte-for-byte against the committed

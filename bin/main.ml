@@ -278,10 +278,12 @@ let lp_bound path stats trace metrics =
   let before = Simplex.read_counters () in
   let bound = Art_lp.lower_bound inst in
   let rho = Mrt_scheduler.min_fractional_rho inst in
+  let lb, ub = Mrt_scheduler.rho_bracket inst in
   Printf.printf "flows:                     %d\n" (Instance.n inst);
   Printf.printf "LP (1)-(4) total response: %.3f\n" bound.Art_lp.total;
   Printf.printf "LP (1)-(4) avg response:   %.3f\n" bound.Art_lp.average;
   Printf.printf "LP (19)-(21) min rho:      %d\n" rho;
+  Printf.printf "rho window/FIFO bracket:   [%d, %d]\n" lb ub;
   if stats then begin
     let c = Simplex.diff_counters (Simplex.read_counters ()) before in
     Printf.printf "simplex solves:            %d\n" c.Simplex.solves;
@@ -318,7 +320,12 @@ let lp_bound_cmd =
 let solve_art path c show timeline trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
   let inst = load_instance path in
-  let res = Art_scheduler.solve ~c inst in
+  let res =
+    try Art_scheduler.solve ~c inst
+    with Invalid_argument msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 1
+  in
   let d = res.Art_scheduler.diagnostics in
   Printf.printf "FS-ART approximation (Theorem 1), capacity blow-up %dx\n" (1 + c);
   print_schedule_stats inst res.Art_scheduler.schedule;
@@ -351,7 +358,20 @@ let solve_art_cmd =
 let solve_mrt path rho show timeline trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
   let inst = load_instance path in
-  let sol = match rho with Some r -> Mrt_scheduler.solve ~rho:r inst | None -> Mrt_scheduler.solve inst in
+  let infeasible r why =
+    Printf.eprintf "error: --rho %d is infeasible: %s\n" r why;
+    exit 1
+  in
+  let sol =
+    match rho with
+    | None -> Mrt_scheduler.solve inst
+    | Some r -> (
+        (* The window bound rejects a target below it without an LP. *)
+        let lb, _ = Mrt_scheduler.rho_bracket inst in
+        if r < lb then infeasible r (Printf.sprintf "the window bound needs rho >= %d" lb);
+        try Mrt_scheduler.solve ~rho:r inst
+        with Failure _ -> infeasible r "LP (19)-(21) has no solution")
+  in
   Printf.printf "FS-MRT (Theorem 3), capacities +%d\n"
     (max 0 ((2 * Instance.dmax inst) - 1));
   print_schedule_stats inst sol.Mrt_scheduler.schedule;

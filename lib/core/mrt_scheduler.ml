@@ -1,6 +1,7 @@
 open Flowsched_switch
 module Metrics = Flowsched_obs.Metrics
 module Trace = Flowsched_obs.Trace
+module Json = Flowsched_util.Json
 
 let c_rho_probes = Metrics.counter "mrt.rho_probes"
 let c_rho_feasible = Metrics.counter "mrt.rho_probes_feasible"
@@ -15,44 +16,73 @@ type solution = {
 
 let feasible_rho inst rho = Mrt_lp.is_fractionally_feasible inst (Mrt_lp.active_of_rho inst rho)
 
-let default_hi inst =
-  (* Uniform spreading after the last release is fractionally feasible, so
-     every flow finishes within this span of its release. *)
-  Art_lp.default_horizon inst
-
-let min_fractional_rho ?hi ?(warm_start = true) inst =
-  Trace.with_span "mrt.min_fractional_rho" (fun () ->
-  let hi = match hi with Some h -> h | None -> default_hi inst in
-  (* The probe LPs of the binary search differ only in their active sets, so
-     the optimal basis of the last feasible probe seeds the next one: keys
-     for rounds cut from the shrunken windows are dropped on translation.
-     The result — the least feasible rho — is independent of which vertex
-     each probe lands on, so warm starting cannot change the answer. *)
-  let warm = ref None in
-  let probe rho =
-    Metrics.incr c_rho_probes;
-    Trace.with_span "mrt.rho_probe"
-      ~args:(fun () -> [ ("rho", Flowsched_util.Json.Int rho) ])
-      (fun () ->
-        Flowsched_domains.Deadline.check ();
-        let active = Mrt_lp.active_of_rho inst rho in
-        match Mrt_lp.solve ?warm:(if warm_start then !warm else None) inst active with
-        | None -> false
-        | Some frac ->
-            Metrics.incr c_rho_feasible;
-            warm := Some frac.Mrt_lp.basis;
-            true)
+(* The flows at one port released in [a, b], of total demand D, are all
+   served in rounds [a, b + rho - 1], and LP (19) lets that port carry c_p
+   per round, so rho >= ceil(D / c_p) - (b - a).  With each port's flows
+   sorted by release, every release pair is a contiguous range; a range
+   that splits a release tie only drops demand, so the maximum is the
+   same. *)
+let window_bound inst =
+  let side caps port_of =
+    let at = Array.make (Array.length caps) [] in
+    Array.iter (fun (f : Flow.t) -> at.(port_of f) <- f :: at.(port_of f)) inst.Instance.flows;
+    let best = ref 1 in
+    Array.iteri
+      (fun p fs ->
+        let fs = Array.of_list fs and c = caps.(p) in
+        Array.sort (fun (a : Flow.t) (b : Flow.t) -> compare a.release b.release) fs;
+        for i = 0 to Array.length fs - 1 do
+          let d = ref 0 in
+          for j = i to Array.length fs - 1 do
+            d := !d + fs.(j).Flow.demand;
+            best := max !best (((!d + c - 1) / c) - (fs.(j).Flow.release - fs.(i).Flow.release))
+          done
+        done)
+      at;
+    !best
   in
-  if not (probe hi) then
-    failwith "Mrt_scheduler.min_fractional_rho: upper bound infeasible";
-  let lo = ref 1 and hi = ref hi in
-  (* invariant: hi feasible, lo - 1 infeasible (rho = 0 is vacuously
-     infeasible for a non-empty instance) *)
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if probe mid then hi := mid else lo := mid + 1
-  done;
-  !lo)
+  max
+    (side inst.Instance.cap_in (fun f -> f.Flow.src))
+    (side inst.Instance.cap_out (fun f -> f.Flow.dst))
+
+(* Any valid integral schedule is a feasible point of LP (19)-(21) at its
+   own max response. *)
+let fifo_bound inst =
+  let s = Baselines.fifo inst in
+  if not (Schedule.is_valid inst s) then
+    failwith "Mrt_scheduler.rho_bracket: FIFO schedule is not valid";
+  max 1 (Schedule.max_response inst s)
+
+let rho_bracket inst = (window_bound inst, fifo_bound inst)
+
+let probe inst rho =
+  Metrics.incr c_rho_probes;
+  Trace.with_span "mrt.rho_probe"
+    ~args:(fun () -> [ ("rho", Json.Int rho) ])
+    (fun () ->
+      Flowsched_domains.Deadline.check ();
+      let feasible = feasible_rho inst rho in
+      if feasible then Metrics.incr c_rho_feasible;
+      feasible)
+
+let min_fractional_rho inst =
+  let bracket = ref None in
+  Trace.with_span "mrt.min_fractional_rho"
+    ~args:(fun () ->
+      match !bracket with
+      | Some (lb, ub) -> [ ("lb", Json.Int lb); ("ub", Json.Int ub) ]
+      | None -> [])
+    (fun () ->
+      let lb, ub = rho_bracket inst in
+      bracket := Some (lb, ub);
+      let lo = ref lb and hi = ref ub in
+      (* invariant: hi feasible, lo - 1 infeasible; feasibility is monotone
+         in rho, so this finds the least feasible rho *)
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if probe inst mid then hi := mid else lo := mid + 1
+      done;
+      !lo)
 
 let augmentation inst = max 0 ((2 * Instance.dmax inst) - 1)
 

@@ -1,14 +1,18 @@
 (** FS-MRT solver (Theorem 3 applied through binary search).
 
     The minimum maximum response time [rho*] of a fractional schedule is
-    found by binary search on the feasibility of LP (19)–(21) with
-    [R(e) = \[r_e, r_e + rho)] — feasibility is monotone in [rho].  Since
-    the LP is a relaxation, [rho*] lower bounds the optimal integral
-    maximum response time; rounding the solution at [rho*] then yields a
-    schedule with maximum response at most [rho*] <= OPT under port
-    capacities augmented by [2 dmax - 1].  For unit demands that is the
-    +1 augmentation that Theorem 2's 4/3-hardness shows to be necessary
-    (Remark 4.4). *)
+    the least [rho] at which LP (19)–(21) with [R(e) = \[r_e, r_e + rho)]
+    is feasible; feasibility is monotone in [rho], so a binary search finds
+    it.  The search runs inside a bracket [\[lb, ub\]] whose two ends are
+    certified without an LP: [lb - 1] is infeasible by a per-port counting
+    bound implied by the capacity rows (19), and [ub] is feasible because
+    it is the max response of a valid integral schedule (FIFO's).  When
+    [lb = ub] no LP runs at all.  Since the LP is a relaxation, [rho*]
+    lower bounds the optimal integral maximum response time; rounding the
+    solution at [rho*] then yields a schedule with maximum response at
+    most [rho*] <= OPT under port capacities augmented by [2 dmax - 1].
+    For unit demands that is the +1 augmentation that Theorem 2's
+    4/3-hardness shows to be necessary (Remark 4.4). *)
 
 type solution = {
   rho : int;  (** Max response of the returned schedule (<= fractional opt). *)
@@ -22,14 +26,27 @@ type solution = {
 val feasible_rho : Flowsched_switch.Instance.t -> int -> bool
 (** Fractional feasibility of a target maximum response time. *)
 
-val min_fractional_rho : ?hi:int -> ?warm_start:bool -> Flowsched_switch.Instance.t -> int
-(** Binary search for the smallest fractionally feasible rho.  [hi]
-    defaults to a horizon at which feasibility is guaranteed.
-    [warm_start] (default [true]) seeds each probe LP with the optimal
-    basis of the last feasible probe; the result is identical either way
-    (feasibility does not depend on the vertex reached), only faster.  A
-    probe checks the cooperative {!Flowsched_domains.Deadline} before
-    solving, so executor timeouts interrupt the search between LPs. *)
+val rho_bracket : Flowsched_switch.Instance.t -> int * int
+(** [(lb, ub)] with [lb <= rho* <= ub], computed without an LP.
+
+    - [lb], the window bound: the flows at a port [p] released in
+      [\[a, b\]], of total demand [D], must all be served in rounds
+      [\[a, b + rho - 1\]], so [rho >= ceil(D / c_p) - (b - a)].  [lb] is
+      the maximum of this over every input and output port and every pair
+      of release times, and 1; [O(sum_p k_p^2)] for [k_p] flows at [p].
+    - [ub]: the max response of {!Baselines.fifo}'s schedule, at least 1.
+      The schedule is checked against the unaugmented capacities, and
+      [Failure] is raised if it is not valid. *)
+
+val min_fractional_rho : Flowsched_switch.Instance.t -> int
+(** The smallest fractionally feasible rho: a binary search inside
+    {!rho_bracket}, keeping [ub] feasible and [lb - 1] infeasible, with one
+    cold LP (19)–(21) solve per probe.  When [lb = ub] it returns at once,
+    with no LP.  An empty instance gives 1.  A probe checks the
+    cooperative {!Flowsched_domains.Deadline} before solving, so executor
+    timeouts interrupt the search between LPs.  Counts probes in the
+    [mrt.rho_probes] and [mrt.rho_probes_feasible] counters; the
+    [mrt.min_fractional_rho] span carries the bracket as [lb] and [ub]. *)
 
 val solve : ?rho:int -> Flowsched_switch.Instance.t -> solution
 (** [solve inst] computes [rho = min_fractional_rho inst] (unless given)

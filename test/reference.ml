@@ -7,7 +7,10 @@
    tests compare the two edge for edge, order included, because the
    heuristics' schedules depend on which of several maximum matchings
    comes out, and bit for bit for the LU, because the simplex's pivots
-   depend on every rounding of its solves. *)
+   depend on every rounding of its solves.  The Theorem 3 rho search is
+   kept as the plain bisection over [1, Art_lp.default_horizon] it was
+   before its bracket, with the random capacitated instances it is
+   compared on. *)
 
 open Flowsched_switch
 open Flowsched_bipartite
@@ -545,3 +548,46 @@ module Workload = struct
     done;
     Instance.of_flows ~m ~m':m (List.rev !specs)
 end
+
+(* The Theorem 3 rho search before its bracket: bisection over
+   [1, Art_lp.default_horizon], one LP (19)-(21) probe per step, each
+   probe (by default) warm-started from the optimal basis of the last
+   feasible one; bases cut to a shrinking active set drop the keys of
+   rounds that left it. *)
+let plain_min_fractional_rho ?(warm_start = true) inst =
+  let module Mrt_lp = Flowsched_core.Mrt_lp in
+  let warm = ref None in
+  let probe rho =
+    let active = Mrt_lp.active_of_rho inst rho in
+    match Mrt_lp.solve ?warm:(if warm_start then !warm else None) inst active with
+    | None -> false
+    | Some frac ->
+        warm := Some frac.Mrt_lp.basis;
+        true
+  in
+  let hi = Flowsched_core.Art_lp.default_horizon inst in
+  if not (probe hi) then failwith "Reference.plain_min_fractional_rho: upper bound infeasible";
+  let lo = ref 1 and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if probe mid then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* Random instances whose capacities and demands go above 1: m in [1, 5]
+   ports per side, each port's capacity in [1, 4], each flow's demand in
+   [1, kappa_e], releases in [0, 6] and 1 to 30 flows. *)
+let capacitated_instance seed =
+  let g = Flowsched_util.Prng.create seed in
+  let int lo hi = lo + Flowsched_util.Prng.int g (hi - lo + 1) in
+  let m = int 1 5 in
+  let cap_in = Array.init m (fun _ -> int 1 4) in
+  let cap_out = Array.init m (fun _ -> int 1 4) in
+  let n = int 1 30 in
+  let flow _ =
+    let src = int 0 (m - 1) in
+    let dst = int 0 (m - 1) in
+    let demand = int 1 (min cap_in.(src) cap_out.(dst)) in
+    (src, dst, demand, int 0 6)
+  in
+  Instance.of_flows ~cap_in ~cap_out ~m ~m':m (List.init n flow)

@@ -1,6 +1,6 @@
 (* Tests for the FS-MRT pipeline: LP (19)-(21), the Lemma 4.3-style
-   rounding, the binary-search solver, and the deadline model of
-   Remark 4.2. *)
+   rounding, the binary-search solver and its bracket, and the deadline
+   model of Remark 4.2. *)
 
 open Flowsched_switch
 open Flowsched_core
@@ -101,14 +101,16 @@ let pipeline_cells =
     ("skewed m=5 rate=2 T=6", W.skewed ~m:5 ~rate:2.0 ~rounds:6 ~alpha:1.0 ~seed:7);
   ]
 
-let test_rho_search_warm_matches_cold () =
-  (* Basis reuse across the binary-search probes must not change the
-     answer (feasibility of each probe LP is vertex-independent) and
-     must strictly reduce the total pivot count. *)
+let test_reference_bisection_warm_matches_cold () =
+  (* The plain bisection of test/reference.ml still chains the library's
+     Mrt_lp.solve ?warm across shrinking active sets: basis reuse must not
+     change the answer (feasibility of each probe LP is vertex-independent)
+     and must strictly reduce the total pivot count.  The library's
+     bracketed search must agree with both. *)
   let module Simplex = Flowsched_lp.Simplex in
   let search ~warm_start inst =
     let before = Simplex.read_counters () in
-    let rho = Mrt_scheduler.min_fractional_rho ~warm_start inst in
+    let rho = Reference.plain_min_fractional_rho ~warm_start inst in
     (rho, (Simplex.diff_counters (Simplex.read_counters ()) before).Simplex.pivots)
   in
   let inst = tiny_instance 71 ~m:4 ~n:24 ~maxrel:4 in
@@ -119,12 +121,73 @@ let test_rho_search_warm_matches_cold () =
     (Printf.sprintf "strictly fewer pivots (%d < %d)" warm_pivots cold_pivots)
     true
     (warm_pivots < cold_pivots);
+  Alcotest.(check int) "bracketed search agrees" rho_cold (Mrt_scheduler.min_fractional_rho inst);
   List.iter
     (fun (label, inst) ->
-      Alcotest.(check int) (label ^ ": identical rho")
-        (fst (search ~warm_start:false inst))
-        (fst (search ~warm_start:true inst)))
+      let rho_cold = fst (search ~warm_start:false inst) in
+      Alcotest.(check int) (label ^ ": identical rho") rho_cold
+        (fst (search ~warm_start:true inst));
+      Alcotest.(check int) (label ^ ": bracketed search agrees") rho_cold
+        (Mrt_scheduler.min_fractional_rho inst))
     pipeline_cells
+
+(* --- the bracket of the rho search --- *)
+
+let probes () = Flowsched_obs.Metrics.(counter_value (counter "mrt.rho_probes"))
+
+let test_bracket_empty () =
+  let inst = mk ~m:1 [] in
+  Alcotest.(check (pair int int)) "bracket" (1, 1) (Mrt_scheduler.rho_bracket inst);
+  Alcotest.(check int) "min rho" 1 (Mrt_scheduler.min_fractional_rho inst);
+  Alcotest.(check int) "reference" 1 (Reference.plain_min_fractional_rho inst)
+
+let test_bracket_closed_runs_no_lp () =
+  (* Three flows released at 0 and three at 1 on one unit port pair: the
+     window [0, 1] carries demand 6, so rho >= 6 - 1; FIFO serves the last
+     flow released at 1 in round 5, a response of 5. *)
+  let inst = mk ~m:1 (List.init 6 (fun i -> (0, 0, 1, i / 3))) in
+  Alcotest.(check (pair int int)) "bracket" (5, 5) (Mrt_scheduler.rho_bracket inst);
+  let before = probes () in
+  Alcotest.(check int) "min rho" 5 (Mrt_scheduler.min_fractional_rho inst);
+  Alcotest.(check int) "no LP probe" before (probes ());
+  Alcotest.(check int) "reference" 5 (Reference.plain_min_fractional_rho inst)
+
+let test_bracket_window_capacity () =
+  (* Capacity 3 at input 0: demands 2 + 2 + 3 released at 0 need
+     ceil(7 / 3) = 3 rounds, and FIFO takes exactly that. *)
+  let inst =
+    mk ~cap_in:[| 3; 3 |] ~cap_out:[| 3; 3 |] ~m:2 [ (0, 0, 2, 0); (0, 1, 2, 0); (0, 1, 3, 0) ]
+  in
+  Alcotest.(check (pair int int)) "bracket" (3, 3) (Mrt_scheduler.rho_bracket inst);
+  Alcotest.(check int) "min rho" 3 (Mrt_scheduler.min_fractional_rho inst)
+
+let test_bracket_span_args () =
+  let module Trace = Flowsched_obs.Trace in
+  let inst = mk ~m:1 (List.init 6 (fun i -> (0, 0, 1, i / 3))) in
+  Trace.start ();
+  ignore (Mrt_scheduler.min_fractional_rho inst);
+  Trace.stop ();
+  match List.find_opt (fun sp -> sp.Trace.name = "mrt.min_fractional_rho") (Trace.spans ()) with
+  | None -> Alcotest.fail "no mrt.min_fractional_rho span"
+  | Some sp ->
+      Alcotest.(check bool) "lb and ub args" true
+        (sp.Trace.args = Flowsched_util.Json.[ ("lb", Int 5); ("ub", Int 5) ])
+
+let prop_bracket_contains_rho =
+  QCheck2.Test.make ~name:"lb <= min fractional rho <= ub" ~count:150
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let inst = Reference.capacitated_instance seed in
+      let lb, ub = Mrt_scheduler.rho_bracket inst in
+      let rho = Mrt_scheduler.min_fractional_rho inst in
+      1 <= lb && lb <= rho && rho <= ub)
+
+let prop_bracketed_matches_plain_bisection =
+  QCheck2.Test.make ~name:"bracketed search = plain bisection" ~count:150
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let inst = Reference.capacitated_instance seed in
+      Mrt_scheduler.min_fractional_rho inst = Reference.plain_min_fractional_rho inst)
 
 let prop_declared_ub_matches_explicit_rows =
   (* The declared-bound formulation (x_{e,t} <= 1 enforced by the simplex's
@@ -274,6 +337,8 @@ let () =
         prop_rounding_guarantee_demands;
         prop_solve_optimal_wrt_exact;
         prop_deadline_schedules_meet_deadlines;
+        prop_bracket_contains_rho;
+        prop_bracketed_matches_plain_bisection;
       ]
   in
   Alcotest.run "flowsched_mrt"
@@ -287,7 +352,15 @@ let () =
         [
           Alcotest.test_case "feasibility + binary search" `Quick test_lp_feasibility_basic;
           Alcotest.test_case "fractional below integral" `Quick test_lp_fractional_below_integral;
-          Alcotest.test_case "warm rho search matches cold" `Quick test_rho_search_warm_matches_cold;
+          Alcotest.test_case "reference bisection warm = cold" `Quick
+            test_reference_bisection_warm_matches_cold;
+        ] );
+      ( "bracket",
+        [
+          Alcotest.test_case "empty instance" `Quick test_bracket_empty;
+          Alcotest.test_case "lb = ub runs no LP" `Quick test_bracket_closed_runs_no_lp;
+          Alcotest.test_case "window bound with capacities" `Quick test_bracket_window_capacity;
+          Alcotest.test_case "span carries lb and ub" `Quick test_bracket_span_args;
         ] );
       ( "rounding",
         [

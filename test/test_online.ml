@@ -304,16 +304,19 @@ let prop_response_within_port_degrees =
         (all_policies seed))
 
 (* LP (19)-(21) relaxes every valid schedule, so no policy's maximum
-   response is below the smallest fractionally feasible rho. *)
+   response is below the smallest fractionally feasible rho, on unit
+   switches and on switches whose capacities and demands go above 1. *)
 let prop_max_response_at_least_fractional_rho =
-  QCheck2.Test.make ~name:"max response >= min fractional rho" ~count:30
+  QCheck2.Test.make ~name:"max response >= min fractional rho" ~count:40
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 5 30))
     (fun (seed, n) ->
-      let inst = random_instance seed ~m:4 ~n ~maxrel:6 in
-      let rho = Mrt_scheduler.min_fractional_rho inst in
       List.for_all
-        (fun p -> Engine.max_response (Engine.run_instance p inst) >= rho)
-        (all_policies seed))
+        (fun inst ->
+          let rho = Mrt_scheduler.min_fractional_rho inst in
+          List.for_all
+            (fun p -> Engine.max_response (Engine.run_instance p inst) >= rho)
+            (all_policies seed))
+        [ random_instance seed ~m:4 ~n ~maxrel:6; Reference.capacitated_instance seed ])
 
 (* A pending queue on a small switch with capacities 1-3 and demands 1-3:
    few ports and many flows, so parallel flows and equal weights abound. *)
