@@ -233,6 +233,11 @@ trajectory:
 # intentional change with `make goldens` and commit the diff.
 REPRO_SERVE = serve --core incremental --workload uniform -m 8 --rate 6 \
   --slots 20000 --seed 7 --status-every 0 --json
+# The Policy core (MaxWeight through Engine.run_slot) under backpressure:
+# small queue and buffer caps stall the source in over half the slots, so
+# admission and the stall path are pinned with the slot itself.
+REPRO_SERVE_POLICY = serve --core maxweight --workload hotspot:0.3 -m 8 --rate 6 \
+  --slots 20000 --seed 7 --queue-cap 64 --buffer-cap 64 --status-every 0 --json
 # Figures 6/7 at paper scale: the only leg wide enough (150 ports) to reach
 # the sparse Hungarian; the grids above run on at most 8 ports.
 WIDE_GRID = --kinds poisson -m 150 --rates 300 --rounds 10 --seeds 1,2 \
@@ -267,6 +272,10 @@ reproduce: build
 	@cmp goldens/serve.json _repro_serve.json \
 	  && echo "reproduce: serve outcome matches golden" \
 	  || (echo "reproduce: serve outcome diverges from goldens/serve.json" && exit 1)
+	_build/default/bin/main.exe $(REPRO_SERVE_POLICY) > _repro_serve_policy.json 2>/dev/null
+	@cmp goldens/serve-policy.json _repro_serve_policy.json \
+	  && echo "reproduce: Policy-core serve outcome matches golden" \
+	  || (echo "reproduce: Policy-core serve outcome diverges from goldens/serve-policy.json" && exit 1)
 	@rm -f _repro_*.json _repro_*.f
 	@echo "reproduce: OK (all artifacts match the committed goldens)"
 
@@ -282,6 +291,7 @@ goldens: build
 	@$(CHAOS_FILTER) _golden_lp.json > goldens/sweep-lp.filtered.json
 	@rm -f _golden_sweep.json _golden_wide.json _golden_lp.json
 	_build/default/bin/main.exe $(REPRO_SERVE) > goldens/serve.json 2>/dev/null
+	_build/default/bin/main.exe $(REPRO_SERVE_POLICY) > goldens/serve-policy.json 2>/dev/null
 	@echo "goldens regenerated — review and commit goldens/"
 
 clean:

@@ -7,17 +7,12 @@ let run_rounds inst pick =
   let schedule = Schedule.unassigned n in
   let pending = ref [] in
   let remaining = ref n in
-  let by_release = Hashtbl.create 16 in
-  Array.iter
-    (fun (f : Flow.t) ->
-      let cur = try Hashtbl.find by_release f.Flow.release with Not_found -> [] in
-      Hashtbl.replace by_release f.Flow.release (f :: cur))
-    inst.Instance.flows;
+  let arrivals = Instance.by_release inst in
   let t = ref 0 in
   while !remaining > 0 do
-    (match Hashtbl.find_opt by_release !t with
-    | Some arrivals -> pending := List.rev_append arrivals !pending
-    | None -> ());
+    (* this round's arrivals, in instance order, go ahead of the older
+       flows: greedy_maxcard's matching depends on this order *)
+    pending := arrivals !t @ !pending;
     let chosen = pick !pending in
     List.iter
       (fun (f : Flow.t) ->

@@ -78,7 +78,8 @@ module Pending = struct
     List.iter
       (fun i ->
         if i < 0 || i >= Array.length t.queue || Bytes.get t.removed i <> '\000' then
-          invalid_arg "Policy.Pending.remove: index out of range or repeated";
+          invalid_arg
+            (Printf.sprintf "Policy.Pending.remove: index %d out of range or repeated" i);
         Bytes.set t.removed i '\001';
         t.n_removed <- t.n_removed + 1)
       ids

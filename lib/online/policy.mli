@@ -22,16 +22,18 @@ type context = {
 type t = {
   name : string;
   select : context -> int list;
-      (** Indices into [queue]; total demand per port must stay within the
-          context capacities (the engine validates). *)
+      (** Distinct indices into [queue]; total demand per port must stay
+          within the context capacities.  [Flowsched_sim.Engine.run_slot]
+          checks both and raises [Engine.Policy_violation] otherwise. *)
 }
 
-(** The pending flows of a slot loop, kept for [context.queue]: both
-    [Engine.run_instance] and [Server.run]'s policy core drive a policy
-    through one of these.  Flows are appended as they arrive; a selection
-    removes the flows at its indices.  The queue array is built once per
-    slot that changed it and reused as is across slots that did not;
-    replaced arrays are handed to the major GC in slices. *)
+(** The pending flows of a slot loop, kept for [context.queue]: the batch
+    engine and [Server.run]'s policy core each keep one and hand it to
+    [Engine.run_slot], which builds every slot's context from it.  Flows
+    are appended as they arrive; a selection removes the flows at its
+    indices.  The queue array is built once per slot that changed it and
+    reused as is across slots that did not; replaced arrays are handed to
+    the major GC in slices. *)
 module Pending : sig
   type t
 
@@ -51,8 +53,8 @@ module Pending : sig
 
   val remove : t -> int list -> unit
   (** [remove t ids] drops the flows at indices [ids] of the last {!queue}.
-      Raises [Invalid_argument] on an index out of range or removed
-      twice. *)
+      Raises [Invalid_argument], naming the index, on an index out of range
+      or removed twice. *)
 
   val to_list : t -> Flowsched_switch.Flow.t list
   (** The pending flows oldest first, without building the queue array. *)

@@ -72,24 +72,13 @@ type outcome = {
    of flows, then return the releases of the flows scheduled this slot. *)
 type mode = { admit : Flow.t list -> unit; step : int -> int list; count : unit -> int }
 
-let policy_mode (cfg : config) (policy : Flowsched_online.Policy.t) =
+let policy_mode (cfg : config) policy =
   let pending = Pending.create () in
   let admit batch = List.iter (Pending.push pending) batch in
-  let step slot =
-    let queue = Pending.queue pending in
-    let ctx =
-      {
-        Flowsched_online.Policy.m = cfg.m;
-        m' = cfg.m';
-        cap_in = cfg.cap_in;
-        cap_out = cfg.cap_out;
-        round = slot;
-        queue;
-      }
-    in
-    let selected = policy.Flowsched_online.Policy.select ctx in
-    Pending.remove pending selected;
-    List.map (fun i -> queue.(i).Flow.release) selected
+  let step round =
+    Flowsched_sim.Engine.run_slot ~m:cfg.m ~m':cfg.m' ~cap_in:cfg.cap_in ~cap_out:cfg.cap_out
+      ~round policy pending
+    |> List.map (fun (f : Flow.t) -> f.Flow.release)
   in
   { admit; step; count = (fun () -> Pending.length pending) }
 
@@ -160,12 +149,9 @@ let run ?(on_status = fun (_ : status) -> ()) ?stop (cfg : config) core source =
             let admitted = ref 0 in
             while !admitted < room && not (Queue.is_empty buffer) do
               let src, dst, demand = Queue.pop buffer in
-              (* what Instance.validate checks of a batch instance's flows *)
-              if src < 0 || src >= cfg.m || dst < 0 || dst >= cfg.m' then
-                invalid_arg "Server.run: arrival endpoint out of range";
-              if demand < 1 || demand > cfg.cap_in.(src) || demand > cfg.cap_out.(dst) then
-                invalid_arg "Server.run: arrival demand outside [1, min port capacity]";
-              batch := Flow.make ~id:!next_id ~src ~dst ~demand ~release:!slot () :: !batch;
+              let f = Flow.make ~id:!next_id ~src ~dst ~demand ~release:!slot () in
+              Instance.check_flow ~m:cfg.m ~m':cfg.m' ~cap_in:cfg.cap_in ~cap_out:cfg.cap_out f;
+              batch := f :: !batch;
               incr next_id;
               incr admitted
             done;

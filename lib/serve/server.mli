@@ -10,14 +10,15 @@
     statistics and discards them.  Nothing grows with the horizon: state is
     the pending flows plus integer accumulators.
 
-    Two cores are provided.  {!Policy} replicates the batch engine's
-    semantics exactly — for a fixed-seed trace with backpressure disabled,
-    the outcome's aggregate statistics equal those of
-    [Flowsched_sim.Engine.run_instance] on the same trace (the tests assert
-    this for 1e5-slot runs).  {!Incremental} maintains the matching across
-    slots with [Flowsched_bipartite.Bmatching.Incremental], making the
-    per-slot decision cost proportional to churn rather than queue depth;
-    it requires unit demands.
+    Two cores are provided.  {!Policy} runs every slot through
+    [Flowsched_sim.Engine.run_slot], the batch engine's own slot, so for a
+    fixed-seed trace with backpressure disabled the outcome's aggregate
+    statistics equal those of [Flowsched_sim.Engine.run_instance] on the
+    same trace (the tests assert this for 1e5-slot runs).  {!Incremental}
+    maintains the matching across slots with
+    [Flowsched_bipartite.Bmatching.Incremental], making the per-slot
+    decision cost proportional to churn rather than queue depth; it
+    requires unit demands.
 
     The {!outcome} is all-integer, so for a fixed seed two runs are
     byte-identical even though the status stream carries wall-clock rates.
@@ -26,6 +27,8 @@
 
 type core =
   | Policy of Flowsched_online.Policy.t
+      (** Raises [Flowsched_sim.Engine.Policy_violation] on a selection the
+          batch engine would reject. *)
   | Incremental  (** Unit demands only; raises [Invalid_argument] otherwise. *)
 
 type config = private {
@@ -92,8 +95,8 @@ val run : ?on_status:(status -> unit) -> ?stop:bool ref -> config -> core -> Sou
     what it already holds before returning.
 
     Raises [Invalid_argument] when it admits an arrival that
-    [Flowsched_switch.Instance.validate] would reject: an endpoint outside
-    the switch, or a demand outside [\[1, min cap_in.(src) cap_out.(dst)\]]. *)
+    [Flowsched_switch.Instance.check_flow] rejects: an endpoint outside the
+    switch, or a demand outside [\[1, min cap_in.(src) cap_out.(dst)\]]. *)
 
 val mean_response : outcome -> float
 (** [nan] when nothing completed. *)

@@ -7,21 +7,13 @@ let more t slot = t.more slot
 let pull t slot = t.pull slot
 
 let of_instance (inst : Instance.t) =
-  let by_release = Hashtbl.create 64 in
-  Array.iter
-    (fun (f : Flow.t) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_release f.Flow.release) in
-      Hashtbl.replace by_release f.Flow.release (f :: cur))
-    inst.Instance.flows;
+  let released = Instance.by_release inst in
   let last = Instance.last_release inst in
   {
     more = (fun slot -> slot <= last);
     pull =
       (fun slot ->
-        match Hashtbl.find_opt by_release slot with
-        | Some fs ->
-            List.rev_map (fun (f : Flow.t) -> (f.Flow.src, f.Flow.dst, f.Flow.demand)) fs
-        | None -> []);
+        List.map (fun (f : Flow.t) -> (f.Flow.src, f.Flow.dst, f.Flow.demand)) (released slot));
   }
 
 let of_scenario spec ~horizon =

@@ -16,11 +16,6 @@ let sweep_key (s : Experiment.sweep_config) =
     s.Experiment.ports s.Experiment.arrival_rate s.Experiment.horizon s.Experiment.max_demand
     s.Experiment.sweep_seed s.Experiment.lp
 
-let grid_key (c : Experiment.cell_config) =
-  Printf.sprintf "grid|m=%d|rate=%h|T=%d|tries=%d|seed=%d|lp=%b" c.Experiment.m
-    c.Experiment.rate c.Experiment.rounds c.Experiment.tries c.Experiment.seed
-    c.Experiment.with_lp
-
 (* ------------------------------------------------------------------ *)
 (* Line format.  Each line is a JSON object whose first field is a      *)
 (* CRC-32 (hex) of the rest of the object serialized compactly:         *)
@@ -165,14 +160,5 @@ let run_sweep ~policies ?progress ?backend ?jobs ?timeout ?retries ?faults ?on_a
     ~encode:Report.sweep_cell_json
     ~run_cells:(fun on_result todo ->
       Experiment.run_sweep ~policies ?progress ?backend ?jobs ?timeout ?retries ?faults
-        ~on_result todo)
-    t cells
-
-let run_grid ~policies ?progress ?backend ?jobs ?timeout ?retries ?faults ?on_append t cells =
-  resume_run ~kind:"grid" ~key:grid_key ?on_append
-    ~decode:(fun c j -> Report.cell_result_of_json ~config:c j)
-    ~encode:Report.cell_json
-    ~run_cells:(fun on_result todo ->
-      Experiment.run_grid ~policies ?progress ?backend ?jobs ?timeout ?retries ?faults
         ~on_result todo)
     t cells

@@ -4,10 +4,10 @@
     completed cell, written (and flushed) from the pool parent's
     [on_result] hook the moment the cell settles — so a run killed at cell
     190/200 keeps its 189 finished cells.  Lines are
-    [{"crc": <hex CRC-32 of the rest>, "kind": "sweep"|"grid"|..., "key":
+    [{"crc": <hex CRC-32 of the rest>, "kind": "sweep"|"matrix", "key":
     <canonical config key>, "result": <cell object>}] with the result
-    encoded by {!Report.sweep_cell_json}/{!Report.cell_json} and the
-    checksum computed by {!seal}.
+    encoded by {!Report.sweep_cell_json} (or the matrix's cell encoder) and
+    the checksum computed by {!seal}.
 
     Resuming re-runs the same grid with [resume:true]: cells whose key is
     already present are decoded ({!Report.sweep_result_of_json}) instead of
@@ -66,11 +66,11 @@ val resume_run :
   t ->
   'cell list ->
   'result list
-(** The generic checkpointed-run skeleton behind {!run_sweep} and
-    {!run_grid}, exposed so other grids (the scenario matrix, shard
-    workers) can reuse it: cells whose [key] is already stored are
-    [decode]d in place, the remainder goes through [run_cells] with a
-    persist-on-settle callback, and results merge back in input order.
+(** The generic checkpointed-run skeleton behind {!run_sweep}, exposed so
+    other grids (the scenario matrix, shard workers) can reuse it: cells
+    whose [key] is already stored are [decode]d in place, the remainder
+    goes through [run_cells] with a persist-on-settle callback, and results
+    merge back in input order.
     [on_append] fires (with the cell key) after each fresh cell is durably
     appended — the shard workers' lease-heartbeat hook.  A stored entry
     that no longer decodes raises [Failure] — silently recomputing would
@@ -95,22 +95,6 @@ val run_sweep :
     longer decodes, or that disagrees with its cell's config, raises
     [Failure] — silently recomputing would mask corruption. *)
 
-val run_grid :
-  policies:Flowsched_online.Policy.t list ->
-  ?progress:(string -> unit) ->
-  ?backend:Flowsched_domains.Backend.t ->
-  ?jobs:int ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?faults:Flowsched_exec.Faults.plan ->
-  ?on_append:(string -> unit) ->
-  t ->
-  Experiment.cell_config list ->
-  Experiment.cell_result list
-(** Same contract for the Figure 6/7 grid. *)
-
 val sweep_key : Experiment.sweep_config -> string
 (** Canonical identity of a sweep cell (every config field, including the
     [lp] flag). *)
-
-val grid_key : Experiment.cell_config -> string

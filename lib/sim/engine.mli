@@ -8,7 +8,8 @@
 
     Two drivers are provided: {!run_instance} replays a fixed instance and
     {!run_adaptive} lets an arrival callback observe the live queue — the
-    adaptive adversaries of Figure 4 need exactly that power. *)
+    adaptive adversaries of Figure 4 need exactly that power.  Both run
+    every round through {!run_slot}, as the serve loop's policy core does. *)
 
 type result = {
   flows : Flowsched_switch.Flow.t array;  (** Everything that arrived. *)
@@ -19,32 +20,42 @@ type result = {
 }
 
 exception Policy_violation of string
-(** Raised (under [~validate:true], the default) when a policy returns an
-    out-of-range index, a flow not in the queue, or a capacity-infeasible
-    selection. *)
+(** Raised when a policy returns an out-of-range or repeated index, or a
+    selection that overflows a port capacity or, under [endpoint], a node
+    capacity. *)
 
 exception Horizon_exceeded of { round : int; pending : int }
-(** Raised when the queue has not drained by [max_rounds]: the policy is
-    starving flows or arrivals outpace capacity.  Carries the round reached
-    and the queue depth at that point so drivers can report how far the run
-    got instead of a bare failure. *)
+(** Raised when the run reaches [max_rounds] with flows still queued or
+    still to arrive: the policy is starving flows or arrivals outpace
+    capacity.  Carries the round reached and the queue depth at that point
+    so drivers can report how far the run got instead of a bare failure. *)
+
+val run_slot :
+  ?endpoint:Flowsched_switch.Endpoint.t ->
+  m:int -> m':int -> cap_in:int array -> cap_out:int array -> round:int ->
+  Flowsched_online.Policy.t -> Flowsched_online.Policy.Pending.t ->
+  Flowsched_switch.Flow.t list
+(** One slot of a policy, shared by this module's drivers and
+    [Flowsched_serve.Server.run]'s [Policy] core: show the policy the
+    pending queue, check its selection (indices in range and distinct,
+    port capacities, and node capacities under [endpoint]), and remove the
+    selected flows from the queue.  Returns them in selection order.
+    Raises {!Policy_violation} on a bad selection. *)
 
 val run_instance :
-  ?validate:bool -> ?endpoint:Flowsched_switch.Endpoint.t -> ?max_rounds:int ->
+  ?endpoint:Flowsched_switch.Endpoint.t -> ?max_rounds:int ->
   Flowsched_online.Policy.t -> Flowsched_switch.Instance.t -> result
 (** Replays the instance's flows at their release times and runs until the
     queue drains.  The result's flow array is the instance's.  Raises
-    {!Horizon_exceeded} if the queue outlives [max_rounds] (default
-    100000).  With [endpoint] (and [validate], the default), every
-    selection is additionally checked against the node capacities and a
-    violation raises {!Policy_violation} — the scenario matrix uses this to
-    certify its capacity-aware policy wrappers. *)
+    {!Horizon_exceeded} if flows are still queued or unreleased at
+    [max_rounds] (default 100000).  With [endpoint], every selection is
+    also checked against the node capacities — the scenario matrix uses
+    this to certify its capacity-aware policy wrappers. *)
 
 val average_response : result -> float
 val max_response : result -> int
 
 val run_adaptive :
-  ?validate:bool ->
   ?max_rounds:int ->
   m:int -> m':int ->
   ?cap_in:int array -> ?cap_out:int array ->
@@ -52,7 +63,10 @@ val run_adaptive :
   stop_arrivals_after:int ->
   Flowsched_online.Policy.t -> result
 (** [arrivals ~round ~pending] returns [(src, dst, demand)] specs released
-    this round; it sees the current queue, so it can be adversarial.  After
+    this round; it sees the current queue, so it can be adversarial.  Each
+    spec is checked by [Flowsched_switch.Instance.check_flow], which raises
+    [Invalid_argument] on an endpoint off the switch or a demand outside
+    [\[1, min cap_in.(src) cap_out.(dst)\]].  After
     [stop_arrivals_after] rounds the callback is no longer consulted and the
     engine runs until the queue drains (or [max_rounds], default 100000,
     then it raises {!Horizon_exceeded}). *)

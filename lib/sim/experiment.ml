@@ -107,9 +107,9 @@ let describe_cell config =
     config.with_lp
 
 let run_grid ~policies ?(progress = fun _ -> ()) ?backend ?(jobs = 1) ?timeout ?retries
-    ?faults ?on_result configs =
-  pool_map ?backend ~jobs ?timeout ?retries ?faults ?on_result ~describe:describe_cell
-    ~progress ~f:(run_cell ~policies) configs
+    ?faults configs =
+  pool_map ?backend ~jobs ?timeout ?retries ?faults ~describe:describe_cell ~progress
+    ~f:(run_cell ~policies) configs
 
 (* ------------------------------------------------------------------ *)
 (* Sweep cells: one workload instance per cell (no averaging), every    *)

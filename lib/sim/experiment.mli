@@ -42,7 +42,6 @@ val run_grid :
   ?timeout:float ->
   ?retries:int ->
   ?faults:Flowsched_exec.Faults.plan ->
-  ?on_result:(cell_config -> cell_result -> unit) ->
   cell_config list -> cell_result list
 (** Runs every cell and returns results in input order.  With [jobs > 1]
     the mutually independent cells are fanned out across the selected
@@ -55,12 +54,8 @@ val run_grid :
     keeps failing after the pool's retry budget ([retries], default 1)
     raises [Failure]; [timeout] bounds each attempt's wall clock and
     [faults] injects a deterministic chaos plan (see
-    {!Flowsched_exec.Faults}).  [on_result] fires in the parent once per
-    {e completed} cell, in completion order, as soon as its result is
-    merged — the hook {!Checkpoint} uses to persist progress; a SIGINT or
-    SIGTERM mid-run raises {!Flowsched_exec.Pool.Interrupted} after
-    draining the pool, so everything already passed to [on_result] is
-    durable. *)
+    {!Flowsched_exec.Faults}).  A SIGINT or SIGTERM mid-run raises
+    {!Flowsched_exec.Pool.Interrupted} after draining the pool. *)
 
 (** {2 Sweep cells}
 
@@ -137,7 +132,11 @@ val run_sweep :
   ?faults:Flowsched_exec.Faults.plan ->
   ?on_result:(sweep_config -> sweep_result -> unit) ->
   sweep_config list -> sweep_result list
-(** Same parallel/resilience contract as {!run_grid}. *)
+(** Same parallel/resilience contract as {!run_grid}.  [on_result] fires
+    in the parent once per {e completed} cell, in completion order, as
+    soon as its result is merged — the hook {!Checkpoint} uses to persist
+    progress — so on an interrupt everything already passed to it is
+    durable. *)
 
 val lp_failure_for_tests : exn option ref
 (** Test seam (default [None]): when set, {!run_sweep_cell}'s LP section

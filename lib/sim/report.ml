@@ -230,29 +230,6 @@ let sweep_result_of_json ~sweep j =
       }
   with Decode msg -> Error msg
 
-let cell_result_of_json ~config j =
-  try
-    check "m" config.Experiment.m (req_int j "m");
-    check "rounds" config.Experiment.rounds (req_int j "rounds");
-    check "tries" config.Experiment.tries (req_int j "tries");
-    check "seed" config.Experiment.seed (req_int j "seed");
-    let series name =
-      match Json.member name j with
-      | Some (Json.Obj fields) ->
-          List.map (fun (policy, v) -> (policy, req name (Json.to_float_opt v))) fields
-      | _ -> raise (Decode (name ^ ": missing or mistyped"))
-    in
-    Ok
-      {
-        Experiment.config;
-        flows_mean = req_float j "flows_mean";
-        avg_response = series "avg_response";
-        max_response = series "max_response";
-        lp_avg_bound = req_float j "lp_avg_bound";
-        lp_max_bound = req_float j "lp_max_bound";
-      }
-  with Decode msg -> Error msg
-
 let csv ~objective results =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "m,rate,rounds,tries,flows,policy,value,lp_bound\n";

@@ -48,13 +48,6 @@ val sweep_result_of_json :
     through [null] as nan — which is what lets a resumed sweep emit an
     artifact byte-identical to an uninterrupted run. *)
 
-val cell_result_of_json :
-  config:Experiment.cell_config ->
-  Flowsched_util.Json.t ->
-  (Experiment.cell_result, string) result
-(** Decode a {!cell_json} object; same contract as
-    {!sweep_result_of_json}. *)
-
 val sweep_json :
   ?jobs:int -> ?metrics:Flowsched_util.Json.t -> Experiment.sweep_result list ->
   Flowsched_util.Json.t

@@ -6,6 +6,17 @@ type t = {
   flows : Flow.t array;
 }
 
+(* On serve's admission path for every flow, so the comparisons stay on
+   ints: [demand > min c_src c_dst] is spelled out to skip the polymorphic
+   [min]. *)
+let check_flow ~m ~m' ~(cap_in : int array) ~(cap_out : int array) (f : Flow.t) =
+  if f.Flow.src < 0 || f.Flow.src >= m then invalid_arg "Instance: src out of range";
+  if f.Flow.dst < 0 || f.Flow.dst >= m' then invalid_arg "Instance: dst out of range";
+  if f.Flow.demand < 1 then invalid_arg "Instance: demand must be >= 1";
+  if f.Flow.release < 0 then invalid_arg "Instance: release must be >= 0";
+  if f.Flow.demand > cap_in.(f.Flow.src) || f.Flow.demand > cap_out.(f.Flow.dst) then
+    invalid_arg "Instance: demand exceeds kappa (min port capacity)"
+
 let validate inst =
   if inst.m <= 0 || inst.m' <= 0 then invalid_arg "Instance: need at least one port per side";
   if Array.length inst.cap_in <> inst.m || Array.length inst.cap_out <> inst.m' then
@@ -17,12 +28,7 @@ let validate inst =
   Array.iteri
     (fun i (f : Flow.t) ->
       if f.Flow.id <> i then invalid_arg "Instance: flow ids must equal their index";
-      if f.Flow.src < 0 || f.Flow.src >= inst.m then invalid_arg "Instance: src out of range";
-      if f.Flow.dst < 0 || f.Flow.dst >= inst.m' then invalid_arg "Instance: dst out of range";
-      if f.Flow.demand < 1 then invalid_arg "Instance: demand must be >= 1";
-      if f.Flow.release < 0 then invalid_arg "Instance: release must be >= 0";
-      if f.Flow.demand > min inst.cap_in.(f.Flow.src) inst.cap_out.(f.Flow.dst) then
-        invalid_arg "Instance: demand exceeds kappa (min port capacity)")
+      check_flow ~m:inst.m ~m':inst.m' ~cap_in:inst.cap_in ~cap_out:inst.cap_out f)
     inst.flows
 
 let create ?cap_in ?cap_out ~m ~m' flows =
@@ -44,6 +50,15 @@ let n inst = Array.length inst.flows
 let dmax inst = Array.fold_left (fun acc f -> max acc f.Flow.demand) 0 inst.flows
 let kappa inst (f : Flow.t) = min inst.cap_in.(f.Flow.src) inst.cap_out.(f.Flow.dst)
 let last_release inst = Array.fold_left (fun acc f -> max acc f.Flow.release) 0 inst.flows
+
+let by_release inst =
+  let at = Hashtbl.create 64 in
+  for i = Array.length inst.flows - 1 downto 0 do
+    let f = inst.flows.(i) in
+    let rest = Option.value ~default:[] (Hashtbl.find_opt at f.Flow.release) in
+    Hashtbl.replace at f.Flow.release (f :: rest)
+  done;
+  fun round -> Option.value ~default:[] (Hashtbl.find_opt at round)
 
 let horizon inst = last_release inst + n inst + 1
 

@@ -21,6 +21,13 @@ val create :
     min(c_src, c_dst)], when flow ids are not [0..n-1], or when a capacity
     is non-positive. *)
 
+val check_flow :
+  m:int -> m':int -> cap_in:int array -> cap_out:int array -> Flow.t -> unit
+(** What {!create} checks of each flow, on a switch given by its geometry:
+    ports in range, [release >= 0] and [1 <= demand <= kappa].  Raises
+    [Invalid_argument] with {!create}'s message.  The slot loops call it
+    on every flow they make from an outside [(src, dst, demand)] spec. *)
+
 val of_flows :
   ?cap_in:int array -> ?cap_out:int array -> m:int -> m':int ->
   (int * int * int * int) list -> t
@@ -37,6 +44,11 @@ val kappa : t -> Flow.t -> int
 (** [min(c_src, c_dst)] for the flow's ports. *)
 
 val last_release : t -> int
+
+val by_release : t -> int -> Flow.t list
+(** [by_release inst] groups the flows by release once; the function it
+    returns gives the flows released at a round, in instance order ([[]]
+    for a round that releases none). *)
 
 val horizon : t -> int
 (** A safe scheduling horizon: every instance admits a schedule finishing

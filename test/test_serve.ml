@@ -225,15 +225,29 @@ let check_rejected name spec message =
     [ ("policy core", Server.Policy Heuristics.maxweight); ("incremental core", Server.Incremental) ]
 
 let test_rejects_bad_endpoint () =
-  check_rejected "source port 5 of 2" (5, 0, 1) "Server.run: arrival endpoint out of range";
-  check_rejected "negative destination" (0, -1, 1) "Server.run: arrival endpoint out of range"
+  check_rejected "source port 5 of 2" (5, 0, 1) "Instance: src out of range";
+  check_rejected "negative destination" (0, -1, 1) "Instance: dst out of range"
 
 let test_rejects_demand_above_capacity () =
   check_rejected "demand 2 on capacity 1" (0, 1, 2)
-    "Server.run: arrival demand outside [1, min port capacity]"
+    "Instance: demand exceeds kappa (min port capacity)"
 
 let test_rejects_zero_demand () =
-  check_rejected "demand 0" (0, 1, 0) "Server.run: arrival demand outside [1, min port capacity]"
+  check_rejected "demand 0" (0, 1, 0) "Instance: demand must be >= 1"
+
+(* The Policy core runs the batch engine's slot, checks included: three
+   flows on one unit port in one slot is a violation here as there. *)
+let test_policy_core_rejects_overfull_selection () =
+  let everything =
+    {
+      Flowsched_online.Policy.name = "everything";
+      select = (fun ctx -> List.init (Array.length ctx.Flowsched_online.Policy.queue) Fun.id);
+    }
+  in
+  let src = Source.make ~more:(fun s -> s = 0) ~pull:(fun _ -> [ (0, 0, 1); (0, 0, 1); (0, 0, 1) ]) in
+  match Server.run (Server.config ~m:2 ~m':2 ()) (Server.Policy everything) src with
+  | _ -> Alcotest.fail "expected Engine.Policy_violation"
+  | exception Engine.Policy_violation _ -> ()
 
 let () =
   Alcotest.run "serve"
@@ -261,5 +275,7 @@ let () =
           Alcotest.test_case "rejects demand above capacity" `Quick
             test_rejects_demand_above_capacity;
           Alcotest.test_case "rejects zero demand" `Quick test_rejects_zero_demand;
+          Alcotest.test_case "policy core rejects an overfull selection" `Quick
+            test_policy_core_rejects_overfull_selection;
         ] );
     ]

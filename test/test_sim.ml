@@ -98,11 +98,26 @@ let test_stream_prefix_hotspot () =
 let test_horizon_exceeded () =
   let never = { Policy.name = "never"; select = (fun _ -> []) } in
   let inst = Instance.of_flows ~m:2 ~m':2 [ (0, 1, 1, 0); (1, 0, 1, 2) ] in
-  match Engine.run_instance ~max_rounds:37 never inst with
+  (match Engine.run_instance ~max_rounds:37 never inst with
   | _ -> Alcotest.fail "expected Horizon_exceeded"
   | exception Engine.Horizon_exceeded { round; pending } ->
       Alcotest.(check int) "round reached" 37 round;
-      Alcotest.(check int) "queue depth carried" 2 pending
+      Alcotest.(check int) "queue depth carried" 2 pending);
+  (* A horizon at or below the last release cuts the run even when the
+     queue is empty there: the flow released later has not arrived, in
+     either order of the instance's flows. *)
+  List.iter
+    (fun (label, flows) ->
+      let inst = Instance.of_flows ~m:2 ~m':2 flows in
+      match Engine.run_instance ~max_rounds:10 Heuristics.fifo inst with
+      | _ -> Alcotest.failf "%s: expected Horizon_exceeded" label
+      | exception Engine.Horizon_exceeded { round; pending } ->
+          Alcotest.(check int) (label ^ ": round reached") 10 round;
+          Alcotest.(check int) (label ^ ": queue empty") 0 pending)
+    [
+      ("late flow last", [ (0, 0, 1, 0); (1, 1, 1, 50) ]);
+      ("late flow first", [ (1, 1, 1, 50); (0, 0, 1, 0) ]);
+    ]
 
 (* --- adaptive engine plumbing --- *)
 
@@ -140,6 +155,22 @@ let test_adaptive_sees_pending () =
   in
   ignore (Engine.run_adaptive ~m:1 ~m':1 ~arrivals ~stop_arrivals_after:2 Heuristics.fifo);
   Alcotest.(check int) "one pending at round 1" 1 !observed
+
+(* A spec becomes a flow only if Instance.create would accept it: the
+   arrival check raises at admission instead of the policy indexing past a
+   port array or starving a flow no round can carry. *)
+let test_adaptive_rejects_bad_specs () =
+  List.iter
+    (fun (label, spec, message) ->
+      let arrivals ~round ~pending:_ = if round = 0 then [ spec ] else [] in
+      Alcotest.check_raises label (Invalid_argument message) (fun () ->
+          ignore
+            (Engine.run_adaptive ~max_rounds:100 ~m:2 ~m':2 ~arrivals ~stop_arrivals_after:1
+               Heuristics.maxweight)))
+    [
+      ("source port 5 of 2", (5, 0, 1), "Instance: src out of range");
+      ("demand 3 on capacity 1", (0, 1, 3), "Instance: demand exceeds kappa (min port capacity)");
+    ]
 
 (* --- experiment grid --- *)
 
@@ -463,6 +494,7 @@ let () =
           Alcotest.test_case "sequential ids" `Quick test_adaptive_ids_sequential;
           Alcotest.test_case "arrival cutoff" `Quick test_adaptive_stops_arrivals;
           Alcotest.test_case "adversary sees queue" `Quick test_adaptive_sees_pending;
+          Alcotest.test_case "rejects bad specs" `Quick test_adaptive_rejects_bad_specs;
         ] );
       ( "experiment",
         [
