@@ -1,6 +1,5 @@
 .PHONY: build test bench bench-smoke bench-lp serve-smoke obs-smoke chaos-smoke \
-  domains-smoke scenarios-smoke dist-smoke perfbench-smoke reproduce goldens trajectory \
-  clean
+  scenarios-smoke dist-smoke perfbench-smoke reproduce goldens trajectory clean
 
 build:
 	dune build
@@ -25,24 +24,38 @@ bench-smoke:
 	dune exec bin/main.exe -- check-trace SMOKE_trace.json
 	@rm -f _smoke_sweep.json
 
-# Metric-merge determinism gate: the same sweep grid through 4 forked
-# workers and inline must report byte-identical counter totals (gauges carry
-# wall-clock time and pool.* counters only fire in the forked parent, so
-# both are excluded from the comparison).
-obs-smoke:
-	dune exec bin/main.exe -- sweep --kinds poisson,uniform -m 4 --rates 2 \
-	  --rounds 4 --seeds 1,2 --policies maxcard,minrtime --lp --jobs 4 \
-	  --metrics --out _obs_sweep4.json 2>_obs_metrics4.txt
-	dune exec bin/main.exe -- sweep --kinds poisson,uniform -m 4 --rates 2 \
-	  --rounds 4 --seeds 1,2 --policies maxcard,minrtime --lp --jobs 1 \
-	  --metrics --out _obs_sweep1.json 2>_obs_metrics1.txt
+# Jobs-equivalence gate: the same LP-enabled sweep grid (a base kind, a
+# parameterized base kind and a zoo kind among its workloads) inline
+# (--jobs 1) and on 4 forked workers must produce (a) byte-identical
+# artifacts after dropping the timing lines and the worker-count metadata
+# line (the only field that records how the run was parallelized) and (b)
+# byte-identical counter totals.  The artifacts come from runs without
+# --metrics, whose block carries timing gauges; pool.* counters fire only
+# in the forked parent, so (b) leaves them out — every algorithmic counter
+# must match exactly.
+OBS_GRID = --kinds poisson,uniform,skewed:1.2,pareto:1.5 -m 4 --rates 2 --rounds 4,5 \
+  --seeds 1,2 --policies maxcard,minrtime --lp
+OBS_FILTER = grep -v 'wall_clock_s\|phase1_seconds\|phase2_seconds\|"jobs":'
+
+obs-smoke: build
+	@rm -f _obs_*.json _obs_*.txt _obs_*.f
+	_build/default/bin/main.exe sweep $(OBS_GRID) --jobs 4 --out _obs_sweep4.json 2>/dev/null
+	_build/default/bin/main.exe sweep $(OBS_GRID) --jobs 1 --out _obs_sweep1.json 2>/dev/null
+	@$(OBS_FILTER) _obs_sweep4.json > _obs_sweep4.f
+	@$(OBS_FILTER) _obs_sweep1.json > _obs_sweep1.f
+	@diff _obs_sweep1.f _obs_sweep4.f >/dev/null \
+	  && echo "obs-smoke: artifact byte-identical (--jobs 4 vs --jobs 1)" \
+	  || (echo "obs-smoke: artifact diverges between --jobs 4 and --jobs 1" && exit 1)
+	_build/default/bin/main.exe sweep $(OBS_GRID) --jobs 4 \
+	  --metrics --out _obs_m4.json 2>_obs_metrics4.txt
+	_build/default/bin/main.exe sweep $(OBS_GRID) --jobs 1 \
+	  --metrics --out _obs_m1.json 2>_obs_metrics1.txt
 	@grep '^counter ' _obs_metrics4.txt | grep -v '^counter pool\.' > _obs_c4.txt
 	@grep '^counter ' _obs_metrics1.txt | grep -v '^counter pool\.' > _obs_c1.txt
 	@diff _obs_c1.txt _obs_c4.txt \
 	  && echo "obs-smoke: OK (jobs=4 counter totals match jobs=1)" \
 	  || (echo "obs-smoke: counter totals diverge between --jobs 1 and --jobs 4" && exit 1)
-	@rm -f _obs_sweep1.json _obs_sweep4.json _obs_metrics1.txt _obs_metrics4.txt \
-	  _obs_c1.txt _obs_c4.txt
+	@rm -f _obs_*.json _obs_*.txt _obs_*.f
 
 # Resilience gate: the same sweep grid three ways — fault-free, under
 # deterministic chaos injection (must converge to the same artifact given a
@@ -107,58 +120,22 @@ serve-smoke:
 	  || echo "serve-smoke: OK ($$(grep -o '"completed": [0-9]*' _serve_a.json | head -1 | grep -o '[0-9]*') flows completed)"
 	@rm -f _serve_a.json _serve_b.json
 
-# Domains-executor byte-identity gate: the same LP-enabled sweep grid (a
-# base kind, a parameterized base kind and a zoo kind among its workloads)
-# on the shared-memory domains backend with 4 workers vs the sequential run must
-# produce (a) byte-identical artifacts after dropping the timing lines and
-# the worker-count metadata line (the only field that records how the run
-# was parallelized) and (b) byte-identical counter totals (executor-internal
-# pool.*/domains.* counters depend on worker count, so both families are
-# excluded — every algorithmic counter must match exactly).
-DOMAINS_GRID = --kinds poisson,uniform,skewed:1.2,pareto:1.5 -m 4 --rates 2 --rounds 4,5 \
-  --seeds 1,2 --policies maxcard,minrtime --lp
-DOMAINS_FILTER = grep -v 'wall_clock_s\|phase1_seconds\|phase2_seconds\|"jobs":'
-
-domains-smoke: build
-	@rm -f _dom_*.json _dom_*.txt _dom_*.f
-	_build/default/bin/main.exe sweep $(DOMAINS_GRID) --backend domains --jobs 4 \
-	  --out _dom_sweep4.json 2>/dev/null
-	_build/default/bin/main.exe sweep $(DOMAINS_GRID) --jobs 1 \
-	  --out _dom_sweep1.json 2>/dev/null
-	@$(DOMAINS_FILTER) _dom_sweep4.json > _dom_sweep4.f
-	@$(DOMAINS_FILTER) _dom_sweep1.json > _dom_sweep1.f
-	@diff _dom_sweep1.f _dom_sweep4.f >/dev/null \
-	  && echo "domains-smoke: artifact byte-identical (domains --jobs 4 vs --jobs 1)" \
-	  || (echo "domains-smoke: artifact diverges between domains --jobs 4 and --jobs 1" && exit 1)
-	_build/default/bin/main.exe sweep $(DOMAINS_GRID) --backend domains --jobs 4 \
-	  --metrics --out _dom_m4.json 2>_dom_metrics4.txt
-	_build/default/bin/main.exe sweep $(DOMAINS_GRID) --jobs 1 \
-	  --metrics --out _dom_m1.json 2>_dom_metrics1.txt
-	@grep '^counter ' _dom_metrics4.txt | grep -v '^counter pool\.\|^counter domains\.' > _dom_c4.txt
-	@grep '^counter ' _dom_metrics1.txt | grep -v '^counter pool\.\|^counter domains\.' > _dom_c1.txt
-	@diff _dom_c1.txt _dom_c4.txt \
-	  && echo "domains-smoke: OK (counter totals match)" \
-	  || (echo "domains-smoke: counter totals diverge between domains --jobs 4 and --jobs 1" && exit 1)
-	@rm -f _dom_*.json _dom_*.txt _dom_*.f
-
 # Scenario-matrix byte-identity gate: the same policy x workload x mode grid
-# (8 zoo kinds x 3 problem modes x 2 seeds, LP bounds on) through 1 inline
-# worker and 4 shared-memory domains workers must write byte-for-byte
-# identical artifacts — matrix cells deliberately carry no wall-clock or
-# worker-count metadata, so cmp(1) is the whole gate.
+# (8 zoo kinds x 3 problem modes x 2 seeds, LP bounds on) inline (--jobs 1)
+# and on 4 forked workers must write byte-for-byte identical artifacts —
+# matrix cells deliberately carry no wall-clock or worker-count metadata,
+# so cmp(1) is the whole gate.
 MATRIX_GRID = --kinds poisson,pareto:1.5,lognormal,bursty,diurnal,flash-crowd,bimodal,staircase \
   --modes flows,endpoint:2:2,coflow:3:4 -m 5 --rates 2.5 --rounds 6 --seeds 1,2 \
   --max-demand 3 --lp
 
 scenarios-smoke: build
 	@rm -f _matrix_j1.json _matrix_j4.json
-	_build/default/bin/main.exe matrix $(MATRIX_GRID) --jobs 1 --backend inline \
-	  --out _matrix_j1.json
-	_build/default/bin/main.exe matrix $(MATRIX_GRID) --jobs 4 --backend domains \
-	  --out _matrix_j4.json
+	_build/default/bin/main.exe matrix $(MATRIX_GRID) --jobs 1 --out _matrix_j1.json
+	_build/default/bin/main.exe matrix $(MATRIX_GRID) --jobs 4 --out _matrix_j4.json
 	@cmp _matrix_j1.json _matrix_j4.json \
-	  && echo "scenarios-smoke: matrix artifact byte-identical (inline --jobs 1 vs domains --jobs 4)" \
-	  || (echo "scenarios-smoke: matrix artifact diverges across jobs/backends" && exit 1)
+	  && echo "scenarios-smoke: matrix artifact byte-identical (--jobs 1 vs --jobs 4)" \
+	  || (echo "scenarios-smoke: matrix artifact diverges between --jobs 1 and --jobs 4" && exit 1)
 	@grep -q '"schema": "flowsched-matrix/1"' _matrix_j1.json \
 	  && echo "scenarios-smoke: OK (_matrix_j1.json valid)" \
 	  || (echo "scenarios-smoke: BAD artifact" && exit 1)

@@ -68,7 +68,7 @@ let with_obs ~trace ~metrics f =
   if trace <> None then Flowsched_obs.Trace.start ();
   Fun.protect ~finally:(finish_obs ~trace ~metrics) f
 
-(* ----- worker-count and backend flags (shared by the parallel drivers) ----- *)
+(* ----- worker-count and budget flags (shared by the grid commands) ----- *)
 
 (* [--jobs] accepts a positive worker count or "auto" (the runtime's
    recommended domain count).  0 is rejected outright: zero workers cannot
@@ -109,26 +109,6 @@ let shard_conv =
   in
   Arg.conv (parse, fun fmt (i, n) -> Format.fprintf fmt "%d/%d" i n)
 
-let backend_conv =
-  let parse s =
-    match Flowsched_domains.Backend.of_string s with
-    | Ok b -> Ok b
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv
-    (parse, fun ppf b -> Format.pp_print_string ppf (Flowsched_domains.Backend.to_string b))
-
-let backend_term =
-  Arg.(
-    value
-    & opt backend_conv Flowsched_domains.Backend.Fork
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Parallel executor for the cell grid: $(b,fork) (process pool, isolated address \
-           spaces), $(b,domains) (shared-memory OCaml 5 domains with work stealing), or \
-           $(b,inline) (sequential, in-process).  The artifact is byte-identical across \
-           all three.")
-
 (* Flags the grid drivers share: [sweep], [merge] and [matrix] read these
    terms, so the commands cannot drift apart in meaning or default. *)
 let jobs_term =
@@ -140,15 +120,40 @@ let jobs_term =
           "Workers for the cell grid: a positive count or $(b,auto) for the detected core \
            count (also the default).")
 
+(* Like [--jobs 0], a budget that cannot work is a parse error: a timeout of
+   0 or less fails every attempt of every cell, and a negative retry count
+   is no budget at all. *)
+let timeout_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some t when t > 0. -> Ok t
+    | Some _ ->
+        Error (`Msg (Printf.sprintf "--timeout %s: the per-cell budget must be positive" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid --timeout %S (expected seconds)" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let retries_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | Some _ ->
+        Error (`Msg (Printf.sprintf "--retries %s: the retry budget cannot be negative" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid --retries %S (expected a count >= 0)" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let timeout_term =
   Arg.(
-    value & opt (some float) None
+    value
+    & opt (some timeout_conv) None
     & info [ "timeout" ] ~docv:"SECS"
         ~doc:"Per-cell attempt timeout in seconds (default: none; 10s under sweep --chaos).")
 
 let retries_term =
   Arg.(
-    value & opt (some int) None
+    value
+    & opt (some retries_conv) None
     & info [ "retries" ] ~docv:"N"
         ~doc:"Retry budget per cell beyond the first attempt (default 1).")
 
@@ -438,15 +443,12 @@ let simulate_cmd =
 
 (* ----- serve ----- *)
 
-let serve inst_path core_name seed jobs workload m rate slots max_demand queue_cap buffer_cap
+let serve inst_path core_name seed workload m rate slots max_demand queue_cap buffer_cap
     max_slots idle_limit status_every json trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
   let module Serve = Flowsched_serve.Server in
-  let inst = Option.map load_instance inst_path in
-  (* Sources are stateful cursors, so each replica builds its own (and, in
-     stream mode, derives its own arrival stream from its replica seed). *)
-  let make_source ~seed =
-    match inst with
+  let source, m, m', cap_in, cap_out =
+    match Option.map load_instance inst_path with
     | Some inst ->
         ( Flowsched_serve.Source.of_instance inst,
           inst.Instance.m,
@@ -472,63 +474,37 @@ let serve inst_path core_name seed jobs workload m rate slots max_demand queue_c
         let cap c = match Scenario.port_capacity spec with 1 -> None | d -> Some (Array.make c d) in
         (source, m, m', cap m, cap m')
   in
-  let run_one ~seed ~stop =
-    let source, m, m', cap_in, cap_out = make_source ~seed in
-    let core =
-      match String.lowercase_ascii core_name with
-      | "incremental" -> Serve.Incremental
-      | name -> Serve.Policy (policy_of_name name seed)
-    in
-    let config =
-      Serve.config ?cap_in ?cap_out ?queue_cap ?buffer_cap ?max_slots ~idle_limit
-        ~status_every ~m ~m' ()
-    in
-    let on_status s =
-      Printf.eprintf "%s\n%!"
-        (Flowsched_util.Json.to_string ~pretty:false (Serve.status_to_json s))
-    in
-    Serve.run ~on_status ~stop config core source
+  let core =
+    match String.lowercase_ascii core_name with
+    | "incremental" -> Serve.Incremental
+    | name -> Serve.Policy (policy_of_name name seed)
   in
-  let print_outcome ?replica outcome =
-    if json then
-      print_endline (Flowsched_util.Json.to_string (Serve.outcome_to_json outcome))
-    else begin
-      (match replica with
-      | Some (i, seed) -> Printf.printf "replica %d (seed %d):\n" i seed
-      | None -> ());
-      Printf.printf "slots:            %d\n" outcome.Serve.slots;
-      Printf.printf "flows:            %d arrived, %d completed\n" outcome.Serve.arrived
-        outcome.Serve.completed;
-      Printf.printf "avg response:     %.4f\n" (Serve.mean_response outcome);
-      Printf.printf "max response:     %d\n" outcome.Serve.max_response;
-      Printf.printf "makespan:         %d\n" outcome.Serve.makespan;
-      Printf.printf "idle slots:       %d\n" outcome.Serve.idle_slots;
-      Printf.printf "stalled slots:    %d\n" outcome.Serve.stalled_slots;
-      Printf.printf "peak pending:     %d\n" outcome.Serve.peak_pending;
-      if outcome.Serve.final_pending > 0 || outcome.Serve.final_buffered > 0 then
-        Printf.printf "left unfinished:  %d pending, %d buffered\n"
-          outcome.Serve.final_pending outcome.Serve.final_buffered;
-      if outcome.Serve.interrupted then
-        Printf.printf "interrupted:      yes (drained gracefully)\n"
-    end
+  let config =
+    Serve.config ?cap_in ?cap_out ?queue_cap ?buffer_cap ?max_slots ~idle_limit ~status_every
+      ~m ~m' ()
   in
-  if jobs <= 1 then
-    let outcome =
-      Flowsched_exec.Signals.with_interrupt_flag (fun stop -> run_one ~seed ~stop)
-    in
-    print_outcome outcome
+  let on_status s =
+    Printf.eprintf "%s\n%!" (Flowsched_util.Json.to_string ~pretty:false (Serve.status_to_json s))
+  in
+  let outcome =
+    Flowsched_exec.Signals.with_interrupt_flag (fun stop ->
+        Serve.run ~on_status ~stop config core source)
+  in
+  if json then print_endline (Flowsched_util.Json.to_string (Serve.outcome_to_json outcome))
   else begin
-    (* Replica mode: [jobs] independent service instances, one per domain,
-       each on its own derived-seed arrival stream — a quick scale test of
-       the service loop.  The shared interrupt flag drains every replica
-       gracefully; outcomes print in replica order. *)
-    let replica_seed i = Flowsched_exec.Pool.seed_for ~base_seed:seed i in
-    let outcomes =
-      Flowsched_exec.Signals.with_interrupt_flag (fun stop ->
-          Flowsched_domains.Parallel.map ~width:jobs jobs (fun i ->
-              run_one ~seed:(replica_seed i) ~stop))
-    in
-    Array.iteri (fun i o -> print_outcome ~replica:(i, replica_seed i) o) outcomes
+    Printf.printf "slots:            %d\n" outcome.Serve.slots;
+    Printf.printf "flows:            %d arrived, %d completed\n" outcome.Serve.arrived
+      outcome.Serve.completed;
+    Printf.printf "avg response:     %.4f\n" (Serve.mean_response outcome);
+    Printf.printf "max response:     %d\n" outcome.Serve.max_response;
+    Printf.printf "makespan:         %d\n" outcome.Serve.makespan;
+    Printf.printf "idle slots:       %d\n" outcome.Serve.idle_slots;
+    Printf.printf "stalled slots:    %d\n" outcome.Serve.stalled_slots;
+    Printf.printf "peak pending:     %d\n" outcome.Serve.peak_pending;
+    if outcome.Serve.final_pending > 0 || outcome.Serve.final_buffered > 0 then
+      Printf.printf "left unfinished:  %d pending, %d buffered\n" outcome.Serve.final_pending
+        outcome.Serve.final_buffered;
+    if outcome.Serve.interrupted then Printf.printf "interrupted:      yes (drained gracefully)\n"
   end
 
 let serve_cmd =
@@ -546,15 +522,6 @@ let serve_cmd =
           ~doc:
             "Scheduling core: incremental (per-slot matching maintained across slots) or a \
              policy name (maxcard | minrtime | maxweight | fifo | random).")
-  in
-  let jobs =
-    Arg.(
-      value & opt jobs_conv 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Run $(docv) independent service replicas on parallel domains, each with a \
-             derived seed (or $(b,auto) for the detected core count).  Default 1: a \
-             single service.")
   in
   let workload =
     Arg.(
@@ -618,9 +585,9 @@ let serve_cmd =
          "Run the scheduler as a long-lived slot-clocked service over a trace or a generated \
           arrival stream.")
     Term.(
-      const serve $ inst $ core $ seed_term $ jobs $ workload $ m $ rate $ slots $ max_demand
-      $ queue_cap $ buffer_cap $ max_slots $ idle_limit $ status_every
-      $ json $ trace_term $ metrics_term)
+      const serve $ inst $ core $ seed_term $ workload $ m $ rate $ slots $ max_demand
+      $ queue_cap $ buffer_cap $ max_slots $ idle_limit $ status_every $ json $ trace_term
+      $ metrics_term)
 
 (* ----- exact ----- *)
 
@@ -756,13 +723,34 @@ let sweep_cells_or_exit { kinds; m; rates; rounds_list; max_demand; seeds; with_
   end;
   cells
 
+(* Run a grid command's cells, turning its two early stops into exit codes:
+   SIGINT/SIGTERM (the pool drained; exit 130) and a cell that spent its
+   retry budget ([Failure] from [Experiment.map_cells]; exit 1).  [exit]
+   skips [with_obs]'s finalizer, so both flush the trace and the registry
+   first: a partial trace is exactly what a post-mortem wants. *)
+let run_cells_or_exit ~trace ~metrics ~checkpoint f =
+  try f () with
+  | Flowsched_exec.Pool.Interrupted ->
+      Printf.eprintf "interrupted: pool drained and workers reaped\n";
+      (match checkpoint with
+      | Some path ->
+          Printf.eprintf "  completed cells are saved; rerun with --checkpoint %s --resume\n"
+            path
+      | None -> Printf.eprintf "  rerun with --checkpoint FILE to make progress durable\n");
+      finish_obs ~trace ~metrics ();
+      exit 130
+  | Failure msg ->
+      Printf.eprintf "error: %s\n" msg;
+      finish_obs ~trace ~metrics ();
+      exit 1
+
 (* One worker's share of a distributed sweep: claim the shard lease (taking
    over a crashed predecessor's if stale), register the manifest, and fill
    the shard checkpoint — heartbeating the lease after every durable append.
    No artifact is written here; [flowsched merge] folds the shard files back
    into one. *)
-let sweep_shard_worker ~policies ~policy_names ~backend ~jobs ~timeout ~retries ~faults ~dir
-    ~shards ~index ~lease_ttl cells =
+let sweep_shard_worker ~policies ~policy_names ~jobs ~timeout ~retries ~faults ~dir ~shards
+    ~index ~lease_ttl cells =
   let module Ckpt = Flowsched_sim.Checkpoint in
   let module Shard = Flowsched_dist.Shard in
   let module Lease = Flowsched_dist.Lease in
@@ -789,9 +777,8 @@ let sweep_shard_worker ~policies ~policy_names ~backend ~jobs ~timeout ~retries 
       if Ckpt.loaded ckpt > 0 then
         Printf.eprintf "  resuming: %d of %d shard cells already checkpointed\n%!"
           (Ckpt.loaded ckpt) (List.length mine);
-      Printf.eprintf "shard %d/%d: %d of %d cells, %d workers (%s)\n%!" index shards
-        (List.length mine) (List.length cells) jobs
-        (Flowsched_domains.Backend.to_string backend);
+      Printf.eprintf "shard %d/%d: %d of %d cells, %d workers\n%!" index shards
+        (List.length mine) (List.length cells) jobs;
       let progress msg = Printf.eprintf "  %s\n%!" msg in
       let on_append _key = Lease.refresh lease in
       (try
@@ -799,8 +786,8 @@ let sweep_shard_worker ~policies ~policy_names ~backend ~jobs ~timeout ~retries 
            ~finally:(fun () -> Ckpt.close ckpt)
            (fun () ->
              ignore
-               (Ckpt.run_sweep ~policies ~progress ~backend ~jobs ?timeout ?retries ?faults
-                  ~on_append ckpt mine))
+               (Ckpt.run_sweep ~policies ~progress ~jobs ?timeout ?retries ?faults ~on_append
+                  ckpt mine))
        with
       | Lease.Lost msg ->
           (* Another worker judged us dead and took the shard; stop writing. *)
@@ -809,15 +796,20 @@ let sweep_shard_worker ~policies ~policy_names ~backend ~jobs ~timeout ~retries 
       | Flowsched_exec.Pool.Interrupted ->
           Printf.eprintf "interrupted: pool drained and workers reaped\n";
           Printf.eprintf "  completed cells are saved; rerun the same command to resume\n";
-          exit 130);
+          exit 130
+      | Failure msg ->
+          (* The lease stays behind, so a takeover worker can finish the
+             shard from its checkpoint prefix. *)
+          Printf.eprintf "error: %s\n" msg;
+          exit 1);
       (* Only a cleanly finished shard releases its lease: a crash leaves the
          lease in place, which is exactly what the next claimant detects. *)
       Lease.release lease;
       Printf.eprintf "shard %d/%d complete: %d cells in %s\n%!" index shards
         (List.length mine) path
 
-let sweep grid backend jobs timeout retries chaos shard checkpoint_dir lease_ttl checkpoint
-    resume out trace metrics =
+let sweep grid jobs timeout retries chaos shard checkpoint_dir lease_ttl checkpoint resume out
+    trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
   let policy_names = grid.policy_names in
   let policies = List.map (fun name -> policy_of_name name 1) policy_names in
@@ -847,44 +839,31 @@ let sweep grid backend jobs timeout retries chaos shard checkpoint_dir lease_ttl
   let jobs = match jobs with Some j -> j | None -> Flowsched_exec.Pool.default_jobs () in
   match (shard, checkpoint_dir) with
   | Some (index, shards), Some dir ->
-      sweep_shard_worker ~policies ~policy_names ~backend ~jobs ~timeout ~retries ~faults
-        ~dir ~shards ~index ~lease_ttl cells
+      sweep_shard_worker ~policies ~policy_names ~jobs ~timeout ~retries ~faults ~dir ~shards
+        ~index ~lease_ttl cells
   | _ ->
-  Printf.eprintf "sweep: %d cells x %d policies, %d workers (%s)\n%!" (List.length cells)
-    (List.length policies) jobs
-    (Flowsched_domains.Backend.to_string backend);
+  Printf.eprintf "sweep: %d cells x %d policies, %d workers\n%!" (List.length cells)
+    (List.length policies) jobs;
   let t0 = Unix.gettimeofday () in
   let progress msg = Printf.eprintf "  %s\n%!" msg in
   let results =
-    try
-      Flowsched_obs.Trace.with_span "sweep.run" (fun () ->
-          match checkpoint with
-          | None ->
-              Flowsched_sim.Experiment.run_sweep ~policies ~progress ~backend ~jobs ?timeout
-                ?retries ?faults cells
-          | Some path ->
-              let ckpt = Flowsched_sim.Checkpoint.open_ ~path ~resume in
-              if resume then
-                Printf.eprintf "  resuming: %d of %d cells already checkpointed\n%!"
-                  (Flowsched_sim.Checkpoint.loaded ckpt)
-                  (List.length cells);
-              Fun.protect
-                ~finally:(fun () -> Flowsched_sim.Checkpoint.close ckpt)
-                (fun () ->
-                  Flowsched_sim.Checkpoint.run_sweep ~policies ~progress ~backend ~jobs
-                    ?timeout ?retries ?faults ckpt cells))
-    with Flowsched_exec.Pool.Interrupted ->
-      Printf.eprintf "interrupted: pool drained and workers reaped\n";
-      (match checkpoint with
-      | Some path ->
-          Printf.eprintf "  completed cells are saved; rerun with --checkpoint %s --resume\n"
-            path
-      | None -> Printf.eprintf "  rerun with --checkpoint FILE to make progress durable\n");
-      (* [exit] skips [with_obs]'s protect finalizer, so flush here: the
-         partial trace (the executors absorb every settled worker's spans
-         before raising) is exactly what a post-mortem wants. *)
-      finish_obs ~trace ~metrics ();
-      exit 130
+    run_cells_or_exit ~trace ~metrics ~checkpoint (fun () ->
+        Flowsched_obs.Trace.with_span "sweep.run" (fun () ->
+            match checkpoint with
+            | None ->
+                Flowsched_sim.Experiment.run_sweep ~policies ~progress ~jobs ?timeout ?retries
+                  ?faults cells
+            | Some path ->
+                let ckpt = Flowsched_sim.Checkpoint.open_ ~path ~resume in
+                if resume then
+                  Printf.eprintf "  resuming: %d of %d cells already checkpointed\n%!"
+                    (Flowsched_sim.Checkpoint.loaded ckpt)
+                    (List.length cells);
+                Fun.protect
+                  ~finally:(fun () -> Flowsched_sim.Checkpoint.close ckpt)
+                  (fun () ->
+                    Flowsched_sim.Checkpoint.run_sweep ~policies ~progress ~jobs ?timeout
+                      ?retries ?faults ckpt cells)))
   in
   (* The metrics block is opt-in: its timing gauges are nondeterministic and
      would break the byte-identical-across---jobs artifact guarantee. *)
@@ -949,7 +928,7 @@ let sweep_cmd =
          "Run a (workload x policy x seed) grid through the parallel experiment pool and \
           write a machine-readable JSON artifact.")
     Term.(
-      const sweep $ sweep_grid_term $ backend_term $ jobs_term $ timeout_term $ retries_term
+      const sweep $ sweep_grid_term $ jobs_term $ timeout_term $ retries_term
       $ chaos $ shard $ checkpoint_dir $ lease_ttl $ checkpoint_term $ resume_term $ out
       $ trace_term $ metrics_term)
 
@@ -1024,8 +1003,8 @@ let merge_cmd =
 
 (* ----- matrix ----- *)
 
-let matrix kinds mode_names m rates rounds_list max_demand seeds policy_names with_lp
-    backend jobs timeout retries checkpoint resume out trace metrics =
+let matrix kinds mode_names m rates rounds_list max_demand seeds policy_names with_lp jobs
+    timeout retries checkpoint resume out trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
   let module Matrix = Flowsched_scenarios.Matrix in
   let policies = List.map (fun name -> policy_of_name name 1) policy_names in
@@ -1064,40 +1043,30 @@ let matrix kinds mode_names m rates rounds_list max_demand seeds policy_names wi
     exit 1
   end;
   let jobs = match jobs with Some j -> j | None -> Flowsched_exec.Pool.default_jobs () in
-  Printf.eprintf "matrix: %d cells x %d policies, %d workers (%s)\n%!" (List.length cells)
-    (List.length policies) jobs
-    (Flowsched_domains.Backend.to_string backend);
+  Printf.eprintf "matrix: %d cells x %d policies, %d workers\n%!" (List.length cells)
+    (List.length policies) jobs;
   let t0 = Unix.gettimeofday () in
   let progress msg = Printf.eprintf "  %s\n%!" msg in
   let results =
-    try
-      Flowsched_obs.Trace.with_span "matrix.run" (fun () ->
-          match checkpoint with
-          | None -> Matrix.run ~policies ~progress ~backend ~jobs ?timeout ?retries cells
-          | Some path ->
-              let ckpt = Flowsched_sim.Checkpoint.open_ ~path ~resume in
-              if resume then
-                Printf.eprintf "  resuming: %d of %d cells already checkpointed\n%!"
-                  (Flowsched_sim.Checkpoint.loaded ckpt)
-                  (List.length cells);
-              Fun.protect
-                ~finally:(fun () -> Flowsched_sim.Checkpoint.close ckpt)
-                (fun () ->
-                  Matrix.run_checkpointed ~policies ~progress ~backend ~jobs ?timeout
-                    ?retries ckpt cells))
-    with Flowsched_exec.Pool.Interrupted ->
-      Printf.eprintf "interrupted: pool drained and workers reaped\n";
-      (match checkpoint with
-      | Some path ->
-          Printf.eprintf "  completed cells are saved; rerun with --checkpoint %s --resume\n"
-            path
-      | None -> Printf.eprintf "  rerun with --checkpoint FILE to make progress durable\n");
-      finish_obs ~trace ~metrics ();
-      exit 130
+    run_cells_or_exit ~trace ~metrics ~checkpoint (fun () ->
+        Flowsched_obs.Trace.with_span "matrix.run" (fun () ->
+            match checkpoint with
+            | None -> Matrix.run ~policies ~progress ~jobs ?timeout ?retries cells
+            | Some path ->
+                let ckpt = Flowsched_sim.Checkpoint.open_ ~path ~resume in
+                if resume then
+                  Printf.eprintf "  resuming: %d of %d cells already checkpointed\n%!"
+                    (Flowsched_sim.Checkpoint.loaded ckpt)
+                    (List.length cells);
+                Fun.protect
+                  ~finally:(fun () -> Flowsched_sim.Checkpoint.close ckpt)
+                  (fun () ->
+                    Matrix.run_checkpointed ~policies ~progress ~jobs ?timeout ?retries ckpt
+                      cells)))
   in
   (* No jobs/timing metadata in the artifact: the bytes are the grid's
-     deterministic content alone, so --jobs 1 vs --jobs N and every backend
-     produce identical files (the scenarios-smoke target diffs them). *)
+     deterministic content alone, so --jobs 1 and --jobs N produce identical
+     files (the scenarios-smoke target diffs them). *)
   let data = Flowsched_util.Json.to_string (Matrix.to_json results) ^ "\n" in
   (match out with
   | "-" -> print_string data
@@ -1160,10 +1129,10 @@ let matrix_cmd =
        ~doc:
          "Run a policy x workload x mode grid over the scenario zoo (including the \
           endpoint-capacity and weighted-coflow problem variants) and write a \
-          machine-readable JSON artifact, byte-identical across --jobs and backends.")
+          machine-readable JSON artifact, byte-identical across --jobs.")
     Term.(
       const matrix $ kinds $ modes $ ports_term $ rates $ rounds_list $ max_demand $ seeds_term
-      $ policy_names $ lp_term $ backend_term $ jobs_term $ timeout_term $ retries_term
+      $ policy_names $ lp_term $ jobs_term $ timeout_term $ retries_term
       $ checkpoint_term $ resume_term $ out $ trace_term $ metrics_term)
 
 (* ----- check-trace ----- *)

@@ -74,8 +74,8 @@ type sparse = {
 
 (* One domain's buffers, reused by every problem it solves: the online
    heuristics solve one problem per slot, and an n x n matrix allocated per
-   call would be garbage for the major heap every slot.  The domains backend
-   runs cells in parallel, so each domain owns its own. *)
+   call would be garbage for the major heap every slot.  The library stays
+   safe to call from several domains at once, so each domain owns its own. *)
 type problem = {
   left : side;
   right : side;

@@ -60,7 +60,6 @@ let probe inst rho =
   Trace.with_span "mrt.rho_probe"
     ~args:(fun () -> [ ("rho", Json.Int rho) ])
     (fun () ->
-      Flowsched_domains.Deadline.check ();
       let feasible = feasible_rho inst rho in
       if feasible then Metrics.incr c_rho_feasible;
       feasible)

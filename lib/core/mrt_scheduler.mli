@@ -42,9 +42,9 @@ val min_fractional_rho : Flowsched_switch.Instance.t -> int
 (** The smallest fractionally feasible rho: a binary search inside
     {!rho_bracket}, keeping [ub] feasible and [lb - 1] infeasible, with one
     cold LP (19)–(21) solve per probe.  When [lb = ub] it returns at once,
-    with no LP.  An empty instance gives 1.  A probe checks the
-    cooperative {!Flowsched_domains.Deadline} before solving, so executor
-    timeouts interrupt the search between LPs.  Counts probes in the
+    with no LP.  An empty instance gives 1.  A cell timeout of the fork
+    pool SIGKILLs its worker mid-search; the inline path discards an
+    over-budget result once the search returns.  Counts probes in the
     [mrt.rho_probes] and [mrt.rho_probes_feasible] counters; the
     [mrt.min_fractional_rho] span carries the bracket as [lb] and [ub]. *)
 

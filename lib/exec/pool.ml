@@ -6,7 +6,6 @@ let c_jobs_failed = Metrics.counter "pool.jobs_failed"
 let c_retries = Metrics.counter "pool.retries"
 let c_workers_spawned = Metrics.counter "pool.workers_spawned"
 let c_worker_deaths = Metrics.counter "pool.worker_deaths"
-let c_workers_recycled = Metrics.counter "pool.workers_recycled"
 let c_frames_corrupt = Metrics.counter "pool.frames_corrupt"
 let g_backoff_seconds = Metrics.gauge "pool.backoff_seconds"
 let h_job_seconds = Metrics.histogram "pool.job_seconds"
@@ -114,7 +113,6 @@ type worker = {
   to_w : Unix.file_descr;
   from_w : Unix.file_descr;
   mutable current : (int * int * float) option;  (* job, attempt, start time *)
-  mutable served : int;  (* completed requests, for max-jobs recycling *)
 }
 
 let seed_for ~base_seed job = base_seed + (1000003 * (job + 1))
@@ -176,7 +174,7 @@ let spawn ~f ~others =
   | pid ->
       Unix.close job_r;
       Unix.close res_w;
-      { pid; to_w = job_w; from_w = res_r; current = None; served = 0 }
+      { pid; to_w = job_w; from_w = res_r; current = None }
 
 let reap w =
   (try Unix.close w.to_w with Unix.Unix_error _ -> ());
@@ -260,8 +258,8 @@ let run_inline ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted ~progr
 (* Parallel dispatch loop                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults ~max_jobs_per_worker
-    ~interrupted ~progress ~on_result ~f inputs =
+let run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted ~progress
+    ~on_result ~f inputs =
   let n = Array.length inputs in
   let results = Array.make n None in
   let completed = ref 0 in
@@ -311,19 +309,6 @@ let run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults ~max_jobs_per
     | None -> ());
     retire w;
     if have_work () then spawn_worker ()
-  in
-  (* Recycling: after [max_jobs_per_worker] served requests the worker is
-     drained gracefully (Quit + reap) and replaced — bounds the blast
-     radius of slow leaks in long chaos runs. *)
-  let maybe_recycle w =
-    match max_jobs_per_worker with
-    | Some k when w.served >= k && w.current = None ->
-        Metrics.incr c_workers_recycled;
-        workers := List.filter (fun w' -> w'.pid <> w.pid) !workers;
-        (try write_frame w.to_w Quit with Worker_eof | Unix.Unix_error _ | Sys_error _ -> ());
-        reap w;
-        if have_work () then spawn_worker ()
-    | _ -> ()
   in
   let dispatch w =
     let job, attempt = Queue.pop pending in
@@ -443,10 +428,8 @@ let run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults ~max_jobs_per
                       Metrics.incr c_jobs_done;
                       Metrics.observe h_job_seconds elapsed;
                       w.current <- None;
-                      w.served <- w.served + 1;
                       progress (Job_done { job; attempt; elapsed });
-                      on_result job outcome;
-                      maybe_recycle w
+                      on_result job outcome
                   | job, Error reason, worker_metrics ->
                       (* A failed attempt's increments land in the registry
                          too, matching inline-mode semantics. *)
@@ -455,9 +438,7 @@ let run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults ~max_jobs_per
                         match w.current with Some (_, attempt, _) -> attempt | None -> 1
                       in
                       w.current <- None;
-                      w.served <- w.served + 1;
-                      settle job attempt reason;
-                      maybe_recycle w
+                      settle job attempt reason
                   | exception Frame_corrupt ->
                       (* The worker is alive but its frame failed the CRC
                          check: attribute the damage to the worker and
@@ -482,14 +463,9 @@ let run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults ~max_jobs_per
       done;
       Array.map (function Some r -> r | None -> assert false) results)
 
-let backoff_delay_for_tests = backoff_delay
-
 let map ?jobs ?timeout ?(retries = 1) ?(base_seed = 0) ?(backoff = 0.) ?faults
-    ?max_jobs_per_worker ?(progress = fun _ -> ()) ?(on_result = fun _ _ -> ()) ~f inputs =
+    ?(progress = fun _ -> ()) ?(on_result = fun _ _ -> ()) ~f inputs =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  (match max_jobs_per_worker with
-  | Some k when k < 1 -> invalid_arg "Pool.map: max_jobs_per_worker must be >= 1"
-  | _ -> ());
   if Array.length inputs = 0 then [||]
   else begin
     (* Graceful shutdown: SIGINT/SIGTERM set a flag checked at every loop
@@ -507,6 +483,6 @@ let map ?jobs ?timeout ?(retries = 1) ?(base_seed = 0) ?(backoff = 0.) ?faults
               run_inline ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted ~progress
                 ~on_result ~f inputs
             else
-              run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults
-                ~max_jobs_per_worker ~interrupted ~progress ~on_result ~f inputs))
+              run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted
+                ~progress ~on_result ~f inputs))
   end

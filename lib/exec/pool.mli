@@ -1,4 +1,6 @@
-(** Fork-based parallel experiment runner.
+(** Fork-based parallel experiment runner, and the program's only
+    executor: every cell grid ([sweep], [matrix], [figures], [bench]) runs
+    on it, inline at [jobs = 1] and forked above.
 
     A worker pool for embarrassingly parallel grids of experiment cells:
     jobs are dispatched to [Unix.fork]ed workers over pipes using
@@ -13,9 +15,8 @@
     bounded retry budget, after which the job is reported as {!Failed}.  A
     job exceeding its [timeout] has its worker SIGKILLed and is treated the
     same way.  Retry attempts can be spaced by exponential [backoff] with
-    deterministic jitter, and workers can be recycled after
-    [max_jobs_per_worker] requests.  The pool always [waitpid]s every child
-    it forked, so no run leaves zombies behind.
+    deterministic jitter.  The pool always [waitpid]s every child it forked,
+    so no run leaves zombies behind.
 
     Graceful shutdown: while [map] runs, SIGINT/SIGTERM are redirected to a
     flag; the dispatch loop notices it at the next step, drains and reaps
@@ -56,9 +57,8 @@
     without returning a frame (crash, timeout) lose their metrics, mirroring
     inline mode where such attempts cannot occur.  The pool itself counts
     under "pool.*" ([jobs_done], [jobs_failed], [retries],
-    [workers_spawned], [worker_deaths], [workers_recycled],
-    [frames_corrupt], the [backoff_seconds] gauge, and the [job_seconds]
-    histogram); fault injections count under "faults.injected_*".  These
+    [workers_spawned], [worker_deaths], [frames_corrupt], the
+    [backoff_seconds] gauge, and the [job_seconds] histogram); fault injections count under "faults.injected_*".  These
     are parent-side and legitimately differ between [--jobs] settings.
     Span tracing ({!Flowsched_obs.Trace}) is disabled in workers right after
     fork; only the parent's spans (e.g. ["pool.map"]) survive. *)
@@ -96,7 +96,6 @@ val map :
   ?base_seed:int ->
   ?backoff:float ->
   ?faults:Faults.plan ->
-  ?max_jobs_per_worker:int ->
   ?progress:(event -> unit) ->
   ?on_result:(int -> 'b outcome -> unit) ->
   f:('a -> 'b) ->
@@ -123,8 +122,6 @@ val map :
       [(base_seed, job, attempt)].  Accumulated under the
       ["pool.backoff_seconds"] gauge.
     - [faults]: a deterministic chaos plan; see {!Faults}.
-    - [max_jobs_per_worker]: recycle (Quit, reap, respawn) each worker
-      after this many served requests; must be [>= 1].
     - [progress]: called in the parent for every lifecycle event.
     - [on_result]: called in the parent exactly once per job, with its
       final outcome, {e as soon as the job settles} (completion order, not
@@ -134,12 +131,6 @@ val map :
     [f] must only raise, return, or never terminate; results and inputs
     must be marshalable (closures in the payload are tolerated thanks to
     fork's shared code image, but plain data is preferred). *)
-
-(** {2 Execution contract shared with other executors}
-
-    The domains executor ({!Flowsched_domains.Executor}) reproduces the
-    pool's per-job semantics in shared memory; it reuses these pure pieces
-    so the two backends cannot drift apart. *)
 
 val seed_for : base_seed:int -> int -> int
 (** [seed_for ~base_seed job]: the value fed to [Random.init] before every
@@ -154,7 +145,3 @@ val backoff_delay : backoff:float -> base_seed:int -> job:int -> attempt:int -> 
     [backoff * 2^(attempt-1)] capped at 60s, scaled by a deterministic
     jitter factor in [0.5, 1.5) drawn from [(base_seed, job, attempt)].
     [0.] when [backoff <= 0.]. *)
-
-val backoff_delay_for_tests :
-  backoff:float -> base_seed:int -> job:int -> attempt:int -> float
-(** Alias of {!backoff_delay}, kept for the existing test suite. *)

@@ -8,11 +8,10 @@ let n_buckets = 64
 (* hot-path mutation ([incr], [observe]) is an unsynchronized record     *)
 (* write with no cross-domain traffic.  Each domain also keeps a local   *)
 (* registry (name -> cell) of the cells it materialized; [snapshot],     *)
-(* [reset], and [absorb] operate on that local registry only.  Executors *)
-(* (the fork pool and the domains executor alike) carry per-worker       *)
-(* snapshots back to the coordinating domain and [absorb] them there, so *)
-(* process totals flow through the same associative merge algebra        *)
-(* regardless of how work was spread out.                                *)
+(* [reset], and [absorb] operate on that local registry only.  The fork  *)
+(* pool carries per-worker snapshots back to the coordinating domain and *)
+(* [absorb]s them there, so process totals flow through the same         *)
+(* associative merge algebra regardless of how work was spread out.      *)
 (* ------------------------------------------------------------------ *)
 
 type ccell = { mutable c : int }

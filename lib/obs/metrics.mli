@@ -6,13 +6,12 @@
     ([Domain.DLS]), so increments after lookup are a single unsynchronized
     record-field mutation, cheap enough for hot loops like the simplex
     pivot path and race-free under OCaml 5 domains.  {!snapshot}, {!reset},
-    and {!absorb} act on the calling domain's cells only: an executor
-    (forked worker or spawned domain) snapshots its own contribution and
-    the coordinating domain {!absorb}s it, so process totals flow through
-    the same merge algebra whether work ran inline, across forked
-    processes, or across domains.  Snapshots are plain data — they marshal
-    across the {!Flowsched_exec.Pool} fork boundary and pass by reference
-    across [Domain.join].
+    and {!absorb} act on the calling domain's cells only: a forked
+    {!Flowsched_exec.Pool} worker snapshots its own contribution and the
+    parent {!absorb}s it, so process totals flow through the same merge
+    algebra whether work ran inline or across forked processes.  Snapshots
+    are plain data — they marshal across the fork boundary, and a spawned
+    domain can return one through [Domain.join] the same way.
 
     Merge semantics are chosen so that [merge] is associative and, on
     disjoint names, commutative:

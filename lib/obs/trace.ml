@@ -9,9 +9,7 @@ type span = {
 
 (* The enable flag and time origin are shared by all domains (spawned
    domains inherit the trace session); the span buffer, nesting depth, and
-   monotonic clamp are domain-local so recording never contends.  Executors
-   [drain] their worker domains' buffers and [absorb] them into the
-   coordinating domain before writing the file. *)
+   monotonic clamp are domain-local so recording never contends. *)
 let on = Atomic.make false
 let t0_us = Atomic.make 0.
 
@@ -74,16 +72,6 @@ let with_span ?(cat = "flowsched") ?args name f =
         record name cat a t_start (now_us ()) d)
       f
   end
-
-let drain () =
-  let l = local () in
-  let spans = List.rev l.events in
-  l.events <- [];
-  spans
-
-let absorb spans =
-  let l = local () in
-  l.events <- List.rev_append spans l.events
 
 let spans () =
   List.stable_sort (fun a b -> Float.compare a.ts_us b.ts_us) (List.rev (local ()).events)

@@ -142,7 +142,6 @@ let run_cell ~policies cell =
         let entries =
           List.map
             (fun (p : Flowsched_online.Policy.t) ->
-              Flowsched_domains.Deadline.check ();
               let r = Flowsched_sim.Engine.run_instance p inst in
               max_makespan := max !max_makespan r.Flowsched_sim.Engine.makespan;
               {
@@ -163,7 +162,6 @@ let run_cell ~policies cell =
         let entries =
           List.map
             (fun (p : Flowsched_online.Policy.t) ->
-              Flowsched_domains.Deadline.check ();
               let r = Flowsched_sim.Engine.run_instance ~endpoint:ep (node_guard ep p) inst in
               max_makespan := max !max_makespan r.Flowsched_sim.Engine.makespan;
               {
@@ -221,14 +219,14 @@ let describe_cell c =
     (mode_to_string c.mode) c.scenario.Scenario.m c.scenario.Scenario.rate
     c.scenario.Scenario.rounds c.scenario.Scenario.seed c.lp
 
-let run ~policies ?(progress = fun _ -> ()) ?backend ?(jobs = 1) ?timeout ?retries ?faults
-    ?on_result cells =
-  Flowsched_sim.Experiment.map_cells ?backend ~jobs ?timeout ?retries ?faults ?on_result
+let run ~policies ?(progress = fun _ -> ()) ?(jobs = 1) ?timeout ?retries ?faults ?on_result
+    cells =
+  Flowsched_sim.Experiment.map_cells ~jobs ?timeout ?retries ?faults ?on_result
     ~describe:describe_cell ~progress ~f:(run_cell ~policies) cells
 
 (* The artifact deliberately excludes wall-clock and jobs metadata so the
-   bytes are identical across --jobs and backends (the smoke target diffs
-   the files directly). *)
+   bytes are identical across --jobs (the smoke target diffs the files
+   directly). *)
 let cell_json r =
   let c = r.cell in
   Json.Obj
@@ -324,11 +322,11 @@ let cell_result_of_json ~cell j =
       }
   with Decode msg -> Error msg
 
-let run_checkpointed ~policies ?progress ?backend ?jobs ?timeout ?retries ?faults ?on_append
-    ckpt cells =
+let run_checkpointed ~policies ?progress ?jobs ?timeout ?retries ?faults ?on_append ckpt
+    cells =
   Flowsched_sim.Checkpoint.resume_run ~kind:"matrix" ~key:cell_key ?on_append
     ~decode:(fun c j -> cell_result_of_json ~cell:c j)
     ~encode:cell_json
     ~run_cells:(fun on_result todo ->
-      run ~policies ?progress ?backend ?jobs ?timeout ?retries ?faults ~on_result todo)
+      run ~policies ?progress ?jobs ?timeout ?retries ?faults ~on_result todo)
     ckpt cells

@@ -19,8 +19,8 @@
       weighted bottleneck lower bound ([bound_kind = "bottleneck"]).
 
     Results are deterministic in the cell specs alone: the artifact JSON
-    carries no timing or jobs metadata, so runs are byte-identical across
-    [--jobs] and across the inline/fork/domains backends. *)
+    carries no timing or jobs metadata, so the inline [--jobs 1] run and a
+    forked [--jobs N] run write byte-identical files. *)
 
 type mode =
   | Flows
@@ -59,7 +59,6 @@ val run_cell : policies:Flowsched_online.Policy.t list -> cell -> cell_result
 val run :
   policies:Flowsched_online.Policy.t list ->
   ?progress:(string -> unit) ->
-  ?backend:Flowsched_domains.Backend.t ->
   ?jobs:int ->
   ?timeout:float ->
   ?retries:int ->
@@ -88,7 +87,6 @@ val cell_result_of_json :
 val run_checkpointed :
   policies:Flowsched_online.Policy.t list ->
   ?progress:(string -> unit) ->
-  ?backend:Flowsched_domains.Backend.t ->
   ?jobs:int ->
   ?timeout:float ->
   ?retries:int ->

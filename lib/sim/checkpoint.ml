@@ -153,12 +153,10 @@ let resume_run ~kind ~key ?(on_append = fun _ -> ()) ~decode ~encode ~run_cells 
       match Hashtbl.find_opt recovered (key c) with Some r -> r | None -> Queue.pop q)
     cells
 
-let run_sweep ~policies ?progress ?backend ?jobs ?timeout ?retries ?faults ?on_append t cells
-    =
+let run_sweep ~policies ?progress ?jobs ?timeout ?retries ?faults ?on_append t cells =
   resume_run ~kind:"sweep" ~key:sweep_key ?on_append
     ~decode:(fun c j -> Report.sweep_result_of_json ~sweep:c j)
     ~encode:Report.sweep_cell_json
     ~run_cells:(fun on_result todo ->
-      Experiment.run_sweep ~policies ?progress ?backend ?jobs ?timeout ?retries ?faults
-        ~on_result todo)
+      Experiment.run_sweep ~policies ?progress ?jobs ?timeout ?retries ?faults ~on_result todo)
     t cells

@@ -79,7 +79,6 @@ val resume_run :
 val run_sweep :
   policies:Flowsched_online.Policy.t list ->
   ?progress:(string -> unit) ->
-  ?backend:Flowsched_domains.Backend.t ->
   ?jobs:int ->
   ?timeout:float ->
   ?retries:int ->

@@ -66,12 +66,11 @@ let run_cell ~policies config =
     lp_max_bound = (if config.with_lp then mean !lp_maxs else nan);
   }
 
-(* Fan a list of independent cells across a Pool; results come back in
+(* Fan a list of independent cells across the Pool; results come back in
    input order, so output is identical to the sequential path (jobs <= 1
    goes through the pool's inline mode, which shares the retry, timeout,
    backoff, and fault-injection semantics of the forked path). *)
-let pool_map ?backend ~jobs ?timeout ?(retries = 1) ?faults ?on_result ~describe ~progress ~f
-    items =
+let map_cells ~jobs ?timeout ?(retries = 1) ?faults ?on_result ~describe ~progress ~f items =
   let arr = Array.of_list items in
   let open Flowsched_exec in
   let on_result =
@@ -82,8 +81,7 @@ let pool_map ?backend ~jobs ?timeout ?(retries = 1) ?faults ?on_result ~describe
            aborts the run below anyway. *)
         Some (fun job -> function Pool.Done r -> g arr.(job) r | Pool.Failed _ -> ())
   in
-  Flowsched_domains.Backend.map ?backend ~jobs:(max 1 jobs) ?timeout ~retries ?faults
-    ?on_result
+  Pool.map ~jobs:(max 1 jobs) ?timeout ~retries ?faults ?on_result
     ~progress:(function
       | Pool.Job_started { job; _ } -> progress (describe arr.(job))
       | Pool.Job_done { job; elapsed; _ } ->
@@ -100,16 +98,12 @@ let pool_map ?backend ~jobs ?timeout ?(retries = 1) ?faults ?on_result ~describe
            failwith
              (Printf.sprintf "experiment job failed after %d attempts: %s" attempts reason))
 
-let map_cells = pool_map
-
 let describe_cell config =
   Printf.sprintf "cell m=%d rate=%.1f T=%d lp=%b" config.m config.rate config.rounds
     config.with_lp
 
-let run_grid ~policies ?(progress = fun _ -> ()) ?backend ?(jobs = 1) ?timeout ?retries
-    ?faults configs =
-  pool_map ?backend ~jobs ?timeout ?retries ?faults ~describe:describe_cell ~progress
-    ~f:(run_cell ~policies) configs
+let run_grid ~policies ?(progress = fun _ -> ()) ?(jobs = 1) configs =
+  map_cells ~jobs ~describe:describe_cell ~progress ~f:(run_cell ~policies) configs
 
 (* ------------------------------------------------------------------ *)
 (* Sweep cells: one workload instance per cell (no averaging), every    *)
@@ -173,9 +167,6 @@ let run_sweep_cell_timed ~policies s =
         let name = p.Flowsched_online.Policy.name in
         if flows = 0 then { policy = name; art = nan; mrt = 0 }
         else begin
-          (* Cooperative timeout point for the domains executor: between
-             policies is the natural safe boundary inside a cell. *)
-          Flowsched_domains.Deadline.check ();
           let r = Engine.run_instance p inst in
           max_makespan := max !max_makespan r.Engine.makespan;
           { policy = name; art = Engine.average_response r; mrt = Engine.max_response r }
@@ -229,10 +220,10 @@ let run_sweep_cell ~policies s =
     ~args:(fun () -> [ ("cell", Json.Str (describe_sweep s)) ])
     (fun () -> run_sweep_cell_timed ~policies s)
 
-let run_sweep ~policies ?(progress = fun _ -> ()) ?backend ?(jobs = 1) ?timeout ?retries
-    ?faults ?on_result cells =
-  pool_map ?backend ~jobs ?timeout ?retries ?faults ?on_result ~describe:describe_sweep
-    ~progress ~f:(run_sweep_cell ~policies) cells
+let run_sweep ~policies ?(progress = fun _ -> ()) ?(jobs = 1) ?timeout ?retries ?faults
+    ?on_result cells =
+  map_cells ~jobs ?timeout ?retries ?faults ?on_result ~describe:describe_sweep ~progress
+    ~f:(run_sweep_cell ~policies) cells
 
 let fig6_grid ?(m = 6) ?(tries = 3) ?(seed = 1) ?(lp_rounds_limit = 12) ~congestion ~rounds () =
   List.concat_map

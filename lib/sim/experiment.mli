@@ -37,24 +37,13 @@ val run_cell : policies:Flowsched_online.Policy.t list -> cell_config -> cell_re
 val run_grid :
   policies:Flowsched_online.Policy.t list ->
   ?progress:(string -> unit) ->
-  ?backend:Flowsched_domains.Backend.t ->
   ?jobs:int ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?faults:Flowsched_exec.Faults.plan ->
   cell_config list -> cell_result list
-(** Runs every cell and returns results in input order.  With [jobs > 1]
-    the mutually independent cells are fanned out across the selected
-    [backend] (default [Fork]: a {!Flowsched_exec.Pool} of forked workers;
-    [Domains] runs them on the shared-memory
-    {!Flowsched_domains.Executor}; [Inline] forces the sequential path);
-    because results are merged in job order and each cell derives all
-    randomness from its own seed, the output is byte-identical to the
-    sequential [jobs = 1] run on every backend.  A cell that
-    keeps failing after the pool's retry budget ([retries], default 1)
-    raises [Failure]; [timeout] bounds each attempt's wall clock and
-    [faults] injects a deterministic chaos plan (see
-    {!Flowsched_exec.Faults}).  A SIGINT or SIGTERM mid-run raises
+(** Runs every cell through {!map_cells} and returns results in input
+    order.  Each cell derives all randomness from its own seed, so the
+    output of [jobs > 1] forked workers is byte-identical to the inline
+    [jobs = 1] run.  A cell gets the pool's default retry budget of 1; one
+    that fails twice raises [Failure].  A SIGINT or SIGTERM mid-run raises
     {!Flowsched_exec.Pool.Interrupted} after draining the pool. *)
 
 (** {2 Sweep cells}
@@ -103,7 +92,6 @@ val sweep_instance : sweep_config -> Flowsched_switch.Instance.t
     rejects. *)
 
 val map_cells :
-  ?backend:Flowsched_domains.Backend.t ->
   jobs:int ->
   ?timeout:float ->
   ?retries:int ->
@@ -113,11 +101,16 @@ val map_cells :
   progress:(string -> unit) ->
   f:('a -> 'b) ->
   'a list -> 'b list
-(** The generic cell fan-out underlying {!run_grid} and {!run_sweep},
-    exposed for other grid drivers (the scenario matrix): runs [f] over the
-    items on the selected backend and returns results in input order, with
-    the same retry/timeout/fault/interrupt contract as {!run_grid}.  A job
-    that keeps failing raises [Failure]. *)
+(** The one cell fan-out, under {!run_grid}, {!run_sweep} and the scenario
+    matrix: [f] over the items on {!Flowsched_exec.Pool.map} ([jobs <= 1]
+    inline, the reference path; more forks that many workers), results in
+    input order.  [timeout] bounds each attempt's wall clock, [retries]
+    (default 1) is the budget beyond the first attempt, and [faults]
+    injects a deterministic chaos plan (see {!Flowsched_exec.Faults}).
+    [progress] gets one line per pool event, and [on_result] fires in the
+    parent once per completed item, in completion order.  An item that
+    spends its retry budget raises [Failure]; a SIGINT or SIGTERM raises
+    {!Flowsched_exec.Pool.Interrupted} after draining the pool. *)
 
 val run_sweep_cell :
   policies:Flowsched_online.Policy.t list -> sweep_config -> sweep_result
@@ -125,14 +118,15 @@ val run_sweep_cell :
 val run_sweep :
   policies:Flowsched_online.Policy.t list ->
   ?progress:(string -> unit) ->
-  ?backend:Flowsched_domains.Backend.t ->
   ?jobs:int ->
   ?timeout:float ->
   ?retries:int ->
   ?faults:Flowsched_exec.Faults.plan ->
   ?on_result:(sweep_config -> sweep_result -> unit) ->
   sweep_config list -> sweep_result list
-(** Same parallel/resilience contract as {!run_grid}.  [on_result] fires
+(** {!run_sweep_cell} over the cells through {!map_cells}, with its
+    timeout, retry, fault and interrupt contract; the results, less their
+    timing fields, are byte-identical across [jobs].  [on_result] fires
     in the parent once per {e completed} cell, in completion order, as
     soon as its result is merged — the hook {!Checkpoint} uses to persist
     progress — so on an interrupt everything already passed to it is

@@ -232,32 +232,14 @@ let test_backoff_delays_retry () =
   Alcotest.(check bool) "no zombies" true (no_zombies_left ())
 
 let test_backoff_deterministic () =
-  let d1 = Pool.backoff_delay_for_tests ~backoff:0.4 ~base_seed:3 ~job:5 ~attempt:2 in
-  let d2 = Pool.backoff_delay_for_tests ~backoff:0.4 ~base_seed:3 ~job:5 ~attempt:2 in
+  let d1 = Pool.backoff_delay ~backoff:0.4 ~base_seed:3 ~job:5 ~attempt:2 in
+  let d2 = Pool.backoff_delay ~backoff:0.4 ~base_seed:3 ~job:5 ~attempt:2 in
   Alcotest.(check (float 0.)) "same (seed, job, attempt) -> same delay" d1 d2;
   Alcotest.(check bool) "exponential growth" true
-    (Pool.backoff_delay_for_tests ~backoff:0.4 ~base_seed:3 ~job:5 ~attempt:4
-    >= Pool.backoff_delay_for_tests ~backoff:0.4 ~base_seed:3 ~job:5 ~attempt:2 /. 3.);
+    (Pool.backoff_delay ~backoff:0.4 ~base_seed:3 ~job:5 ~attempt:4
+    >= Pool.backoff_delay ~backoff:0.4 ~base_seed:3 ~job:5 ~attempt:2 /. 3.);
   Alcotest.(check (float 0.)) "no backoff, no delay" 0.
-    (Pool.backoff_delay_for_tests ~backoff:0. ~base_seed:0 ~job:0 ~attempt:5)
-
-let test_worker_recycling () =
-  (* max_jobs_per_worker:1 forces a fresh process per job: every result
-     must carry a distinct worker pid. *)
-  let c = Metrics.counter "pool.workers_recycled" in
-  let before = Metrics.counter_value c in
-  let outcomes =
-    results_exn (Pool.map ~jobs:2 ~max_jobs_per_worker:1 ~f:(fun _ -> Unix.getpid ()) [| 0; 1; 2; 3; 4; 5 |])
-  in
-  let pids = Array.to_list outcomes in
-  Alcotest.(check int) "six distinct worker pids" 6
-    (List.length (List.sort_uniq compare pids));
-  Alcotest.(check int) "every worker recycled" (before + 6) (Metrics.counter_value c);
-  Alcotest.(check bool) "no zombies" true (no_zombies_left ());
-  Alcotest.(check bool) "rejects zero" true
-    (match Pool.map ~jobs:2 ~max_jobs_per_worker:0 ~f:(fun x -> x) [| 1 |] with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+    (Pool.backoff_delay ~backoff:0. ~base_seed:0 ~job:0 ~attempt:5)
 
 let test_on_result_fires_once_per_job () =
   let seen = Hashtbl.create 8 in
@@ -301,7 +283,6 @@ let () =
           Alcotest.test_case "inline post-hoc timeout" `Quick test_inline_posthoc_timeout;
           Alcotest.test_case "backoff delays retry" `Slow test_backoff_delays_retry;
           Alcotest.test_case "backoff deterministic" `Quick test_backoff_deterministic;
-          Alcotest.test_case "worker recycling" `Quick test_worker_recycling;
           Alcotest.test_case "on_result once per job" `Quick test_on_result_fires_once_per_job;
         ] );
     ]

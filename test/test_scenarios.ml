@@ -1,7 +1,7 @@
 (* Tests for the scenarios subsystem: the workload generators (parameter
    validation, determinism, the stream-prefix property), the centralized
    kind parser, the neighboring-problem modes (endpoint capacities,
-   weighted coflows), and the matrix driver's backend-identical artifact. *)
+   weighted coflows), and the matrix artifact's independence of --jobs. *)
 
 open Flowsched_switch
 open Flowsched_scenarios
@@ -238,16 +238,10 @@ let test_matrix_cell_shapes () =
     small_cells
 
 let test_matrix_backend_identical () =
-  let render backend jobs =
-    Flowsched_util.Json.to_string
-      (Matrix.to_json (Matrix.run ~policies ~backend ~jobs small_cells))
+  let render jobs =
+    Flowsched_util.Json.to_string (Matrix.to_json (Matrix.run ~policies ~jobs small_cells))
   in
-  let reference = render Flowsched_domains.Backend.Inline 1 in
-  (* Fork before Domains: Unix.fork is illegal once domains have spawned. *)
-  Alcotest.(check string) "fork jobs=3 identical" reference
-    (render Flowsched_domains.Backend.Fork 3);
-  Alcotest.(check string) "domains jobs=3 identical" reference
-    (render Flowsched_domains.Backend.Domains 3)
+  Alcotest.(check string) "fork jobs=3 identical to inline" (render 1) (render 3)
 
 (* --- properties --- *)
 

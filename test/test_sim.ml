@@ -316,6 +316,60 @@ let prop_engine_matches_offline_fifo =
       let offline = Flowsched_core.Baselines.fifo inst in
       Schedule.assignment online.Engine.schedule = Schedule.assignment offline)
 
+(* The one executor's two paths: random LP-enabled sweep grids run inline
+   ([jobs = 1]) and on 4 forked workers must write the same artifact, up to
+   its timing fields, and merge the same algorithmic counter totals.  Only
+   the pool's own "pool.*" counters legitimately differ between the two. *)
+let prop_inline_equals_fork =
+  let algorithmic_counters snap =
+    List.filter_map
+      (fun (name, v) ->
+        match v with
+        | Flowsched_obs.Metrics.Counter n when not (String.starts_with ~prefix:"pool." name) ->
+            Some (name, n)
+        | _ -> None)
+      snap
+  in
+  QCheck2.Test.make ~name:"inline = fork (artifact and counters)" ~count:1
+    QCheck2.Gen.(
+      list_size (int_range 2 4)
+        (triple (int_range 1 1_000_000) (int_range 1 3) (int_range 3 5)))
+    (fun specs ->
+      let policies = [ Heuristics.maxcard; Heuristics.minrtime ] in
+      let run jobs cells =
+        let module Metrics = Flowsched_obs.Metrics in
+        let before = Metrics.snapshot () in
+        let results = Experiment.run_sweep ~policies ~jobs cells in
+        let counters = algorithmic_counters (Metrics.diff (Metrics.snapshot ()) before) in
+        let artifact =
+          Flowsched_util.Json.to_string
+            (Report.sweep_json ~jobs:1 (List.map Report.strip_sweep_timing results))
+        in
+        (artifact, counters)
+      in
+      List.for_all
+        (fun (seed, ncells, horizon) ->
+          let cells =
+            List.init ncells (fun i ->
+                {
+                  Experiment.workload = (if (seed + i) mod 2 = 0 then "poisson" else "uniform");
+                  ports = 4;
+                  arrival_rate = 2.0;
+                  horizon;
+                  max_demand = 3;
+                  sweep_seed = seed + (31 * i);
+                  lp = true;
+                })
+          in
+          let inline_artifact, inline_counters = run 1 cells in
+          let fork_artifact, fork_counters = run 4 cells in
+          if inline_artifact <> fork_artifact then
+            QCheck2.Test.fail_reportf "seed %d: fork artifact differs from inline" seed;
+          if inline_counters <> fork_counters then
+            QCheck2.Test.fail_reportf "seed %d: fork counter totals differ from inline" seed;
+          true)
+        specs)
+
 (* --- parallel grids and the sweep artifact --- *)
 
 let test_run_grid_parallel_identical () =
@@ -469,6 +523,7 @@ let () =
         prop_workload_poisson_counts;
         prop_generators_match_reference;
         prop_engine_matches_offline_fifo;
+        prop_inline_equals_fork;
       ]
   in
   Alcotest.run "flowsched_sim"
