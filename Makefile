@@ -1,5 +1,6 @@
 .PHONY: build test bench bench-smoke bench-lp serve-smoke obs-smoke chaos-smoke \
-  scenarios-smoke dist-smoke perfbench-smoke reproduce goldens trajectory clean
+  scenarios-smoke dist-smoke perfbench-smoke reproduce reproduce-certified goldens \
+  trajectory clean
 
 build:
 	dune build
@@ -90,11 +91,13 @@ chaos-smoke: build
 	@rm -f _chaos_ref.json _chaos_run.json _chaos_resume.json _chaos_ckpt.jsonl _chaos_*.f
 
 # Large-instance LP gate: single ART round-LPs at 240 and 600 flows (the
-# sparse engine's target regime), each solved cold and re-solved warm from
-# its own optimal basis.  lp-large exits non-zero if the warm objective
-# disagrees with the cold one beyond 1e-6; its summary line records pivots,
-# LU fill-in and wall time.  The warm = cold gate on the smaller offline
-# pipelines lives in test_art/test_mrt/test_lp.
+# sparse engine's target regime), each solved cold, re-solved warm from its
+# own optimal basis, and bounded through Art_lp.lower_bound (greedy
+# max-card's crash start, checked by its Lagrangian dual D(u)).  lp-large
+# exits non-zero if the warm objective or the bound disagrees with the cold
+# objective beyond 1e-6; its summary line records pivots, LU fill-in and
+# wall time.  The warm = cold gate on the smaller offline pipelines lives in
+# test_art/test_mrt/test_lp.
 bench-lp:
 	dune exec bench/main.exe -- lp-large 240
 	dune exec bench/main.exe -- lp-large 600
@@ -219,9 +222,10 @@ REPRO_SERVE_POLICY = serve --core maxweight --workload hotspot:0.3 -m 8 --rate 6
 # the sparse Hungarian; the grids above run on at most 8 ports.
 WIDE_GRID = --kinds poisson -m 150 --rates 300 --rounds 10 --seeds 1,2 \
   --policies minrtime,maxweight --jobs 2
-# LP bounds at the benchmark's offline size: the only leg whose cells take
-# thousands of pivots and over a hundred refactorizations, so its
-# lp_counters pin the simplex's pivot path; the grids above stay small.
+# LP bounds at the benchmark's offline size: the leg whose lp_counters pin
+# the simplex's pivot path at that size (cells of 539 and 950 pivots and 24
+# and 32 refactorizations, from the bound's crash start); the grids above
+# stay small.
 LP_GRID = --kinds poisson -m 6 --rates 12 --rounds 8 --seeds 1,2 --policies fifo --lp --jobs 2
 
 reproduce: build
@@ -256,20 +260,38 @@ reproduce: build
 	@rm -f _repro_*.json _repro_*.f
 	@echo "reproduce: OK (all artifacts match the committed goldens)"
 
+# The certified comparison: rerun reproduce's grids and compare each
+# artifact with its golden line by line (bench/certify_goldens.py).  Only
+# lp_counters fields and the LP bound values may differ, the bounds within
+# 1e-9 relative; every bound is checked against its Lagrangian dual D(u) as
+# it is solved.  A change that moves pivots runs this against the old
+# goldens before `make goldens`.
+reproduce-certified: build
+	@rm -rf _cert_goldens
+	@$(MAKE) --no-print-directory goldens GOLDENS=_cert_goldens >/dev/null
+	@python3 bench/certify_goldens.py $(foreach f,$(GOLDEN_FILES),goldens/$(f) _cert_goldens/$(f))
+	@rm -rf _cert_goldens
+
 # Regenerate the committed goldens (after an intentional behavior change).
+# GOLDENS names the directory written; reproduce-certified points it at a
+# temporary directory.
+GOLDENS = goldens
+GOLDEN_FILES = matrix.json sweep.filtered.json sweep-wide.filtered.json \
+  sweep-lp.filtered.json serve.json serve-policy.json
+
 goldens: build
-	@mkdir -p goldens
-	_build/default/bin/main.exe matrix $(MATRIX_GRID) --jobs 2 --out goldens/matrix.json 2>/dev/null
+	@mkdir -p $(GOLDENS)
+	_build/default/bin/main.exe matrix $(MATRIX_GRID) --jobs 2 --out $(GOLDENS)/matrix.json 2>/dev/null
 	_build/default/bin/main.exe sweep $(CHAOS_GRID) --out _golden_sweep.json 2>/dev/null
-	@$(CHAOS_FILTER) _golden_sweep.json > goldens/sweep.filtered.json
+	@$(CHAOS_FILTER) _golden_sweep.json > $(GOLDENS)/sweep.filtered.json
 	_build/default/bin/main.exe sweep $(WIDE_GRID) --out _golden_wide.json 2>/dev/null
-	@$(CHAOS_FILTER) _golden_wide.json > goldens/sweep-wide.filtered.json
+	@$(CHAOS_FILTER) _golden_wide.json > $(GOLDENS)/sweep-wide.filtered.json
 	_build/default/bin/main.exe sweep $(LP_GRID) --out _golden_lp.json 2>/dev/null
-	@$(CHAOS_FILTER) _golden_lp.json > goldens/sweep-lp.filtered.json
+	@$(CHAOS_FILTER) _golden_lp.json > $(GOLDENS)/sweep-lp.filtered.json
 	@rm -f _golden_sweep.json _golden_wide.json _golden_lp.json
-	_build/default/bin/main.exe $(REPRO_SERVE) > goldens/serve.json 2>/dev/null
-	_build/default/bin/main.exe $(REPRO_SERVE_POLICY) > goldens/serve-policy.json 2>/dev/null
-	@echo "goldens regenerated — review and commit goldens/"
+	_build/default/bin/main.exe $(REPRO_SERVE) > $(GOLDENS)/serve.json 2>/dev/null
+	_build/default/bin/main.exe $(REPRO_SERVE_POLICY) > $(GOLDENS)/serve-policy.json 2>/dev/null
+	@echo "goldens regenerated — review and commit $(GOLDENS)/"
 
 clean:
 	dune clean

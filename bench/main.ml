@@ -545,8 +545,11 @@ module Simplex = Flowsched_lp.Simplex
    re-solved warm from its own optimal basis.  At n = 240 (848 rows) and
    600 (1952 rows) these LPs are the sparse engine's target regime, so the
    summary line carries the sparsity counters (LU fill-in, eta nnz, bound
-   flips) next to wall clock.  The gate is exactness: the warm re-solve
-   must reproduce the cold objective to 1e-6. *)
+   flips) next to wall clock.  Then the same instance goes through
+   [Art_lp.lower_bound], the path every caller runs: greedy max-card's crash
+   start and the D(u) check.  The gates are exactness: the warm re-solve and
+   the bound must both reproduce the cold objective to 1e-6.  Returns the
+   two verdicts. *)
 let lp_large ~explicit_ub_rows n =
   let inst = Workload.uniform_total ~m:4 ~n ~max_release:8 ~seed:77 in
   let model = (Art_lp.build_round_lp ~explicit_ub_rows inst).Art_lp.model in
@@ -559,6 +562,14 @@ let lp_large ~explicit_ub_rows n =
   let warm = Simplex.solve_or_fail ~warm:(Array.to_list cold.Simplex.basis) model in
   let warm_s = elapsed t1 in
   let agree = abs_float (cold.Simplex.objective -. warm.Simplex.objective) <= 1e-6 in
+  let before_bound = Simplex.read_counters () in
+  let t2 = Unix.gettimeofday () in
+  let bound = Art_lp.lower_bound inst in
+  let bound_s = elapsed t2 in
+  let bound_piv =
+    (Simplex.diff_counters (Simplex.read_counters ()) before_bound).Simplex.pivots
+  in
+  let bound_agree = abs_float (cold.Simplex.objective -. bound.Art_lp.total) <= 1e-6 in
   let fill =
     if c.Simplex.basis_nnz > 0 then
       float_of_int c.Simplex.factor_nnz /. float_of_int c.Simplex.basis_nnz
@@ -566,10 +577,11 @@ let lp_large ~explicit_ub_rows n =
   in
   Printf.printf
     "n=%d rows=%d cold_piv=%d warm_piv=%d refact=%d fill=%.2f eta_nnz=%d flips=%d \
-     cold=%.3fs warm=%.3fs agree=%b\n%!"
+     cold=%.3fs warm=%.3fs agree=%b bound_piv=%d bound=%.3fs bound_agree=%b\n%!"
     n (Flowsched_lp.Model.num_rows model) cold.Simplex.iterations warm.Simplex.iterations
-    c.Simplex.refactorizations fill c.Simplex.eta_nnz c.Simplex.bound_flips cold_s warm_s agree;
-  agree
+    c.Simplex.refactorizations fill c.Simplex.eta_nnz c.Simplex.bound_flips cold_s warm_s agree
+    bound_piv bound_s bound_agree;
+  (agree, bound_agree)
 
 (* ------------------------------------------------------------------ *)
 
@@ -612,10 +624,13 @@ let () =
   | "lp-large" :: n :: rest -> (
       match int_of_string_opt n with
       | Some n when n >= 1 ->
-          if not (lp_large ~explicit_ub_rows:(List.mem "--rows" rest) n) then begin
+          let agree, bound_agree = lp_large ~explicit_ub_rows:(List.mem "--rows" rest) n in
+          if not agree then
             Printf.eprintf "FAIL: warm re-solve disagrees with the cold objective beyond 1e-6\n%!";
-            exit 1
-          end
+          if not bound_agree then
+            Printf.eprintf
+              "FAIL: Art_lp.lower_bound disagrees with the cold objective beyond 1e-6\n%!";
+          if not (agree && bound_agree) then exit 1
       | _ ->
           Printf.eprintf "bad lp-large size %S (expected a positive flow count)\n" n;
           exit 2)

@@ -118,7 +118,8 @@ let jobs_term =
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Workers for the cell grid: a positive count or $(b,auto) for the detected core \
-           count (also the default).")
+           count (also the default).  Forking costs more than it saves on a grid of \
+           sub-millisecond cells: such grids run faster with $(b,--jobs 1).")
 
 (* Like [--jobs 0], a budget that cannot work is a parse error: a timeout of
    0 or less fails every attempt of every cell, and a negative retry count
@@ -287,6 +288,9 @@ let lp_bound path stats trace metrics =
   Printf.printf "flows:                     %d\n" (Instance.n inst);
   Printf.printf "LP (1)-(4) total response: %.3f\n" bound.Art_lp.total;
   Printf.printf "LP (1)-(4) avg response:   %.3f\n" bound.Art_lp.average;
+  Printf.printf "LP (1)-(4) dual bound D(u): %.3f\n" bound.Art_lp.dual_bound;
+  Printf.printf "LP (1)-(4) - D(u) gap:     %.3f\n"
+    (abs_float (bound.Art_lp.total -. bound.Art_lp.dual_bound));
   Printf.printf "LP (19)-(21) min rho:      %d\n" rho;
   Printf.printf "rho window/FIFO bracket:   [%d, %d]\n" lb ub;
   if stats then begin

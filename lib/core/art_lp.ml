@@ -7,6 +7,9 @@ type built = {
   var : int -> int -> Model.var option;
   vars_of_flow : (int * Model.var) list array;
   horizon : int;
+  instance : Instance.t;
+  cap_rows_in : Model.row array array;
+  cap_rows_out : Model.row array array;
 }
 
 let default_horizon inst =
@@ -36,6 +39,8 @@ let build ~objective_term ~add_capacity_rows ?(explicit_ub_rows = false) ?horizo
   let model = Model.create () in
   let n = Instance.n inst in
   let tbl = Hashtbl.create (4 * n) in
+  let cap_rows_in = Array.make_matrix inst.Instance.m horizon (-1) in
+  let cap_rows_out = Array.make_matrix inst.Instance.m' horizon (-1) in
   let vars_of_flow = Array.make n [] in
   Array.iter
     (fun (f : Flow.t) ->
@@ -69,12 +74,15 @@ let build ~objective_term ~add_capacity_rows ?(explicit_ub_rows = false) ?horizo
            Model.Ge
            (float_of_int f.Flow.demand)))
     inst.Instance.flows;
-  add_capacity_rows model inst horizon tbl;
+  add_capacity_rows model inst horizon tbl ~rows_in:cap_rows_in ~rows_out:cap_rows_out;
   {
     model;
     var = (fun e t -> Hashtbl.find_opt tbl (e, t));
     vars_of_flow;
     horizon;
+    instance = inst;
+    cap_rows_in;
+    cap_rows_out;
   }
 
 (* Flows grouped by port, for building capacity rows. *)
@@ -88,9 +96,9 @@ let flows_by_port inst =
     inst.Instance.flows;
   (by_in, by_out)
 
-let round_capacity_rows model inst horizon tbl =
+let round_capacity_rows model inst horizon tbl ~rows_in ~rows_out =
   let by_in, by_out = flows_by_port inst in
-  let add side caps flows_of_port =
+  let add side caps flows_of_port rows =
     Array.iteri
       (fun p flows ->
         if flows <> [] then
@@ -104,21 +112,21 @@ let round_capacity_rows model inst horizon tbl =
                 flows
             in
             if terms <> [] then
-              ignore
-                (Model.add_constraint
-                   ~name:(Printf.sprintf "cap_%s%d_%d" side p t)
-                   model terms Model.Le
-                   (float_of_int caps.(p)))
+              rows.(p).(t) <-
+                Model.add_constraint
+                  ~name:(Printf.sprintf "cap_%s%d_%d" side p t)
+                  model terms Model.Le
+                  (float_of_int caps.(p))
           done)
       flows_of_port
   in
-  add "in" inst.Instance.cap_in by_in;
-  add "out" inst.Instance.cap_out by_out
+  add "in" inst.Instance.cap_in by_in rows_in;
+  add "out" inst.Instance.cap_out by_out rows_out
 
-let interval_capacity_rows model inst horizon tbl =
+let interval_capacity_rows model inst horizon tbl ~rows_in ~rows_out =
   let by_in, by_out = flows_by_port inst in
   let nwindows = (horizon + 3) / 4 in
-  let add side caps flows_of_port =
+  let add side caps flows_of_port rows =
     Array.iteri
       (fun p flows ->
         if flows <> [] then
@@ -132,17 +140,22 @@ let interval_capacity_rows model inst horizon tbl =
                   | None -> ())
                 flows
             done;
-            if !terms <> [] then
-              ignore
-                (Model.add_constraint
-                   ~name:(Printf.sprintf "icap_%s%d_%d" side p a)
-                   model !terms Model.Le
-                   (4. *. float_of_int caps.(p)))
+            if !terms <> [] then begin
+              let r =
+                Model.add_constraint
+                  ~name:(Printf.sprintf "icap_%s%d_%d" side p a)
+                  model !terms Model.Le
+                  (4. *. float_of_int caps.(p))
+              in
+              for t = 4 * a to min ((4 * a) + 3) (horizon - 1) do
+                rows.(p).(t) <- r
+              done
+            end
           done)
       flows_of_port
   in
-  add "in" inst.Instance.cap_in by_in;
-  add "out" inst.Instance.cap_out by_out
+  add "in" inst.Instance.cap_in by_in rows_in;
+  add "out" inst.Instance.cap_out by_out rows_out
 
 let build_round_lp ?explicit_ub_rows ?horizon inst =
   let objective_term inst (f : Flow.t) t =
@@ -159,12 +172,73 @@ let build_interval_lp ?explicit_ub_rows ?horizon inst =
   build ~objective_term ~add_capacity_rows:interval_capacity_rows ?explicit_ub_rows
     ?horizon inst
 
-type bound = { total : float; average : float; fractional : float array }
+(* D(u): relax the capacity rows with multipliers u >= 0 and what is left
+   splits by flow, each putting its whole demand on its cheapest round under
+   the prices c_{e,t} + u_{src,t} + u_{dst,t}.  Every row a round's column
+   sits in is charged once, so a window row of LP (5)-(8) counts once too. *)
+let dual_bound built u =
+  let model = built.model in
+  if Array.length u <> Model.num_rows model then
+    invalid_arg "Art_lp.dual_bound: one multiplier per model row";
+  let price rows p t =
+    let r = rows.(p).(t) in
+    if r < 0 then 0.
+    else if u.(r) >= 0. then u.(r)
+    else invalid_arg "Art_lp.dual_bound: negative capacity multiplier"
+  in
+  let flows = built.instance.Instance.flows in
+  let d = ref 0. in
+  Array.iteri
+    (fun e vars ->
+      let f = flows.(e) in
+      let cheapest =
+        List.fold_left
+          (fun acc (t, v) ->
+            Float.min acc
+              (Model.objective_coeff model v
+              +. price built.cap_rows_in f.Flow.src t
+              +. price built.cap_rows_out f.Flow.dst t))
+          infinity vars
+      in
+      d := !d +. (float_of_int f.Flow.demand *. cheapest))
+    built.vars_of_flow;
+  let charge rows =
+    Array.iteri
+      (fun p of_round ->
+        Array.iteri
+          (fun t r ->
+            if r >= 0 && (t = 0 || of_round.(t - 1) <> r) then
+              d := !d -. (Model.row_rhs model r *. price rows p t))
+          of_round)
+      rows
+  in
+  charge built.cap_rows_in;
+  charge built.cap_rows_out;
+  !d
 
-let bound_of_solution inst built denom =
-  let res = Simplex.solve_or_fail built.model in
-  let n = Instance.n inst in
-  let fractional = Array.make n 0. in
+type bound = {
+  total : float;
+  average : float;
+  fractional : float array;
+  dual_bound : float;
+}
+
+(* Start from greedy max-card's schedule: one column per demand row plus the
+   capacity slacks is a feasible basis, so phase 1 is skipped.  A flow whose
+   round lies past a caller's short horizon has no column and is left out,
+   and the simplex's warm-start fallback takes over. *)
+let crash_basis built =
+  let sigma = Baselines.greedy_maxcard built.instance in
+  Array.fold_right
+    (fun (f : Flow.t) acc ->
+      match built.var f.Flow.id (Schedule.round_of sigma f.Flow.id) with
+      | Some v -> Simplex.Basic_var v :: acc
+      | None -> acc)
+    built.instance.Instance.flows []
+
+let bound_of_solution built denom =
+  let res = Simplex.solve_or_fail ~warm:(crash_basis built) built.model in
+  let fractional = Array.make (Instance.n built.instance) 0. in
   Array.iteri
     (fun e vars ->
       fractional.(e) <-
@@ -174,11 +248,24 @@ let bound_of_solution inst built denom =
           0. vars)
     built.vars_of_flow;
   let total = res.Simplex.objective in
-  { total; average = (if denom <= 0. then nan else total /. denom); fractional }
+  let certified =
+    dual_bound built (Array.map (fun y -> Float.max 0. (-.y)) res.Simplex.duals)
+  in
+  if abs_float (certified -. total)
+     > Flowsched_lp.Tol.dual_gap *. Float.max 1. (abs_float total)
+  then
+    failwith
+      (Printf.sprintf "Art_lp: LP optimum %.17g and its dual bound D(u*) = %.17g disagree"
+         total certified);
+  {
+    total;
+    average = (if denom <= 0. then nan else total /. denom);
+    fractional;
+    dual_bound = certified;
+  }
 
 let lower_bound ?horizon inst =
-  let built = build_round_lp ?horizon inst in
-  bound_of_solution inst built (float_of_int (Instance.n inst))
+  bound_of_solution (build_round_lp ?horizon inst) (float_of_int (Instance.n inst))
 
 let weighted_lower_bound ?horizon inst ~weights =
   if Array.length weights <> Instance.n inst then
@@ -192,5 +279,6 @@ let weighted_lower_bound ?horizon inst ~weights =
     *. ((float_of_int (t - f.Flow.release) /. float_of_int f.Flow.demand)
        +. (1. /. (2. *. kappa)))
   in
-  let built = build ~objective_term ~add_capacity_rows:round_capacity_rows ?horizon inst in
-  bound_of_solution inst built (Array.fold_left ( +. ) 0. weights)
+  bound_of_solution
+    (build ~objective_term ~add_capacity_rows:round_capacity_rows ?horizon inst)
+    (Array.fold_left ( +. ) 0. weights)

@@ -41,3 +41,9 @@ let singular = 1e-11
 (* Sparse LU threshold partial pivoting: rows within this factor of the
    column maximum are eligible, and sparsity picks among them. *)
 let lu_threshold = 0.1
+
+(* A reported LP (1)-(4) optimum must agree with its Lagrangian dual bound
+   D(u), at the multipliers u = max(0, -y) read off its own capacity-row
+   duals y, to within this relative to max(1, |optimum|); a larger gap fails
+   the solve. *)
+let dual_gap = 1e-9

@@ -16,6 +16,24 @@ let tiny_instance seed ~m ~n ~maxrel =
            1,
            Flowsched_util.Prng.int g (maxrel + 1) )))
 
+(* Port capacities 1-3 and demands up to kappa: greedy max-card packs these
+   FIFO (dmax > 1), and the LP's objective has non-unit 1/(2 kappa) terms. *)
+let tiny_capacitated seed ~m ~n ~maxrel =
+  let g = Flowsched_util.Prng.create seed in
+  let int lo hi = lo + Flowsched_util.Prng.int g (hi - lo + 1) in
+  let cap_in = Array.init m (fun _ -> int 1 3) in
+  let cap_out = Array.init m (fun _ -> int 1 3) in
+  mk ~cap_in ~cap_out ~m
+    (List.init n (fun _ ->
+         let src = int 0 (m - 1) and dst = int 0 (m - 1) in
+         (src, dst, int 1 (min cap_in.(src) cap_out.(dst)), int 0 maxrel)))
+
+let cold_optimum ?horizon inst =
+  (Flowsched_lp.Simplex.solve_or_fail (Art_lp.build_round_lp ?horizon inst).Art_lp.model)
+    .Flowsched_lp.Simplex.objective
+
+let close_rel a b = abs_float (a -. b) <= 1e-9 *. Float.max 1. (abs_float b)
+
 (* --- LP construction --- *)
 
 let test_default_horizon () =
@@ -133,10 +151,73 @@ let prop_lp_bounds_exact_optimum =
   QCheck2.Test.make ~name:"LP (1)-(4) lower bounds the exact optimum" ~count:60
     QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 1 3) (int_range 1 6))
     (fun (seed, m, n) ->
-      let inst = tiny_instance seed ~m ~n ~maxrel:2 in
-      let bound = Art_lp.lower_bound inst in
-      let exact, _ = Exact.min_total_response inst in
-      bound.Art_lp.total <= float_of_int exact +. 1e-6)
+      List.for_all
+        (fun inst ->
+          let bound = Art_lp.lower_bound inst in
+          let exact, _ = Exact.min_total_response inst in
+          bound.Art_lp.total <= float_of_int exact +. 1e-6)
+        [ tiny_instance seed ~m ~n ~maxrel:2; tiny_capacitated seed ~m ~n ~maxrel:2 ])
+
+(* The crash start moves only the pivot path: the optimum it reaches is the
+   cold solve's, and it passed its D(u) check on the way out. *)
+let prop_crash_start_matches_cold =
+  QCheck2.Test.make ~name:"LP (1)-(4) crash start = cold solve" ~count:100
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 2 5) (int_range 1 25))
+    (fun (seed, m, n) ->
+      List.for_all
+        (fun inst ->
+          let bound = Art_lp.lower_bound inst in
+          close_rel bound.Art_lp.total (cold_optimum inst)
+          && close_rel bound.Art_lp.dual_bound bound.Art_lp.total)
+        [ tiny_instance seed ~m ~n ~maxrel:4; Reference.capacitated_instance seed ])
+
+(* Weak duality: D(u) <= the optimum for every u >= 0.  At the multipliers
+   read off a cold solve's own duals it meets the optimum, on the round LP
+   and on the interval LP, whose window rows the same function charges once. *)
+let prop_dual_bound_duality =
+  QCheck2.Test.make ~name:"Art_lp.dual_bound: <= optimum, = at its duals" ~count:100
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 0 2))
+    (fun (seed, scale) ->
+      let inst = Reference.capacitated_instance seed in
+      let g = Flowsched_util.Prng.create (seed + 1) in
+      List.for_all
+        (fun (built : Art_lp.built) ->
+          let u =
+            Array.init (Flowsched_lp.Model.num_rows built.Art_lp.model) (fun _ ->
+                if Flowsched_util.Prng.bool g then 0.
+                else float_of_int scale *. Flowsched_util.Prng.float g)
+          in
+          let res = Flowsched_lp.Simplex.solve_or_fail built.Art_lp.model in
+          let opt = res.Flowsched_lp.Simplex.objective in
+          let u_star = Array.map (fun y -> Float.max 0. (-.y)) res.Flowsched_lp.Simplex.duals in
+          Art_lp.dual_bound built u <= opt +. 1e-9
+          && close_rel (Art_lp.dual_bound built u_star) opt)
+        [ Art_lp.build_round_lp inst; Art_lp.build_interval_lp inst ])
+
+let test_dual_bound_zero_multipliers () =
+  (* u = 0 leaves every flow at its release round, so D(0) is
+     sum_e d_e / (2 kappa_e): n/2 on a unit instance. *)
+  let inst = tiny_instance 3 ~m:3 ~n:9 ~maxrel:2 in
+  let built = Art_lp.build_round_lp inst in
+  let u = Array.make (Flowsched_lp.Model.num_rows built.Art_lp.model) 0. in
+  Alcotest.(check (float 1e-12)) "D(0) = n/2" 4.5 (Art_lp.dual_bound built u);
+  u.(built.Art_lp.cap_rows_in.(inst.Instance.flows.(0).Flow.src).(0)) <- -1.;
+  Alcotest.check_raises "negative multiplier"
+    (Invalid_argument "Art_lp.dual_bound: negative capacity multiplier") (fun () ->
+      ignore (Art_lp.dual_bound built u))
+
+let test_short_horizon_falls_back () =
+  (* Three demand-2 flows on one capacity-3 port pair: greedy max-card packs
+     them one per round (makespan 3), while the LP fits them into 2 rounds.
+     At horizon 2 the last flow has no column for its start; the solve must
+     still reach the cold optimum, 6 * 1/6 + 3 * 1/2 = 2.5. *)
+  let inst =
+    mk ~cap_in:[| 3 |] ~cap_out:[| 3 |] ~m:1 [ (0, 0, 2, 0); (0, 0, 2, 0); (0, 0, 2, 0) ]
+  in
+  Alcotest.(check int) "greedy makespan" 3 (Schedule.makespan (Baselines.greedy_maxcard inst));
+  let bound = Art_lp.lower_bound ~horizon:2 inst in
+  Alcotest.(check (float 1e-9)) "cold optimum" (cold_optimum ~horizon:2 inst) bound.Art_lp.total;
+  Alcotest.(check (float 1e-9)) "2.5" 2.5 bound.Art_lp.total
 
 let prop_lp_bound_below_fifo =
   QCheck2.Test.make ~name:"LP bound <= FIFO upper bound" ~count:60
@@ -332,6 +413,8 @@ let () =
         prop_declared_ub_matches_explicit_rows;
         prop_weighted_bound_below_schedules;
         prop_lp_bounds_exact_optimum;
+        prop_crash_start_matches_cold;
+        prop_dual_bound_duality;
         prop_lp_bound_below_fifo;
         prop_rounding_invariants;
         prop_rounding_iterations_logarithmic;
@@ -353,6 +436,8 @@ let () =
           Alcotest.test_case "weighted bound: uniform weights" `Quick test_weighted_bound_uniform_weights;
           Alcotest.test_case "weighted bound: prioritizes heavy" `Quick test_weighted_bound_prioritizes;
           Alcotest.test_case "weighted bound: validation" `Quick test_weighted_bound_validation;
+          Alcotest.test_case "dual bound at u = 0" `Quick test_dual_bound_zero_multipliers;
+          Alcotest.test_case "short horizon: start falls back" `Quick test_short_horizon_falls_back;
         ] );
       ( "iterative-rounding",
         [
