@@ -98,9 +98,25 @@ chaos-smoke: build
 # objective beyond 1e-6; its summary line records pivots, LU fill-in and
 # wall time.  The warm = cold gate on the smaller offline pipelines lives in
 # test_art/test_mrt/test_lp.
-bench-lp:
+#
+# Then Theorem 3 at paper scale: 2 939 flows on 150 ports (rho bracket
+# [14, 16]).  The rho search and the rounding start LP (19)-(21) from
+# FIFO's schedule; the solve must certify rho* = 14 and a valid schedule
+# on the augmented capacities within 120 s (about 7 s on a 2-vCPU host;
+# from the all-artificial start one probe ran for minutes).
+MRT_PAPER = poisson -m 150 --rate 150 --rounds 20 --seed 1
+
+bench-lp: build
 	dune exec bench/main.exe -- lp-large 240
 	dune exec bench/main.exe -- lp-large 600
+	@rm -f _mrt_paper.out
+	_build/default/bin/main.exe generate $(MRT_PAPER) \
+	  | timeout 120 _build/default/bin/main.exe solve-mrt - > _mrt_paper.out
+	@grep -qx 'fractional rho:   14' _mrt_paper.out \
+	  && grep -qx 'valid (augmented):true' _mrt_paper.out \
+	  && echo "bench-lp: paper-scale Theorem 3 certified rho* = 14, valid (augmented)" \
+	  || (cat _mrt_paper.out; echo "bench-lp: paper-scale Theorem 3 missed rho* = 14 or validity" && exit 1)
+	@rm -f _mrt_paper.out
 
 # Serve-loop gate: a 100k-slot bounded-memory run with the incremental
 # matching core must be byte-stable across two invocations for a fixed
@@ -223,10 +239,12 @@ REPRO_SERVE_POLICY = serve --core maxweight --workload hotspot:0.3 -m 8 --rate 6
 WIDE_GRID = --kinds poisson -m 150 --rates 300 --rounds 10 --seeds 1,2 \
   --policies minrtime,maxweight --jobs 2
 # LP bounds at the benchmark's offline size: the leg whose lp_counters pin
-# the simplex's pivot path at that size (cells of 539 and 950 pivots and 24
-# and 32 refactorizations, from the bound's crash start); the grids above
-# stay small.
-LP_GRID = --kinds poisson -m 6 --rates 12 --rounds 8 --seeds 1,2 --policies fifo --lp --jobs 2
+# the simplex's pivot path (the ART bound, the rho probes) at that size.
+# Rate 12 gives cells of 539 and 586 pivots; rate 24 keeps a deep path, with
+# cells of 3 330 and 2 148 pivots and 119 and 81 refactorizations, so a
+# kernel change that only goes wrong far into a long eta chain still shows.
+# The grids above stay small.
+LP_GRID = --kinds poisson -m 6 --rates 12,24 --rounds 8 --seeds 1,2 --policies fifo --lp --jobs 2
 
 reproduce: build
 	@rm -f _repro_*.json _repro_*.f

@@ -54,22 +54,16 @@ let build ~objective_term ~add_capacity_rows ?(explicit_ub_rows = false) ?horizo
            engine; [explicit_ub_rows] instead emits it as constraint rows,
            kept as a parity oracle for tests. *)
         let ub = if explicit_ub_rows then infinity else float_of_int f.Flow.demand in
-        let v = Model.add_var ~name:(Printf.sprintf "b_%d_%d" e t) ~obj ~ub model in
+        let v = Model.add_var ~obj ~ub model in
         if explicit_ub_rows then
-          ignore
-            (Model.add_constraint
-               ~name:(Printf.sprintf "ub_%d_%d" e t)
-               model [ (v, 1.) ] Model.Le
-               (float_of_int f.Flow.demand));
+          ignore (Model.add_constraint model [ (v, 1.) ] Model.Le (float_of_int f.Flow.demand));
         Hashtbl.add tbl (e, t) v;
         vars := (t, v) :: !vars
       done;
       vars_of_flow.(e) <- !vars;
       (* (2)/(6): the flow is fully scheduled across its rounds *)
       ignore
-        (Model.add_constraint
-           ~name:(Printf.sprintf "demand_%d" e)
-           model
+        (Model.add_constraint model
            (List.map (fun (_, v) -> (v, 1.)) !vars)
            Model.Ge
            (float_of_int f.Flow.demand)))
@@ -98,7 +92,7 @@ let flows_by_port inst =
 
 let round_capacity_rows model inst horizon tbl ~rows_in ~rows_out =
   let by_in, by_out = flows_by_port inst in
-  let add side caps flows_of_port rows =
+  let add caps flows_of_port rows =
     Array.iteri
       (fun p flows ->
         if flows <> [] then
@@ -112,21 +106,17 @@ let round_capacity_rows model inst horizon tbl ~rows_in ~rows_out =
                 flows
             in
             if terms <> [] then
-              rows.(p).(t) <-
-                Model.add_constraint
-                  ~name:(Printf.sprintf "cap_%s%d_%d" side p t)
-                  model terms Model.Le
-                  (float_of_int caps.(p))
+              rows.(p).(t) <- Model.add_constraint model terms Model.Le (float_of_int caps.(p))
           done)
       flows_of_port
   in
-  add "in" inst.Instance.cap_in by_in rows_in;
-  add "out" inst.Instance.cap_out by_out rows_out
+  add inst.Instance.cap_in by_in rows_in;
+  add inst.Instance.cap_out by_out rows_out
 
 let interval_capacity_rows model inst horizon tbl ~rows_in ~rows_out =
   let by_in, by_out = flows_by_port inst in
   let nwindows = (horizon + 3) / 4 in
-  let add side caps flows_of_port rows =
+  let add caps flows_of_port rows =
     Array.iteri
       (fun p flows ->
         if flows <> [] then
@@ -141,12 +131,7 @@ let interval_capacity_rows model inst horizon tbl ~rows_in ~rows_out =
                 flows
             done;
             if !terms <> [] then begin
-              let r =
-                Model.add_constraint
-                  ~name:(Printf.sprintf "icap_%s%d_%d" side p a)
-                  model !terms Model.Le
-                  (4. *. float_of_int caps.(p))
-              in
+              let r = Model.add_constraint model !terms Model.Le (4. *. float_of_int caps.(p)) in
               for t = 4 * a to min ((4 * a) + 3) (horizon - 1) do
                 rows.(p).(t) <- r
               done
@@ -154,8 +139,8 @@ let interval_capacity_rows model inst horizon tbl ~rows_in ~rows_out =
           done)
       flows_of_port
   in
-  add "in" inst.Instance.cap_in by_in rows_in;
-  add "out" inst.Instance.cap_out by_out rows_out
+  add inst.Instance.cap_in by_in rows_in;
+  add inst.Instance.cap_out by_out rows_out
 
 let build_round_lp ?explicit_ub_rows ?horizon inst =
   let objective_term inst (f : Flow.t) t =

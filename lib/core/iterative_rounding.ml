@@ -46,31 +46,25 @@ let solve_lp ?warm inst supports unfixed intervals =
       let terms =
         List.map
           (fun t ->
-            let v =
-              Model.add_var ~name:(Printf.sprintf "b_%d_%d" e t) ~obj:(objective_term f t)
-                model
-            in
+            let v = Model.add_var ~obj:(objective_term f t) model in
             Hashtbl.add var (e, t) v;
             Hashtbl.add var_rev v (e, t);
             (v, 1.))
           supports.(e)
       in
-      let row =
-        Model.add_constraint ~name:(Printf.sprintf "demand_%d" e) model terms Model.Ge
-          (float_of_int f.Flow.demand)
-      in
+      let row = Model.add_constraint model terms Model.Ge (float_of_int f.Flow.demand) in
       Hashtbl.replace demand_row e row;
       Hashtbl.replace demand_row_rev row e)
     unfixed;
   List.iter
-    (fun (name, members, rhs) ->
+    (fun (members, rhs) ->
       let terms =
         List.filter_map
           (fun (e, t) ->
             match Hashtbl.find_opt var (e, t) with Some v -> Some (v, 1.) | None -> None)
           members
       in
-      if terms <> [] then ignore (Model.add_constraint ~name model terms Model.Le rhs))
+      if terms <> [] then ignore (Model.add_constraint model terms Model.Le rhs))
     intervals;
   (* Keys of dropped variables / fixed flows vanish on translation. *)
   let warm =
@@ -122,22 +116,18 @@ let initial_intervals inst supports unfixed =
         supports.(e))
     unfixed;
   let intervals = ref [] in
-  let collect side caps windows =
+  let collect caps windows =
     Array.iteri
       (fun p per_window ->
-        Array.iteri
-          (fun a members ->
+        Array.iter
+          (fun members ->
             if members <> [] then
-              intervals :=
-                ( Printf.sprintf "icap_%s%d_%d" side p a,
-                  members,
-                  4. *. float_of_int caps.(p) )
-                :: !intervals)
+              intervals := (members, 4. *. float_of_int caps.(p)) :: !intervals)
           per_window)
       windows
   in
-  collect "in" inst.Instance.cap_in win_in;
-  collect "out" inst.Instance.cap_out win_out;
+  collect inst.Instance.cap_in win_in;
+  collect inst.Instance.cap_out win_out;
   !intervals
 
 (* Regrouped intervals for iterations >= 1: per port, sort surviving
@@ -157,19 +147,16 @@ let regrouped_intervals inst supports unfixed values =
         supports.(e))
     unfixed;
   let intervals = ref [] in
-  let collect side caps by_port =
+  let collect caps by_port =
     Array.iteri
       (fun p entries ->
         if entries <> [] then begin
           let sorted = List.sort compare entries in
           let threshold = 4. *. float_of_int caps.(p) in
-          let group = ref [] and volume = ref 0. and idx = ref 0 in
+          let group = ref [] and volume = ref 0. in
           let flush () =
             if !group <> [] then begin
-              intervals :=
-                (Printf.sprintf "gcap_%s%d_%d" side p !idx, List.rev !group, !volume)
-                :: !intervals;
-              incr idx;
+              intervals := (List.rev !group, !volume) :: !intervals;
               group := [];
               volume := 0.
             end
@@ -185,8 +172,8 @@ let regrouped_intervals inst supports unfixed values =
         end)
       by_port
   in
-  collect "in" inst.Instance.cap_in by_in;
-  collect "out" inst.Instance.cap_out by_out;
+  collect inst.Instance.cap_in by_in;
+  collect inst.Instance.cap_out by_out;
   !intervals
 
 let run_loop ?horizon ~warm_start inst =

@@ -47,12 +47,8 @@ let solve ?(explicit_ub_rows = false) ?residual ?warm inst active =
              bound; [explicit_ub_rows] keeps the old row-based formulation
              around as a parity oracle. *)
           let ub = if explicit_ub_rows then infinity else 1. in
-          let v = Model.add_var ~name:(Printf.sprintf "x_%d_%d" e t) ~ub model in
-          if explicit_ub_rows then
-            ignore
-              (Model.add_constraint
-                 ~name:(Printf.sprintf "ub_%d_%d" e t)
-                 model [ (v, 1.) ] Model.Le 1.);
+          let v = Model.add_var ~ub model in
+          if explicit_ub_rows then ignore (Model.add_constraint model [ (v, 1.) ] Model.Le 1.);
           Hashtbl.add var (e, t) v;
           Hashtbl.add var_rev v (e, t);
           let push key =
@@ -66,7 +62,7 @@ let solve ?(explicit_ub_rows = false) ?residual ?warm inst active =
     in
     if terms = [] then invalid_arg "Mrt_lp.solve: flow with no active round";
     (* (20): each flow scheduled exactly once *)
-    ignore (Model.add_constraint ~name:(Printf.sprintf "assign_%d" e) model terms Model.Eq 1.)
+    ignore (Model.add_constraint model terms Model.Eq 1.)
   done;
   let rounds = Hashtbl.create 16 in
   let cap_row = Hashtbl.create 64 in
@@ -81,11 +77,7 @@ let solve ?(explicit_ub_rows = false) ?residual ?warm inst active =
             if is_input then inst.Instance.cap_in.(p) else inst.Instance.cap_out.(p)
       in
       (* (19): port capacity per active round *)
-      let row =
-        Model.add_constraint
-          ~name:(Printf.sprintf "cap_%s%d_%d" (if is_input then "in" else "out") p t)
-          model terms Model.Le (float_of_int cap)
-      in
+      let row = Model.add_constraint model terms Model.Le (float_of_int cap) in
       Hashtbl.replace cap_row key row;
       Hashtbl.replace cap_row_rev row key)
     cap_terms;
@@ -117,6 +109,12 @@ let solve ?(explicit_ub_rows = false) ?residual ?warm inst active =
   | Simplex.Infeasible -> None
   | Simplex.Unbounded -> assert false (* objective is constant zero *)
   | Simplex.Optimal ->
+      (* Phase 1 declared this LP feasible when its artificials summed to at
+         most [Tol.art_infeasible]; hold the reported x to the same
+         threshold on the model itself, so no start, cold or warm, can
+         report a false "feasible". *)
+      if not (Model.is_feasible ~tol:Flowsched_lp.Tol.art_infeasible model res.Simplex.values)
+      then failwith "Mrt_lp.solve: the reported optimum violates LP (19)-(21)";
       let values = Hashtbl.create (4 * n) in
       Hashtbl.iter (fun key v -> Hashtbl.replace values key res.Simplex.values.(v)) var;
       let basis =
@@ -130,5 +128,3 @@ let solve ?(explicit_ub_rows = false) ?residual ?warm inst active =
                  Option.map (fun (e, t) -> Bub (e, t)) (Hashtbl.find_opt var_rev v))
       in
       Some { values; rounds = Hashtbl.fold (fun t () acc -> t :: acc) rounds []; basis }
-
-let is_fractionally_feasible inst active = solve inst active <> None

@@ -40,9 +40,12 @@ val solve :
     at [(is_input, port, round)] — the rounding procedure uses it to account
     for already-fixed flows.  Restricting each flow to a sub-list of its
     original active rounds is expressed by passing a narrower [active].
-    [warm] seeds the simplex basis from a previous solve's [basis]; keys
-    not present in this model are ignored.  [explicit_ub_rows] (default
+    [warm] seeds the simplex basis from a previous solve's [basis], or from
+    an integral schedule given as one [Bvar (e, round)] per flow; keys not
+    present in this model are ignored.  Every solution returned is checked
+    against the model with [Model.is_feasible ~tol:Tol.art_infeasible], the
+    threshold at which phase 1 declares the LP feasible, and [Failure] is
+    raised if it fails, so no start, cold or warm, reports a false
+    "feasible".  [explicit_ub_rows] (default
     [false]) encodes [x_{e,t} <= 1] as explicit constraint rows instead of
     declared variable bounds — slower, kept as a parity oracle for tests. *)
-
-val is_fractionally_feasible : Flowsched_switch.Instance.t -> active -> bool

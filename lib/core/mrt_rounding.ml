@@ -16,7 +16,7 @@ type outcome = {
 
 type row_key = bool * int * int (* is_input, port, round *)
 
-let round_loop ~warm_start inst active =
+let round_loop ~warm_start ?start inst active =
   let n = Instance.n inst in
   let dmax = Instance.dmax inst in
   let bound = max 0 ((2 * dmax) - 1) in
@@ -62,8 +62,8 @@ let round_loop ~warm_start inst active =
   (* Warm basis threaded across re-solves, kept in *global* flow ids: each
      round's sub-instance renumbers flows, so keys are translated in and out
      through [ids].  Keys of since-fixed flows or pruned rounds drop out on
-     translation. *)
-  let warm : Mrt_lp.basis_key list option ref = ref None in
+     translation.  The first solve starts from [start]. *)
+  let warm : Mrt_lp.basis_key list option ref = ref start in
   while !unfixed_count > 0 && not !infeasible do
     (* Build the restricted instance: unfixed flows only, residual caps,
        dropped rows modeled as effectively unconstrained. *)
@@ -206,7 +206,7 @@ let round_loop ~warm_start inst active =
       }
   end
 
-let round ?(warm_start = true) inst active =
+let round ?(warm_start = true) ?start inst active =
   Trace.with_span "mrt.round"
     ~args:(fun () -> [ ("flows", Flowsched_util.Json.Int (Instance.n inst)) ])
-    (fun () -> round_loop ~warm_start inst active)
+    (fun () -> round_loop ~warm_start ?start inst active)

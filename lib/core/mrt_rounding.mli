@@ -30,8 +30,21 @@ type outcome = {
 }
 
 val round :
-  ?warm_start:bool -> Flowsched_switch.Instance.t -> Mrt_lp.active -> outcome option
+  ?warm_start:bool ->
+  ?start:Mrt_lp.basis_key list ->
+  Flowsched_switch.Instance.t ->
+  Mrt_lp.active ->
+  outcome option
 (** [None] when the LP itself is infeasible (then no schedule meets the
-    deadlines at all, by Theorem 3's relaxation argument).  [warm_start]
-    (default [true]) seeds each re-solve with the previous round's optimal
-    basis, translated through the shrinking flow renumbering. *)
+    deadlines at all, by Theorem 3's relaxation argument).  With
+    [warm_start] (default [true]) the first solve starts from [start], in
+    the instance's flow ids (keys outside the active rounds drop out; cold
+    without [start]), and each re-solve from the previous round's optimal
+    basis, translated through the shrinking flow renumbering; with
+    [~warm_start:false] every solve is cold.  {!Mrt_scheduler} passes
+    FIFO's schedule, one [Bvar (e, round)] per flow: the flows it serves
+    inside their active rounds start basic at 1, and when it serves them
+    all phase 1 is skipped, the first vertex is FIFO's own integral point
+    and the rounding ends after that one LP.  Which vertex the first solve
+    reaches depends on the start, so the schedule does; the guarantees
+    above do not. *)

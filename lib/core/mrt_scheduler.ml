@@ -14,7 +14,19 @@ type solution = {
   rounding : Mrt_rounding.outcome;
 }
 
-let feasible_rho inst rho = Mrt_lp.is_fractionally_feasible inst (Mrt_lp.active_of_rho inst rho)
+(* FIFO's schedule, built once per call: the upper end of the bracket, and
+   the start of every LP (19)-(21) solve.  As warm keys, a flow FIFO serves
+   inside its active rounds starts basic at 1, and a late flow's key names
+   no column and drops out, leaving its assignment row's artificial to
+   phase 1.  When FIFO serves every flow in time the keys are a feasible
+   basis and phase 1 is skipped. *)
+let fifo_start inst fifo =
+  List.init (Instance.n inst) (fun e -> Mrt_lp.Bvar (e, Schedule.round_of fifo e))
+
+let feasible_from start inst rho =
+  Mrt_lp.solve ~warm:start inst (Mrt_lp.active_of_rho inst rho) <> None
+
+let feasible_rho inst rho = feasible_from (fifo_start inst (Baselines.fifo inst)) inst rho
 
 (* The flows at one port released in [a, b], of total demand D, are all
    served in rounds [a, b + rho - 1], and LP (19) lets that port carry c_p
@@ -47,24 +59,24 @@ let window_bound inst =
 
 (* Any valid integral schedule is a feasible point of LP (19)-(21) at its
    own max response. *)
-let fifo_bound inst =
-  let s = Baselines.fifo inst in
-  if not (Schedule.is_valid inst s) then
+let fifo_bound inst fifo =
+  if not (Schedule.is_valid inst fifo) then
     failwith "Mrt_scheduler.rho_bracket: FIFO schedule is not valid";
-  max 1 (Schedule.max_response inst s)
+  max 1 (Schedule.max_response inst fifo)
 
-let rho_bracket inst = (window_bound inst, fifo_bound inst)
+let bracket_of inst fifo = (window_bound inst, fifo_bound inst fifo)
+let rho_bracket inst = bracket_of inst (Baselines.fifo inst)
 
-let probe inst rho =
+let probe start inst rho =
   Metrics.incr c_rho_probes;
   Trace.with_span "mrt.rho_probe"
     ~args:(fun () -> [ ("rho", Json.Int rho) ])
     (fun () ->
-      let feasible = feasible_rho inst rho in
+      let feasible = feasible_from start inst rho in
       if feasible then Metrics.incr c_rho_feasible;
       feasible)
 
-let min_fractional_rho inst =
+let search inst fifo =
   let bracket = ref None in
   Trace.with_span "mrt.min_fractional_rho"
     ~args:(fun () ->
@@ -72,22 +84,30 @@ let min_fractional_rho inst =
       | Some (lb, ub) -> [ ("lb", Json.Int lb); ("ub", Json.Int ub) ]
       | None -> [])
     (fun () ->
-      let lb, ub = rho_bracket inst in
+      let lb, ub = bracket_of inst fifo in
       bracket := Some (lb, ub);
+      let start = fifo_start inst fifo in
       let lo = ref lb and hi = ref ub in
       (* invariant: hi feasible, lo - 1 infeasible; feasibility is monotone
          in rho, so this finds the least feasible rho *)
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        if probe inst mid then hi := mid else lo := mid + 1
+        if probe start inst mid then hi := mid else lo := mid + 1
       done;
       !lo)
 
+let min_fractional_rho inst = search inst (Baselines.fifo inst)
+
 let augmentation inst = max 0 ((2 * Instance.dmax inst) - 1)
 
+(* The rounding starts from FIFO's schedule, never from a probe's final
+   basis, so [solve inst] and [solve ~rho:(min_fractional_rho inst) inst]
+   return the same schedule. *)
 let solve ?rho inst =
-  let fractional_rho = match rho with Some r -> r | None -> min_fractional_rho inst in
-  match Mrt_rounding.round inst (Mrt_lp.active_of_rho inst fractional_rho) with
+  let fifo = Baselines.fifo inst in
+  let fractional_rho = match rho with Some r -> r | None -> search inst fifo in
+  let start = fifo_start inst fifo in
+  match Mrt_rounding.round ~start inst (Mrt_lp.active_of_rho inst fractional_rho) with
   | None -> failwith "Mrt_scheduler.solve: infeasible rho"
   | Some rounding ->
       let augmented = Instance.scale_capacities inst ~mult:1 ~add:(augmentation inst) in
@@ -101,7 +121,8 @@ let solve ?rho inst =
       }
 
 let solve_with_deadlines inst ~deadlines =
-  match Mrt_rounding.round inst (Mrt_lp.active_of_deadlines inst deadlines) with
+  let start = fifo_start inst (Baselines.fifo inst) in
+  match Mrt_rounding.round ~start inst (Mrt_lp.active_of_deadlines inst deadlines) with
   | None -> None
   | Some rounding ->
       let augmented = Instance.scale_capacities inst ~mult:1 ~add:(augmentation inst) in

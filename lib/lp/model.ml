@@ -27,12 +27,15 @@ type var = int
 type row = int
 type sense = Le | Ge | Eq
 
-type row_data = { terms : (var * float) list; sense : sense; rhs : float; rname : string }
+(* Names are optional: an unnamed variable or row is called [x<id>] or
+   [r<id>], formatted only when [var_name] or [row_name] asks, so a model
+   built for solving alone formats no names at all. *)
+type row_data = { terms : (var * float) list; sense : sense; rhs : float; rname : string option }
 
 type t = {
   mutable objs : float array;
   mutable ubs : float array;
-  mutable vnames : string array;
+  mutable vnames : string option array;
   mutable nvars : int;
   rows : row_data Dyn.t;
 }
@@ -48,7 +51,7 @@ let grow_vars t =
     let ubs = Array.make cap infinity in
     Array.blit t.ubs 0 ubs 0 t.nvars;
     t.ubs <- ubs;
-    let vnames = Array.make cap "" in
+    let vnames = Array.make cap None in
     Array.blit t.vnames 0 vnames 0 t.nvars;
     t.vnames <- vnames
   end
@@ -59,7 +62,7 @@ let add_var ?name ?(obj = 0.) ?(ub = infinity) t =
   let v = t.nvars in
   t.objs.(v) <- obj;
   t.ubs.(v) <- ub;
-  t.vnames.(v) <- (match name with Some n -> n | None -> Printf.sprintf "x%d" v);
+  t.vnames.(v) <- name;
   t.nvars <- t.nvars + 1;
   v
 
@@ -80,8 +83,7 @@ let add_constraint ?name t terms sense rhs =
       if v < 0 || v >= t.nvars then invalid_arg "Model.add_constraint: unknown variable")
     terms;
   let r = Dyn.length t.rows in
-  let rname = match name with Some n -> n | None -> Printf.sprintf "r%d" r in
-  Dyn.add t.rows { terms = merge_terms terms; sense; rhs; rname };
+  Dyn.add t.rows { terms = merge_terms terms; sense; rhs; rname = name };
   r
 
 let set_obj t v c =
@@ -95,8 +97,8 @@ let set_upper t v ub =
 
 let num_vars t = t.nvars
 let num_rows t = Dyn.length t.rows
-let var_name t v = t.vnames.(v)
-let row_name t r = (Dyn.get t.rows r).rname
+let var_name t v = match t.vnames.(v) with Some n -> n | None -> Printf.sprintf "x%d" v
+let row_name t r = match (Dyn.get t.rows r).rname with Some n -> n | None -> Printf.sprintf "r%d" r
 let objective_coeff t v = t.objs.(v)
 let var_upper t v = t.ubs.(v)
 let row_terms t r = (Dyn.get t.rows r).terms

@@ -43,7 +43,13 @@ val set_upper : t -> var -> float -> unit
 val num_vars : t -> int
 val num_rows : t -> int
 val var_name : t -> var -> string
+(** The name given to {!add_var}, or [x<id>] for an unnamed variable,
+    formatted on each call. *)
+
 val row_name : t -> row -> string
+(** The name given to {!add_constraint}, or [r<id>] for an unnamed row,
+    formatted on each call. *)
+
 val objective_coeff : t -> var -> float
 
 val var_upper : t -> var -> float

@@ -133,7 +133,8 @@ let test_reference_bisection_warm_matches_cold () =
 
 (* --- the bracket of the rho search --- *)
 
-let probes () = Flowsched_obs.Metrics.(counter_value (counter "mrt.rho_probes"))
+let counter name = Flowsched_obs.Metrics.(counter_value (counter name))
+let probes () = counter "mrt.rho_probes"
 
 let test_bracket_empty () =
   let inst = mk ~m:1 [] in
@@ -172,6 +173,29 @@ let test_bracket_span_args () =
   | Some sp ->
       Alcotest.(check bool) "lb and ub args" true
         (sp.Trace.args = Flowsched_util.Json.[ ("lb", Int 5); ("ub", Int 5) ])
+
+let test_probe_at_ub_skips_phase1 () =
+  (* The instance of the CLI's gap case: window bound 2, FIFO's max response
+     3 and rho* = 3.  At rho = ub FIFO serves every flow in time, so its
+     rounds are a feasible basis of LP (19)-(21): phase 1 is skipped and
+     the zero objective needs no pivot.  Below ub some flow is late and
+     phase 1 runs from its artificial. *)
+  let inst =
+    mk ~cap_in:[| 4; 4; 4 |] ~cap_out:[| 4; 4; 1 |] ~m:3
+      [
+        (1, 2, 1, 3); (1, 2, 1, 2); (0, 2, 1, 4); (1, 1, 4, 1); (1, 1, 4, 1); (0, 0, 4, 5);
+        (1, 1, 4, 3); (2, 1, 4, 4); (1, 0, 1, 3); (2, 2, 1, 5); (0, 2, 1, 4);
+      ]
+  in
+  let lb, ub = Mrt_scheduler.rho_bracket inst in
+  Alcotest.(check bool) (Printf.sprintf "lb %d < ub %d" lb ub) true (lb < ub);
+  let pivots = counter "simplex.pivots" and skipped = counter "simplex.phase1_skipped" in
+  Alcotest.(check bool) "ub feasible" true (Mrt_scheduler.feasible_rho inst ub);
+  Alcotest.(check int) "no pivot" pivots (counter "simplex.pivots");
+  Alcotest.(check int) "phase 1 skipped" (skipped + 1) (counter "simplex.phase1_skipped");
+  let skipped = counter "simplex.phase1_skipped" in
+  Alcotest.(check bool) "ub - 1 infeasible" false (Mrt_scheduler.feasible_rho inst (ub - 1));
+  Alcotest.(check int) "phase 1 ran below ub" skipped (counter "simplex.phase1_skipped")
 
 let prop_bracket_contains_rho =
   QCheck2.Test.make ~name:"lb <= min fractional rho <= ub" ~count:150
@@ -281,6 +305,24 @@ let prop_solve_optimal_wrt_exact =
           && Schedule.is_valid sol.Mrt_scheduler.augmented sol.Mrt_scheduler.schedule
       | None -> false)
 
+let prop_solve_capacitated_guarantee =
+  (* The FIFO-started rounding on demands up to kappa_e: whichever vertex
+     the start leads to, the schedule keeps Theorem 3's guarantees, and it
+     does not depend on whether the search ran in the same call. *)
+  QCheck2.Test.make ~name:"Theorem 3 from FIFO's start: valid augmented, rho, 2 dmax - 1"
+    ~count:150
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let inst = Reference.capacitated_instance seed in
+      let sol = Mrt_scheduler.solve inst in
+      let again = Mrt_scheduler.solve ~rho:sol.Mrt_scheduler.fractional_rho inst in
+      Schedule.is_complete sol.Mrt_scheduler.schedule
+      && Schedule.is_valid sol.Mrt_scheduler.augmented sol.Mrt_scheduler.schedule
+      && Schedule.max_response inst sol.Mrt_scheduler.schedule
+         <= sol.Mrt_scheduler.fractional_rho
+      && sol.Mrt_scheduler.rounding.Mrt_rounding.overflow <= (2 * Instance.dmax inst) - 1
+      && again.Mrt_scheduler.schedule = sol.Mrt_scheduler.schedule)
+
 (* --- deadlines (Remark 4.2) --- *)
 
 let test_deadlines_feasible () =
@@ -339,6 +381,7 @@ let () =
         prop_deadline_schedules_meet_deadlines;
         prop_bracket_contains_rho;
         prop_bracketed_matches_plain_bisection;
+        prop_solve_capacitated_guarantee;
       ]
   in
   Alcotest.run "flowsched_mrt"
@@ -361,6 +404,7 @@ let () =
           Alcotest.test_case "lb = ub runs no LP" `Quick test_bracket_closed_runs_no_lp;
           Alcotest.test_case "window bound with capacities" `Quick test_bracket_window_capacity;
           Alcotest.test_case "span carries lb and ub" `Quick test_bracket_span_args;
+          Alcotest.test_case "probe at ub skips phase 1" `Quick test_probe_at_ub_skips_phase1;
         ] );
       ( "rounding",
         [
