@@ -231,9 +231,17 @@ REPRO_SERVE = serve --core incremental --workload uniform -m 8 --rate 6 \
   --slots 20000 --seed 7 --status-every 0 --json
 # The Policy core (MaxWeight through Engine.run_slot) under backpressure:
 # small queue and buffer caps stall the source in over half the slots, so
-# admission and the stall path are pinned with the slot itself.
+# admission and the stall path are pinned with the slot itself.  Its queue
+# of about 64 flows fills the 64 port pairs, so MaxWeight's select takes
+# one Hungarian edge per pair (its pair intake) in almost every slot.
 REPRO_SERVE_POLICY = serve --core maxweight --workload hotspot:0.3 -m 8 --rate 6 \
   --slots 20000 --seed 7 --queue-cap 64 --buffer-cap 64 --status-every 0 --json
+# MinRTime through the Policy core at a deep backlog: up to 511 flows
+# pending on 8x8 ports, so MinRTime's select takes the pair intake in 8 409
+# of the 8 554 slots, choosing among many flows per pair, and 2 764 slots
+# stall the source.
+REPRO_SERVE_MINRTIME = serve --core minrtime --workload hotspot:0.5 -m 8 --rate 3 \
+  --slots 5000 --seed 7 --queue-cap 512 --buffer-cap 512 --status-every 0 --json
 # Figures 6/7 at paper scale: the only leg wide enough (150 ports) to reach
 # the sparse Hungarian; the grids above run on at most 8 ports.
 WIDE_GRID = --kinds poisson -m 150 --rates 300 --rounds 10 --seeds 1,2 \
@@ -275,6 +283,10 @@ reproduce: build
 	@cmp goldens/serve-policy.json _repro_serve_policy.json \
 	  && echo "reproduce: Policy-core serve outcome matches golden" \
 	  || (echo "reproduce: Policy-core serve outcome diverges from goldens/serve-policy.json" && exit 1)
+	_build/default/bin/main.exe $(REPRO_SERVE_MINRTIME) > _repro_serve_minrtime.json 2>/dev/null
+	@cmp goldens/serve-minrtime.json _repro_serve_minrtime.json \
+	  && echo "reproduce: MinRTime deep-backlog serve outcome matches golden" \
+	  || (echo "reproduce: MinRTime deep-backlog serve outcome diverges from goldens/serve-minrtime.json" && exit 1)
 	@rm -f _repro_*.json _repro_*.f
 	@echo "reproduce: OK (all artifacts match the committed goldens)"
 
@@ -295,7 +307,7 @@ reproduce-certified: build
 # temporary directory.
 GOLDENS = goldens
 GOLDEN_FILES = matrix.json sweep.filtered.json sweep-wide.filtered.json \
-  sweep-lp.filtered.json serve.json serve-policy.json
+  sweep-lp.filtered.json serve.json serve-policy.json serve-minrtime.json
 
 goldens: build
 	@mkdir -p $(GOLDENS)
@@ -309,6 +321,7 @@ goldens: build
 	@rm -f _golden_sweep.json _golden_wide.json _golden_lp.json
 	_build/default/bin/main.exe $(REPRO_SERVE) > $(GOLDENS)/serve.json 2>/dev/null
 	_build/default/bin/main.exe $(REPRO_SERVE_POLICY) > $(GOLDENS)/serve-policy.json 2>/dev/null
+	_build/default/bin/main.exe $(REPRO_SERVE_MINRTIME) > $(GOLDENS)/serve-minrtime.json 2>/dev/null
 	@echo "goldens regenerated — review and commit $(GOLDENS)/"
 
 clean:

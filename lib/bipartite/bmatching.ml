@@ -1,8 +1,8 @@
 type t = { graph : Bgraph.t; left_copy : int array; right_copy : int array }
 
 (* One side of the expansion: vertex [u] owns expanded vertices
-   [off.(u), off.(u + 1)), max cap 1 of them, and [next.(u)] counts the
-   edges already assigned at [u]. *)
+   [off.(u), off.(u + 1)), max cap 1 of them, and [next.(u)] is the copy
+   the next edge at [u] goes to. *)
 type side = { cap : int array; off : int array; next : int array }
 type copies = { left : side; right : side }
 
@@ -16,11 +16,13 @@ let side n cap =
 
 let copies ~nl ~nr ~cl ~cr = { left = side nl cl; right = side nr cr }
 
-(* The round-robin rule: the k-th edge at [u] goes to copy [k mod cap u]. *)
+(* The round-robin rule: the k-th edge at [u] goes to copy [k mod cap u],
+   the counter wrapping around at [cap u]. *)
 let copy s u =
-  if s.cap.(u) = 0 then invalid_arg "Bmatching.expand: edge incident to zero-capacity vertex";
-  let k = s.next.(u) mod s.cap.(u) in
-  s.next.(u) <- s.next.(u) + 1;
+  let c = s.cap.(u) in
+  if c = 0 then invalid_arg "Bmatching.expand: edge incident to zero-capacity vertex";
+  let k = s.next.(u) in
+  s.next.(u) <- (if k + 1 = c then 0 else k + 1);
   s.off.(u) + k
 
 let size s = s.off.(Array.length s.off - 1)

@@ -37,7 +37,10 @@ val max_weight : Bgraph.t -> float array -> int list
     [max_weight g w] is [problem], then [add_edge] on each edge of [g] in
     index order, then [solve].  Callers that produce edges one at a time
     (the online heuristics expand each pending flow as they read it) use
-    these directly and build no graph.  The buffers belong to the calling
+    these directly and build no graph.  A problem may get fewer edges than
+    it declared: the declared count still sets its size, and with it the
+    solver, which is how the heuristics keep the per-flow choice when they
+    feed one edge per port pair.  The buffers belong to the calling
     domain and are reused across problems, so at most one problem per
     domain is live: [problem] discards the previous one. *)
 

@@ -977,8 +977,8 @@ let final_basis tab =
   done;
   Array.of_list !acc
 
-(* Phase times are wall time on the calling domain's clock (the one spans
-   use), so domains solving at once each report only their own time. *)
+(* Phase times are elapsed time on the clock spans use, timed by the solve
+   itself, so domains solving at once each report only their own time. *)
 let seconds_since t0_us = (Trace.now_us () -. t0_us) /. 1e6
 
 let solve_tab ?max_iters ?warm model =

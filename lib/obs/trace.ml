@@ -8,30 +8,20 @@ type span = {
 }
 
 (* The enable flag and time origin are shared by all domains (spawned
-   domains inherit the trace session); the span buffer, nesting depth, and
-   monotonic clamp are domain-local so recording never contends. *)
+   domains inherit the trace session); the span buffer and nesting depth
+   are domain-local so recording never contends. *)
 let on = Atomic.make false
 let t0_us = Atomic.make 0.
 
-(* The clamp lives in a float-only record, which stores its field unboxed:
-   a float field of [local] would allocate a box whenever the clock
-   advanced, so a caller's allocation would depend on the time. *)
-type clock = { mutable last_us : float }
-type local = { mutable events : span list; mutable depth : int; clock : clock }
+type local = { mutable events : span list; mutable depth : int }
 
-let local_key : local Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { events = []; depth = 0; clock = { last_us = 0. } })
-
+let local_key : local Domain.DLS.key = Domain.DLS.new_key (fun () -> { events = []; depth = 0 })
 let local () = Domain.DLS.get local_key
 
-(* [Unix.gettimeofday] clamped to be non-decreasing per domain: the stdlib
-   exposes no monotonic clock, and a backwards wall-clock step would
-   otherwise produce negative span durations. *)
-let now_us () =
-  let c = (local ()).clock in
-  let t = Unix.gettimeofday () *. 1e6 in
-  if t > c.last_us then c.last_us <- t;
-  c.last_us
+(* The monotonic clock in nanoseconds: unlike wall time it never steps
+   back, so no span duration or slot time can come out negative.  Inlined,
+   a read boxes no float. *)
+let[@inline] now_us () = Int64.to_float (Monotonic_clock.now ()) /. 1e3
 
 let enabled () = Atomic.get on
 
@@ -39,7 +29,6 @@ let start () =
   let l = local () in
   l.events <- [];
   l.depth <- 0;
-  l.clock.last_us <- 0.;
   Atomic.set t0_us (now_us ());
   Atomic.set on true
 

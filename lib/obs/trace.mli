@@ -7,12 +7,12 @@
     Chrome [chrome://tracing] / Perfetto trace-event JSON (complete ["X"]
     events with microsecond timestamps).
 
-    Timestamps come from [Unix.gettimeofday] clamped to be non-decreasing
-    (the stdlib has no monotonic clock), so span durations are never
-    negative even across NTP steps.
+    Timestamps come from the monotonic clock of
+    [bechamel.monotonic_clock] (nanoseconds), so span durations are never
+    negative even when the wall clock steps back.
 
     Domain-safety: the enable flag and time origin are process-global
-    (atomics), while the span buffer, nesting depth, and clock clamp are
+    (atomics), while the span buffer and nesting depth are
     domain-local — each domain records into its own buffer without
     contention, and {!spans} and {!write} cover the calling domain's.
     {!Flowsched_exec.Pool} workers disable tracing after [fork] — only
@@ -30,9 +30,9 @@ type span = {
 val enabled : unit -> bool
 
 val now_us : unit -> float
-(** The clock spans use: wall time in microseconds, clamped to be
-    non-decreasing on the calling domain.  Readable whether or not tracing
-    is enabled. *)
+(** The clock spans use: monotonic time in microseconds, with nanosecond
+    resolution, from an arbitrary origin; only differences mean anything.
+    Readable whether or not tracing is enabled. *)
 
 val start : unit -> unit
 (** Enable tracing and clear any previously recorded spans. *)

@@ -50,58 +50,129 @@ let maxcard =
         end);
   }
 
-(* One pass over the queue feeds the Hungarian each flow's expanded ends
-   and weight; [Weighted_matching.max_weight] on the expanded queue graph
-   would see the same edges in the same order, so the selection is the
-   same. *)
-let weighted_select ctx weight_of =
+(* MinRTime and MaxWeight weigh every flow of one expanded port pair for
+   the same Hungarian edge, and the Hungarian keeps one edge per pair: the
+   heaviest, the first on ties ([Weighted_matching.max_weight]).  When the
+   expanded switch has at most as many pairs as the queue has flows, one
+   pass over the queue therefore keeps that witness per pair, and the
+   Hungarian gets one edge per pair, in order of each pair's first
+   appearance.  Vertices are then numbered in the same order, each pair
+   keeps the same witness, and the result comes out in the same order, so
+   the selection is the one a per-flow feed gives.  The problem still
+   declares one edge per flow, so its size and the solver it picks are
+   the per-flow ones.  The pair table has an entry per expanded pair, so
+   it is used only where it is no longer than the queue; on wider
+   switches few flows share a pair anyway, and each flow is its own edge.
+   Both weights are integers, converted to float once per edge. *)
+type rule = Min_rtime | Max_weight
+
+(* One domain's pair table, reused by every call: edge [e] is expanded
+   pair [pair.(e)] = u * nr + v with witness flow [flow.(e)] of weight
+   [best.(e)], and [edge] maps a pair back to its edge, -1 while unseen.
+   A call first clears the [pairs] entries the last one set, so a call
+   abandoned by an exception leaves no trace. *)
+type table = {
+  mutable edge : int array;
+  mutable pair : int array;
+  mutable flow : int array;
+  mutable best : int array;
+  mutable pairs : int;
+}
+
+let tables =
+  Domain.DLS.new_key (fun () -> { edge = [||]; pair = [||]; flow = [||]; best = [||]; pairs = 0 })
+
+(* Buffers only grow, geometrically, as in [Weighted_matching]. *)
+let grow a need fill =
+  if Array.length a >= need then a else Array.make (max need (3 * Array.length a / 2)) fill
+
+let weighted_select ctx rule =
   let queue = ctx.Policy.queue in
-  if Array.length queue = 0 then []
+  let n = Array.length queue in
+  if n = 0 then []
   else begin
     let c = copies ctx in
-    let p =
-      Weighted_matching.problem ~nl:(Bmatching.expanded_nl c) ~nr:(Bmatching.expanded_nr c)
-        ~edges:(Array.length queue)
+    let nl = Bmatching.expanded_nl c and nr = Bmatching.expanded_nr c in
+    let ports k = match rule with Max_weight -> Array.make k 0 | Min_rtime -> [||] in
+    let qin = ports ctx.Policy.m and qout = ports ctx.Policy.m' in
+    let count (f : Flow.t) =
+      qin.(f.Flow.src) <- qin.(f.Flow.src) + 1;
+      qout.(f.Flow.dst) <- qout.(f.Flow.dst) + 1
     in
-    Array.iteri
-      (fun i (f : Flow.t) ->
-        let u = Bmatching.copy_left c f.Flow.src in
-        let v = Bmatching.copy_right c f.Flow.dst in
-        Weighted_matching.add_edge p u v (weight_of i))
-      queue;
-    let matched = Weighted_matching.solve p in
+    (* MaxWeight's weight holds once every flow is counted *)
+    let weight i =
+      let f = queue.(i) in
+      match rule with
+      | Min_rtime -> ctx.Policy.round - f.Flow.release + 1
+      | Max_weight -> qin.(f.Flow.src) + qout.(f.Flow.dst)
+    in
+    let matched =
+      if nl * nr <= n then begin
+        let t = Domain.DLS.get tables in
+        for e = 0 to t.pairs - 1 do
+          t.edge.(t.pair.(e)) <- -1
+        done;
+        t.pairs <- 0;
+        t.edge <- grow t.edge (nl * nr) (-1);
+        t.pair <- grow t.pair (nl * nr) 0;
+        t.flow <- grow t.flow (nl * nr) 0;
+        t.best <- grow t.best (nl * nr) 0;
+        Array.iteri
+          (fun i (f : Flow.t) ->
+            let key = (Bmatching.copy_left c f.Flow.src * nr) + Bmatching.copy_right c f.Flow.dst in
+            (* MaxWeight's flows on one pair weigh the same, so its first
+               flow is the witness *)
+            let w =
+              match rule with
+              | Min_rtime -> weight i
+              | Max_weight ->
+                  count f;
+                  0
+            in
+            let e = t.edge.(key) in
+            if e < 0 then begin
+              let e = t.pairs in
+              t.edge.(key) <- e;
+              t.pair.(e) <- key;
+              t.flow.(e) <- i;
+              t.best.(e) <- w;
+              t.pairs <- e + 1
+            end
+            else if w > t.best.(e) then begin
+              t.flow.(e) <- i;
+              t.best.(e) <- w
+            end)
+          queue;
+        let p = Weighted_matching.problem ~nl ~nr ~edges:n in
+        for e = 0 to t.pairs - 1 do
+          let key = t.pair.(e) in
+          Weighted_matching.add_edge p (key / nr) (key mod nr)
+            (float_of_int (weight t.flow.(e)))
+        done;
+        List.map (fun e -> t.flow.(e)) (Weighted_matching.solve p)
+      end
+      else begin
+        (match rule with Max_weight -> Array.iter count queue | Min_rtime -> ());
+        let p = Weighted_matching.problem ~nl ~nr ~edges:n in
+        Array.iteri
+          (fun i (f : Flow.t) ->
+            let u = Bmatching.copy_left c f.Flow.src in
+            let v = Bmatching.copy_right c f.Flow.dst in
+            Weighted_matching.add_edge p u v (float_of_int (weight i)))
+          queue;
+        Weighted_matching.solve p
+      end
+    in
     (* keep the heaviest candidates when the demand filter has to drop any *)
-    let by_weight =
-      List.stable_sort (fun a b -> Float.compare (weight_of b) (weight_of a)) matched
-    in
+    let by_weight = List.stable_sort (fun a b -> compare (weight b) (weight a)) matched in
     admit_feasible ctx by_weight
   end
 
 let minrtime =
-  {
-    Policy.name = "MinRTime";
-    select =
-      (fun ctx ->
-        weighted_select ctx (fun i ->
-            let f = ctx.Policy.queue.(i) in
-            float_of_int (ctx.Policy.round - f.Flow.release + 1)));
-  }
+  { Policy.name = "MinRTime"; select = (fun ctx -> weighted_select ctx Min_rtime) }
 
 let maxweight =
-  {
-    Policy.name = "MaxWeight";
-    select =
-      (fun ctx ->
-        let qin = Array.make ctx.Policy.m 0 and qout = Array.make ctx.Policy.m' 0 in
-        Array.iter
-          (fun (f : Flow.t) ->
-            qin.(f.Flow.src) <- qin.(f.Flow.src) + 1;
-            qout.(f.Flow.dst) <- qout.(f.Flow.dst) + 1)
-          ctx.Policy.queue;
-        weighted_select ctx (fun i ->
-            let f = ctx.Policy.queue.(i) in
-            float_of_int (qin.(f.Flow.src) + qout.(f.Flow.dst))));
-  }
+  { Policy.name = "MaxWeight"; select = (fun ctx -> weighted_select ctx Max_weight) }
 
 let fifo =
   { Policy.name = "FIFO"; select = (fun ctx -> Policy.greedy_pack ctx Flow.compare) }

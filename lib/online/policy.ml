@@ -58,12 +58,17 @@ module Pending = struct
   }
 
   (* A queue of more than 256 flows is allocated straight in the major
-     heap and is garbage one slot later.  Major GC work runs at minor
-     collections, and a slot loop that allocates little else runs one only
-     every hundred or so slots, so dead queues pile up in between: with a
-     1000-flow backlog the heap reached 10 MB.  Every [slice_words] words
-     of replaced queues, ask for the major work that frees them. *)
-  let slice_words = 16_384
+     heap and is garbage one slot later.  Major GC work is paced by minor
+     collections, so the less else a slot allocates, the longer dead
+     queues pile up: at the 1000-flow backlog of perfbench's
+     serve-backlog, where MinRTime and MaxWeight take one Hungarian edge
+     per port pair and a slot allocates few minor words, a slice of as
+     many words as were replaced every 16 Ki words let the heap peak at
+     5.9 MB.  Every [slice_words] words of replaced queues, ask for
+     [slice_work] times as much major work: the peak is then 1.15 MB on
+     seeds 1-6 and 7927. *)
+  let slice_words = 4_096
+  let slice_work = 8
 
   let create () =
     { queue = [||]; removed = Bytes.empty; n_removed = 0; arrived = []; n_arrived = 0; discarded = 0 }
@@ -104,7 +109,7 @@ module Pending = struct
         t.removed <- Bytes.make (max n (2 * Bytes.length t.removed)) '\000';
       t.discarded <- t.discarded + Array.length t.queue;
       if t.discarded >= slice_words then begin
-        ignore (Gc.major_slice t.discarded);
+        ignore (Gc.major_slice (slice_work * t.discarded));
         t.discarded <- 0
       end;
       t.queue <- q;

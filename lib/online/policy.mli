@@ -32,8 +32,11 @@ type t = {
     [Engine.run_slot], which builds every slot's context from it.  Flows
     are appended as they arrive; a selection removes the flows at its
     indices.  The queue array is built once per slot that changed it and
-    reused as is across slots that did not; replaced arrays are handed to
-    the major GC in slices. *)
+    reused as is across slots that did not.  A replaced array of a deep
+    queue lives in the major heap, and a slot loop that allocates little
+    else runs too few minor collections to pace the major GC, so every
+    4 Ki words of replaced arrays ask for a major slice of 8 times that
+    work. *)
 module Pending : sig
   type t
 

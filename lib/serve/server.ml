@@ -122,7 +122,7 @@ let run ?(on_status = fun (_ : status) -> ()) ?stop (cfg : config) core source =
       let idle_streak = ref 0 in
       let was_interrupted = ref false in
       let stop_now = ref false in
-      let last_time = ref (Unix.gettimeofday ()) in
+      let last_us = ref (Trace.now_us ()) in
       let last_completed = ref 0 in
       let src_open () = (not !was_interrupted) && Source.more source !src_slot in
       while
@@ -159,9 +159,9 @@ let run ?(on_status = fun (_ : status) -> ()) ?stop (cfg : config) core source =
             arrived := !arrived + !admitted;
             Metrics.incr ~by:!admitted c_admitted;
             (* 3. schedule this slot *)
-            let t0 = Unix.gettimeofday () in
+            let t0 = Trace.now_us () in
             let releases = step !slot in
-            Metrics.observe h_latency (Unix.gettimeofday () -. t0);
+            Metrics.observe h_latency ((Trace.now_us () -. t0) /. 1e6);
             Metrics.incr c_slots;
             (* 4. fold completions into streaming stats *)
             let k = List.length releases in
@@ -187,13 +187,13 @@ let run ?(on_status = fun (_ : status) -> ()) ?stop (cfg : config) core source =
             let pc = count () in
             if pc > !peak then peak := pc;
             if cfg.status_every > 0 && (!slot + 1) mod cfg.status_every = 0 then begin
-              let now = Unix.gettimeofday () in
-              let dt = now -. !last_time in
+              let now = Trace.now_us () in
+              let dt = (now -. !last_us) /. 1e6 in
               let fps =
                 if dt <= 0. then 0.
                 else float_of_int (!completed - !last_completed) /. dt
               in
-              last_time := now;
+              last_us := now;
               last_completed := !completed;
               on_status
                 {

@@ -21,9 +21,10 @@
     requires unit demands.
 
     The {!outcome} is all-integer, so for a fixed seed two runs are
-    byte-identical even though the status stream carries wall-clock rates.
-    Wall-clock timing appears only in {!status} snapshots and the metrics
-    registry ([serve.slot_decision_seconds]). *)
+    byte-identical even though the status stream carries measured rates.
+    Timing appears only in {!status} snapshots and the metrics registry
+    ([serve.slot_decision_seconds]); both read the monotonic clock of
+    [Flowsched_obs.Trace.now_us], so no sample is negative. *)
 
 type core =
   | Policy of Flowsched_online.Policy.t

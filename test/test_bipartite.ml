@@ -321,7 +321,18 @@ let test_expand_round_robin () =
   Alcotest.(check (array int)) "k-th edge to copy k mod cap" [| 0; 1; 0; 1 |]
     exp.Bmatching.left_copy;
   Alcotest.(check int) "max copy degree" 2
-    (Bmatching.max_copy_degree g ~cl:[| 2 |] ~cr:[| 1; 1; 1; 1 |])
+    (Bmatching.max_copy_degree g ~cl:[| 2 |] ~cr:[| 1; 1; 1; 1 |]);
+  (* a capacity-3 vertex over 7 edges, with another vertex's edge among
+     them: its copy counter wraps around twice, and each vertex keeps its
+     own counter *)
+  let g = Bgraph.create ~nl:2 ~nr:1 (Array.init 8 (fun e -> ((if e = 3 then 0 else 1), 0))) in
+  let exp = Bmatching.expand g ~cl:[| 1; 3 |] ~cr:[| 8 |] in
+  Alcotest.(check (array int)) "k-th edge to copy k mod 3" [| 0; 1; 2; 0; 0; 1; 2; 0 |]
+    exp.Bmatching.left_copy;
+  Alcotest.(check (array int)) "expanded left ends" [| 1; 2; 3; 0; 1; 2; 3; 1 |]
+    (Array.map (fun { Bgraph.u; _ } -> u) exp.Bmatching.graph.Bgraph.edges);
+  Alcotest.(check (array int)) "right copies" [| 0; 1; 2; 3; 4; 5; 6; 7 |]
+    exp.Bmatching.right_copy
 
 let test_expand_rejects_zero_capacity () =
   let g = Bgraph.create ~nl:1 ~nr:1 [| (0, 0) |] in

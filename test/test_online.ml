@@ -319,14 +319,19 @@ let prop_max_response_at_least_fractional_rho =
         [ random_instance seed ~m:4 ~n ~maxrel:6; Reference.capacitated_instance seed ])
 
 (* A pending queue on a small switch with capacities 1-3 and demands 1-3:
-   few ports and many flows, so parallel flows and equal weights abound. *)
+   few ports and many flows, so parallel flows and equal weights abound.
+   Half the queues are deep, 25-300 flows, and then usually longer than
+   the expanded switch has port pairs, so MinRTime and MaxWeight take one
+   Hungarian edge per pair; releases are unsorted, so MinRTime's witness
+   of a pair is often not its first flow. *)
 let random_context seed =
   let g = Flowsched_util.Prng.create seed in
   let int lo hi = lo + Flowsched_util.Prng.int g (hi - lo + 1) in
   let m = int 1 4 and m' = int 1 4 in
   let round = int 0 6 in
+  let n = if Flowsched_util.Prng.int g 2 = 0 then int 0 24 else int 25 300 in
   let queue =
-    Array.init (int 0 24) (fun id ->
+    Array.init n (fun id ->
         Flow.make ~id ~src:(int 0 (m - 1)) ~dst:(int 0 (m' - 1)) ~demand:(int 1 3)
           ~release:(int 0 round) ())
   in
@@ -339,15 +344,21 @@ let random_context seed =
     queue;
   }
 
-(* A wide switch past the Hungarian's sparse crossover: 24-64 ports per
-   side with m <> m', capacities and demands 1-2, and 2-8 flows at each
-   input port, about a quarter of them parallel to the port's previous
-   flow, queued in shuffled order. *)
+(* A wide switch past the Hungarian's sparse crossover: 24-64 input ports
+   and, in three draws of four, 24-64 output ports with m <> m'; in the
+   fourth only 1-2 output ports, so the queue usually has more flows than
+   the expanded switch has port pairs and the sparse solver gets one edge
+   per pair.  Capacities and demands 1-2, and 2-8 flows at each input
+   port, about a quarter of them parallel to the port's previous flow,
+   queued in shuffled order. *)
 let random_wide_context seed =
   let g = Flowsched_util.Prng.create seed in
   let int lo hi = lo + Flowsched_util.Prng.int g (hi - lo + 1) in
   let m = int 24 64 in
-  let m' = match int 24 63 with r when r >= m -> r + 1 | r -> r in
+  let m' =
+    if Flowsched_util.Prng.int g 4 = 0 then int 1 2
+    else match int 24 63 with r when r >= m -> r + 1 | r -> r
+  in
   let round = int 0 3 in
   let ends = ref [] in
   for src = 0 to m - 1 do
