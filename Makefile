@@ -242,6 +242,12 @@ REPRO_SERVE_POLICY = serve --core maxweight --workload hotspot:0.3 -m 8 --rate 6
 # stall the source.
 REPRO_SERVE_MINRTIME = serve --core minrtime --workload hotspot:0.5 -m 8 --rate 3 \
   --slots 5000 --seed 7 --queue-cap 512 --buffer-cap 512 --status-every 0 --json
+# The Incremental core under skew and backpressure: 16x16 ports, half the
+# traffic to one hot output, caps of 256 that stall the source in 107 096 of
+# 127 497 slots, so the queue sits near its cap and augmenting paths run
+# through the hot output's long parallel lists.
+REPRO_SERVE_HOTSPOT = serve --core incremental --workload hotspot:0.5 -m 16 --rate 12 \
+  --slots 20000 --seed 7 --queue-cap 256 --buffer-cap 256 --status-every 0 --json
 # Figures 6/7 at paper scale: the only leg wide enough (150 ports) to reach
 # the sparse Hungarian; the grids above run on at most 8 ports.
 WIDE_GRID = --kinds poisson -m 150 --rates 300 --rounds 10 --seeds 1,2 \
@@ -287,6 +293,10 @@ reproduce: build
 	@cmp goldens/serve-minrtime.json _repro_serve_minrtime.json \
 	  && echo "reproduce: MinRTime deep-backlog serve outcome matches golden" \
 	  || (echo "reproduce: MinRTime deep-backlog serve outcome diverges from goldens/serve-minrtime.json" && exit 1)
+	_build/default/bin/main.exe $(REPRO_SERVE_HOTSPOT) > _repro_serve_hotspot.json 2>/dev/null
+	@cmp goldens/serve-incremental-hotspot.json _repro_serve_hotspot.json \
+	  && echo "reproduce: Incremental hotspot serve outcome matches golden" \
+	  || (echo "reproduce: Incremental hotspot serve outcome diverges from goldens/serve-incremental-hotspot.json" && exit 1)
 	@rm -f _repro_*.json _repro_*.f
 	@echo "reproduce: OK (all artifacts match the committed goldens)"
 
@@ -307,7 +317,8 @@ reproduce-certified: build
 # temporary directory.
 GOLDENS = goldens
 GOLDEN_FILES = matrix.json sweep.filtered.json sweep-wide.filtered.json \
-  sweep-lp.filtered.json serve.json serve-policy.json serve-minrtime.json
+  sweep-lp.filtered.json serve.json serve-policy.json serve-minrtime.json \
+  serve-incremental-hotspot.json
 
 goldens: build
 	@mkdir -p $(GOLDENS)
@@ -322,6 +333,7 @@ goldens: build
 	_build/default/bin/main.exe $(REPRO_SERVE) > $(GOLDENS)/serve.json 2>/dev/null
 	_build/default/bin/main.exe $(REPRO_SERVE_POLICY) > $(GOLDENS)/serve-policy.json 2>/dev/null
 	_build/default/bin/main.exe $(REPRO_SERVE_MINRTIME) > $(GOLDENS)/serve-minrtime.json 2>/dev/null
+	_build/default/bin/main.exe $(REPRO_SERVE_HOTSPOT) > $(GOLDENS)/serve-incremental-hotspot.json 2>/dev/null
 	@echo "goldens regenerated — review and commit $(GOLDENS)/"
 
 clean:

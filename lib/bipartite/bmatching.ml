@@ -50,17 +50,18 @@ let expand (g : Bgraph.t) ~cl ~cr =
 
    Rather than maintain a matching on per-flow edges (useless across slots:
    every scheduled flow leaves, taking its matched edges with it), we run
-   max-flow on the PORT-PAIR graph: pair (u, v) is one edge of capacity
-   [live], the number of pending flows from u to v, with node capacities
-   cap_in / cap_out.  Unit-demand flows on the same pair are interchangeable,
-   so the flow value equals the maximum number of schedulable flows, and the
-   pair-level flow [x] survives churn — when a bound (matched) flow departs,
-   its unit rebinds to a surviving parallel flow in O(1) instead of
-   re-deriving the matching.
+   max-flow on the PORT-PAIR graph: pair (u, v) is one edge whose capacity
+   is the number of pending flows from u to v, with node capacities
+   cap_in / cap_out.  Unit-demand flows on the same pair are
+   interchangeable, so the flow value equals the maximum number of
+   schedulable flows, and the pair-level flow survives churn — when a bound
+   (matched) flow departs, its unit rebinds to a surviving parallel flow in
+   O(1) instead of re-deriving the matching.
 
-   A dirty flag preserves the invariant "not dirty implies [x] is a maximum
-   flow", justified by residual-edge-set arguments (augmenting-path existence
-   depends only on which residual edges exist, not their capacities):
+   A dirty flag preserves the invariant "not dirty implies the pair flow is
+   maximum", justified by residual-edge-set arguments (augmenting-path
+   existence depends only on which residual edges exist, not their
+   capacities):
 
    - adding a flow to an unsaturated pair, or binding it immediately when
      both ports have spare degree, keeps the current flow maximum;
@@ -72,16 +73,20 @@ let expand (g : Bgraph.t) ~cl ~cr =
 
    [refresh] clears the flag by BFS augmentation over ports (O(nl * nr) per
    search, one failed search to certify maximality), so steady-state
-   per-slot cost is proportional to churn, independent of queue depth. *)
-module Incremental = struct
-  type fstate = { pair : int; mutable is_bound : bool }
+   per-slot cost is proportional to churn, independent of queue depth.
 
-  type pstate = {
-    mutable live : int;  (* pending flows on this pair = edge capacity *)
-    mutable x : int;  (* matched units; equals the number of bound flows *)
-    free_q : int Queue.t;  (* free live flows, oldest first, lazy tombstones *)
-    mutable bound : int list;  (* bound flows, lazy tombstones *)
-  }
+   The state is flat.  Each pending flow sits in a slot of the per-slot
+   arrays, found from its id through an int-keyed table, and each pair
+   owns two intrusive lists threaded through the slots' [next]/[prev]
+   links: list [2p] holds pair p's free flows, oldest at the head, and list
+   [2p + 1] its bound flows, newest at the tail.  A pair's edge capacity
+   is the length of both lists together and its flow the length of the
+   bound one, so the residual tests are list heads: forward when the free
+   list is non-empty, backward when the bound list is.  A departing flow
+   leaves its list at once and its slot goes back on the vacant chain, so
+   nothing of it lingers and its id may be added again. *)
+module Incremental = struct
+  module Ids = Flowsched_util.Int_hashtbl
 
   type stats = { fast_binds : int; rebinds : int; searches : int; augments : int }
 
@@ -90,21 +95,35 @@ module Incremental = struct
     nr : int;
     cap_in : int array;
     cap_out : int array;
-    pairs : pstate option array;  (* dense, nl * nr; allocated on first use *)
-    flows : (int, fstate) Hashtbl.t;
+    (* the lists, two per pair: [head] and [tail] slots, -1 when empty *)
+    head : int array;
+    tail : int array;
+    slot_of : int Ids.t;
+    (* per slot: the flow id, its list, and its neighbours in the list; a
+       vacant slot is chained to the next vacant one through [next] *)
+    mutable ids : int array;
+    mutable list_of : int array;
+    mutable next : int array;
+    mutable prev : int array;
+    mutable vacant : int;
     deg_l : int array;
     deg_r : int array;
     mutable value : int;
     mutable dirty : bool;
-    (* BFS scratch: -2 unvisited, -1 BFS source, >= 0 the pair we came by. *)
+    (* BFS scratch: -2 unvisited, -1 BFS source, >= 0 the pair we came by;
+       the queue holds left port u as u and right port v as nl + v, each
+       port at most once. *)
     prev_l : int array;
     prev_r : int array;
-    bfs_q : int Queue.t;  (* left port u encoded as u, right port v as nl + v *)
+    queue : int array;
     mutable fast_binds : int;
     mutable rebinds : int;
     mutable searches : int;
     mutable augments : int;
   }
+
+  let free_list p = 2 * p
+  let bound_list p = (2 * p) + 1
 
   let create ~nl ~nr ~cap_in ~cap_out =
     if nl < 1 || nr < 1 then invalid_arg "Bmatching.Incremental.create: empty side";
@@ -121,165 +140,186 @@ module Incremental = struct
       nr;
       cap_in = Array.copy cap_in;
       cap_out = Array.copy cap_out;
-      pairs = Array.make (nl * nr) None;
-      flows = Hashtbl.create 256;
+      head = Array.make (2 * nl * nr) (-1);
+      tail = Array.make (2 * nl * nr) (-1);
+      slot_of = Ids.create 256;
+      ids = [||];
+      list_of = [||];
+      next = [||];
+      prev = [||];
+      vacant = -1;
       deg_l = Array.make nl 0;
       deg_r = Array.make nr 0;
       value = 0;
       dirty = false;
       prev_l = Array.make nl (-2);
       prev_r = Array.make nr (-2);
-      bfs_q = Queue.create ();
+      queue = Array.make (nl + nr) 0;
       fast_binds = 0;
       rebinds = 0;
       searches = 0;
       augments = 0;
     }
 
-  let pstate t p =
-    match t.pairs.(p) with
-    | Some ps -> ps
-    | None ->
-        let ps = { live = 0; x = 0; free_q = Queue.create (); bound = [] } in
-        t.pairs.(p) <- Some ps;
-        ps
+  (* Double the slot arrays (64 slots at first), chaining the new slots
+     vacant in order. *)
+  let grow t =
+    let n = Array.length t.ids in
+    let n' = max 64 (2 * n) in
+    let extend a =
+      let a' = Array.make n' (-1) in
+      Array.blit a 0 a' 0 n;
+      a'
+    in
+    t.ids <- extend t.ids;
+    t.list_of <- extend t.list_of;
+    t.next <- extend t.next;
+    t.prev <- extend t.prev;
+    for s = n to n' - 2 do
+      t.next.(s) <- s + 1
+    done;
+    t.vacant <- n
 
-  (* Pop the oldest live free flow of [ps], dropping tombstones. *)
-  let rec pop_free t ps =
-    match Queue.take_opt ps.free_q with
-    | None -> None
-    | Some id -> (
-        match Hashtbl.find_opt t.flows id with
-        | Some fs when not fs.is_bound -> Some id
-        | _ -> pop_free t ps)
+  (* Append slot [s] to the tail of list [l]. *)
+  let push t l s =
+    let last = t.tail.(l) in
+    t.list_of.(s) <- l;
+    t.next.(s) <- -1;
+    t.prev.(s) <- last;
+    if last < 0 then t.head.(l) <- s else t.next.(last) <- s;
+    t.tail.(l) <- s
 
-  let rec pop_bound t ps =
-    match ps.bound with
-    | [] -> None
-    | id :: rest -> (
-        ps.bound <- rest;
-        match Hashtbl.find_opt t.flows id with
-        | Some fs when fs.is_bound -> Some id
-        | _ -> pop_bound t ps)
+  let unlink t s =
+    let l = t.list_of.(s) and n = t.next.(s) and p = t.prev.(s) in
+    if p < 0 then t.head.(l) <- n else t.next.(p) <- n;
+    if n < 0 then t.tail.(l) <- p else t.prev.(n) <- p
+
+  let move t s l =
+    unlink t s;
+    push t l s
 
   let add t ~id ~src ~dst =
     if src < 0 || src >= t.nl || dst < 0 || dst >= t.nr then
       invalid_arg "Bmatching.Incremental.add: port out of range";
-    if Hashtbl.mem t.flows id then invalid_arg "Bmatching.Incremental.add: duplicate flow id";
+    if Ids.mem t.slot_of id then invalid_arg "Bmatching.Incremental.add: duplicate flow id";
+    if t.vacant < 0 then grow t;
+    let s = t.vacant in
+    t.vacant <- t.next.(s);
+    t.ids.(s) <- id;
+    Ids.add t.slot_of id s;
     let p = (src * t.nr) + dst in
-    let ps = pstate t p in
-    ps.live <- ps.live + 1;
-    let fs = { pair = p; is_bound = false } in
-    Hashtbl.add t.flows id fs;
     if t.deg_l.(src) < t.cap_in.(src) && t.deg_r.(dst) < t.cap_out.(dst) then begin
-      fs.is_bound <- true;
-      ps.x <- ps.x + 1;
-      ps.bound <- id :: ps.bound;
+      push t (bound_list p) s;
       t.deg_l.(src) <- t.deg_l.(src) + 1;
       t.deg_r.(dst) <- t.deg_r.(dst) + 1;
       t.value <- t.value + 1;
       t.fast_binds <- t.fast_binds + 1
     end
     else begin
-      Queue.push id ps.free_q;
-      (* The pair was saturated before this arrival: a forward residual edge
-         just appeared, so an augmenting path may now exist. *)
-      if ps.x = ps.live - 1 then t.dirty <- true
+      (* An empty free list means the pair was saturated before this
+         arrival: a forward residual edge just appeared, so an augmenting
+         path may now exist. *)
+      if t.head.(free_list p) < 0 then t.dirty <- true;
+      push t (free_list p) s
+    end
+
+  (* Withdraw the flow in slot [s], whose id has left [slot_of]. *)
+  let remove_slot t s =
+    let l = t.list_of.(s) in
+    unlink t s;
+    t.next.(s) <- t.vacant;
+    t.vacant <- s;
+    if l land 1 = 1 then begin
+      let p = l lsr 1 in
+      let s' = t.head.(free_list p) in
+      if s' >= 0 then begin
+        (* Hand the matched unit to the oldest surviving parallel flow. *)
+        move t s' l;
+        t.rebinds <- t.rebinds + 1
+      end
+      else begin
+        let u = p / t.nr and v = p mod t.nr in
+        t.deg_l.(u) <- t.deg_l.(u) - 1;
+        t.deg_r.(v) <- t.deg_r.(v) - 1;
+        t.value <- t.value - 1;
+        t.dirty <- true
+      end
     end
 
   let remove t id =
-    match Hashtbl.find_opt t.flows id with
-    | None -> invalid_arg "Bmatching.Incremental.remove: unknown flow id"
-    | Some fs ->
-        let p = fs.pair in
-        let ps = match t.pairs.(p) with Some ps -> ps | None -> assert false in
-        Hashtbl.remove t.flows id;
-        ps.live <- ps.live - 1;
-        if fs.is_bound then begin
-          match pop_free t ps with
-          | Some id' ->
-              (* Hand the matched unit to a surviving parallel flow. *)
-              (Hashtbl.find t.flows id').is_bound <- true;
-              ps.bound <- id' :: ps.bound;
-              t.rebinds <- t.rebinds + 1
-          | None ->
-              ps.x <- ps.x - 1;
-              let u = p / t.nr and v = p mod t.nr in
-              t.deg_l.(u) <- t.deg_l.(u) - 1;
-              t.deg_r.(v) <- t.deg_r.(v) - 1;
-              t.value <- t.value - 1;
-              t.dirty <- true
-        end
+    match Ids.find t.slot_of id with
+    | exception Not_found -> invalid_arg "Bmatching.Incremental.remove: unknown flow id"
+    | s ->
+        Ids.remove t.slot_of id;
+        remove_slot t s
+
+  (* Walk the BFS tree back from right port [v], binding on forward pairs
+     and unbinding on backward ones; returns the path's source port. *)
+  let rec apply_path t v =
+    let p = t.prev_r.(v) in
+    move t t.head.(free_list p) (bound_list p);
+    let u = p / t.nr in
+    if t.prev_l.(u) = -1 then u
+    else begin
+      let p' = t.prev_l.(u) in
+      move t t.tail.(bound_list p') (free_list p');
+      apply_path t (p' mod t.nr)
+    end
 
   (* One BFS over ports: multi-source from left ports with spare in-degree,
-     forward along pairs with x < live, backward along pairs with x > 0,
-     terminating at a right port with spare out-degree.  On success, walk the
-     BFS tree back applying the path: bind a free flow on forward pairs,
-     unbind a bound flow on backward pairs. *)
+     forward along pairs with a free flow, backward along pairs with a
+     bound flow, terminating at a right port with spare out-degree.  On
+     success, walk the BFS tree back applying the path: bind the oldest free
+     flow on forward pairs, unbind the newest bound flow on backward
+     pairs. *)
   let augment_once t =
     t.searches <- t.searches + 1;
     Array.fill t.prev_l 0 t.nl (-2);
     Array.fill t.prev_r 0 t.nr (-2);
-    Queue.clear t.bfs_q;
+    let q = t.queue in
+    let qt = ref 0 in
     for u = 0 to t.nl - 1 do
       if t.deg_l.(u) < t.cap_in.(u) then begin
         t.prev_l.(u) <- -1;
-        Queue.push u t.bfs_q
+        q.(!qt) <- u;
+        incr qt
       end
     done;
-    let found = ref (-1) in
-    while !found < 0 && not (Queue.is_empty t.bfs_q) do
-      let node = Queue.pop t.bfs_q in
+    let qh = ref 0 and found = ref (-1) in
+    while !found < 0 && !qh < !qt do
+      let node = q.(!qh) in
+      incr qh;
       if node < t.nl then begin
-        let u = node in
+        let base = node * t.nr in
         let v = ref 0 in
         while !found < 0 && !v < t.nr do
-          (match t.pairs.((u * t.nr) + !v) with
-          | Some ps when ps.x < ps.live && t.prev_r.(!v) = -2 ->
-              t.prev_r.(!v) <- (u * t.nr) + !v;
-              if t.deg_r.(!v) < t.cap_out.(!v) then found := !v
-              else Queue.push (t.nl + !v) t.bfs_q
-          | _ -> ());
+          let p = base + !v in
+          if t.head.(free_list p) >= 0 && t.prev_r.(!v) = -2 then begin
+            t.prev_r.(!v) <- p;
+            if t.deg_r.(!v) < t.cap_out.(!v) then found := !v
+            else begin
+              q.(!qt) <- t.nl + !v;
+              incr qt
+            end
+          end;
           incr v
         done
       end
       else begin
         let v = node - t.nl in
         for u = 0 to t.nl - 1 do
-          match t.pairs.((u * t.nr) + v) with
-          | Some ps when ps.x > 0 && t.prev_l.(u) = -2 ->
-              t.prev_l.(u) <- (u * t.nr) + v;
-              Queue.push u t.bfs_q
-          | _ -> ()
+          let p = (u * t.nr) + v in
+          if t.head.(bound_list p) >= 0 && t.prev_l.(u) = -2 then begin
+            t.prev_l.(u) <- p;
+            q.(!qt) <- u;
+            incr qt
+          end
         done
       end
     done;
     if !found < 0 then false
     else begin
-      let rec walk v =
-        let p = t.prev_r.(v) in
-        let ps = match t.pairs.(p) with Some ps -> ps | None -> assert false in
-        (match pop_free t ps with
-        | Some id ->
-            (Hashtbl.find t.flows id).is_bound <- true;
-            ps.x <- ps.x + 1;
-            ps.bound <- id :: ps.bound
-        | None -> assert false (* x < live implies a live free flow exists *));
-        let u = p / t.nr in
-        if t.prev_l.(u) = -1 then u
-        else begin
-          let p' = t.prev_l.(u) in
-          let ps' = match t.pairs.(p') with Some ps -> ps | None -> assert false in
-          (match pop_bound t ps' with
-          | Some id ->
-              (Hashtbl.find t.flows id).is_bound <- false;
-              ps'.x <- ps'.x - 1;
-              Queue.push id ps'.free_q
-          | None -> assert false (* x > 0 implies a bound flow exists *));
-          walk (p' mod t.nr)
-        end
-      in
-      let src = walk !found in
+      let src = apply_path t !found in
       t.deg_l.(src) <- t.deg_l.(src) + 1;
       t.deg_r.(!found) <- t.deg_r.(!found) + 1;
       t.value <- t.value + 1;
@@ -299,27 +339,19 @@ module Incremental = struct
     refresh t;
     t.value
 
-  let pending t = Hashtbl.length t.flows
-  let mem t id = Hashtbl.mem t.flows id
+  let pending t = Ids.length t.slot_of
+  let mem t id = Ids.mem t.slot_of id
 
+  (* Pairs from last to first, each bound list from oldest to newest, so
+     consing gives pairs in increasing order, newest first within each. *)
   let matched t =
     refresh t;
     let out = ref [] in
-    for u = t.nl - 1 downto 0 do
-      for v = t.nr - 1 downto 0 do
-        match t.pairs.((u * t.nr) + v) with
-        | Some ps when ps.bound <> [] ->
-            let ids =
-              List.filter
-                (fun id ->
-                  match Hashtbl.find_opt t.flows id with
-                  | Some fs -> fs.is_bound
-                  | None -> false)
-                ps.bound
-            in
-            ps.bound <- ids;
-            out := ids @ !out
-        | _ -> ()
+    for p = (t.nl * t.nr) - 1 downto 0 do
+      let s = ref t.head.(bound_list p) in
+      while !s >= 0 do
+        out := t.ids.(!s) :: !out;
+        s := t.next.(!s)
       done
     done;
     !out

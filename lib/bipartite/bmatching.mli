@@ -63,8 +63,12 @@ val max_copy_degree : Bgraph.t -> cl:int array -> cr:int array -> int
     to churn, independent of queue depth.
 
     Each pending flow is either {e bound} (it carries one matched unit) or
-    free.  Binding is deterministic and oldest-first per pair, so for a
-    fixed operation sequence the matched set is reproducible. *)
+    free.  Every choice among parallel flows is deterministic.  An arriving
+    flow binds at once when both its ports have spare capacity.  A rebind,
+    and each forward pair of an augmenting path, binds the pair's oldest
+    free flow; each backward pair frees the pair's most recently bound
+    flow.  So for a fixed operation sequence the matched set, and its
+    order, are reproducible. *)
 module Incremental : sig
   type t
 
@@ -79,8 +83,9 @@ module Incremental : sig
   (** Capacity arrays must have lengths [nl] and [nr]; they are copied. *)
 
   val add : t -> id:int -> src:int -> dst:int -> unit
-  (** Register a pending unit-demand flow.  Raises [Invalid_argument] on a
-      duplicate [id] or an out-of-range port. *)
+  (** Register a pending unit-demand flow.  Raises [Invalid_argument] on an
+      [id] that is already pending or an out-of-range port.  The id of a
+      removed flow may be added again, on any pair. *)
 
   val remove : t -> int -> unit
   (** Withdraw a pending flow (scheduled elsewhere, cancelled, ...).  Raises
@@ -88,12 +93,19 @@ module Incremental : sig
 
   val cardinality : t -> int
   (** Size of a maximum b-matching over the pending flows (re-augmenting
-      first if needed).  Equals [Matching.max_cardinality_size] on the
-      {!expand}ed per-flow graph — the exactness gate tests assert this. *)
+      first if needed).  With unit capacities it equals
+      [Matching.max_cardinality_size] on the {!expand}ed per-flow graph —
+      the exactness gate tests assert this.  Above capacity 1 it can be
+      larger: {!expand} fixes each edge's copy up front.  With [cap_in =
+      [|2; 1; 1|]], [cap_out] all 1 and flows (0,0), (0,1), (0,2), (0,3),
+      (1,1), (2,3), it is 4 and the expansion's maximum matching is 3. *)
 
   val matched : t -> int list
   (** Ids of the flows forming a maximum b-matching, grouped by (src, dst)
-      pair in increasing order.  Re-augments first if needed. *)
+      pair in increasing order of [src * nr + dst], and within a pair the
+      most recently bound flow first.  Re-augments first if needed.  The
+      tests pin this order; the serve goldens pin which flows are bound,
+      through the choices above. *)
 
   val take_matched : t -> int list
   (** {!matched}, then {!remove} each returned flow — the per-slot schedule

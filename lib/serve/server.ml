@@ -4,6 +4,7 @@ module Pending = Flowsched_online.Policy.Pending
 module Metrics = Flowsched_obs.Metrics
 module Trace = Flowsched_obs.Trace
 module J = Flowsched_util.Json
+module Int_hashtbl = Flowsched_util.Int_hashtbl
 
 let c_slots = Metrics.counter "serve.slots"
 let c_admitted = Metrics.counter "serve.flows_admitted"
@@ -86,21 +87,21 @@ let incremental_mode (cfg : config) =
   let inc =
     Bmatching.incremental ~nl:cfg.m ~nr:cfg.m' ~cap_in:cfg.cap_in ~cap_out:cfg.cap_out
   in
-  let release_of = Hashtbl.create 1024 in
+  let release_of = Int_hashtbl.create 1024 in
   let admit batch =
     List.iter
       (fun (f : Flow.t) ->
         if f.Flow.demand <> 1 then
           invalid_arg "Server.run: the Incremental core requires unit demands";
         Bmatching.Incremental.add inc ~id:f.Flow.id ~src:f.Flow.src ~dst:f.Flow.dst;
-        Hashtbl.add release_of f.Flow.id f.Flow.release)
+        Int_hashtbl.add release_of f.Flow.id f.Flow.release)
       batch
   in
   let step _slot =
     List.map
       (fun id ->
-        let r = Hashtbl.find release_of id in
-        Hashtbl.remove release_of id;
+        let r = Int_hashtbl.find release_of id in
+        Int_hashtbl.remove release_of id;
         r)
       (Bmatching.Incremental.take_matched inc)
   in

@@ -591,3 +591,273 @@ let capacitated_instance seed =
     (src, dst, demand, int 0 6)
   in
   Instance.of_flows ~cap_in ~cap_out ~m ~m':m (List.init n flow)
+
+(* Bmatching.Incremental as it was before its state moved into flat arrays:
+   per-pair records allocated on first use, a [Queue] of free flows and a
+   list of bound flows per pair, both cleaned of departed flows lazily
+   (tombstones), and a polymorphic [Hashtbl] from id to flow state.  The
+   flat structure must make every decision this one makes: which free flow
+   binds first, which bound flow unbinds first, the order [matched] lists,
+   and the [stats] counts.  Only for sequences that never re-add a removed
+   id: a tombstone here is recognized by looking its id up, so a re-added
+   id revives its old queue and list entries, on whichever pair they were.
+   Error messages are the library's. *)
+module Incremental = struct
+  type fstate = { pair : int; mutable is_bound : bool }
+
+  type pstate = {
+    mutable live : int;  (* pending flows on this pair = edge capacity *)
+    mutable x : int;  (* matched units; equals the number of bound flows *)
+    free_q : int Queue.t;  (* free live flows, oldest first, lazy tombstones *)
+    mutable bound : int list;  (* bound flows, lazy tombstones *)
+  }
+
+  type stats = { fast_binds : int; rebinds : int; searches : int; augments : int }
+
+  type t = {
+    nl : int;
+    nr : int;
+    cap_in : int array;
+    cap_out : int array;
+    pairs : pstate option array;  (* dense, nl * nr; allocated on first use *)
+    flows : (int, fstate) Hashtbl.t;
+    deg_l : int array;
+    deg_r : int array;
+    mutable value : int;
+    mutable dirty : bool;
+    (* BFS scratch: -2 unvisited, -1 BFS source, >= 0 the pair we came by. *)
+    prev_l : int array;
+    prev_r : int array;
+    bfs_q : int Queue.t;  (* left port u encoded as u, right port v as nl + v *)
+    mutable fast_binds : int;
+    mutable rebinds : int;
+    mutable searches : int;
+    mutable augments : int;
+  }
+
+  let create ~nl ~nr ~cap_in ~cap_out =
+    if nl < 1 || nr < 1 then invalid_arg "Bmatching.Incremental.create: empty side";
+    if Array.length cap_in <> nl || Array.length cap_out <> nr then
+      invalid_arg "Bmatching.Incremental.create: capacity array length";
+    Array.iter
+      (fun c -> if c < 0 then invalid_arg "Bmatching.Incremental.create: negative capacity")
+      cap_in;
+    Array.iter
+      (fun c -> if c < 0 then invalid_arg "Bmatching.Incremental.create: negative capacity")
+      cap_out;
+    {
+      nl;
+      nr;
+      cap_in = Array.copy cap_in;
+      cap_out = Array.copy cap_out;
+      pairs = Array.make (nl * nr) None;
+      flows = Hashtbl.create 256;
+      deg_l = Array.make nl 0;
+      deg_r = Array.make nr 0;
+      value = 0;
+      dirty = false;
+      prev_l = Array.make nl (-2);
+      prev_r = Array.make nr (-2);
+      bfs_q = Queue.create ();
+      fast_binds = 0;
+      rebinds = 0;
+      searches = 0;
+      augments = 0;
+    }
+
+  let pstate t p =
+    match t.pairs.(p) with
+    | Some ps -> ps
+    | None ->
+        let ps = { live = 0; x = 0; free_q = Queue.create (); bound = [] } in
+        t.pairs.(p) <- Some ps;
+        ps
+
+  (* Pop the oldest live free flow of [ps], dropping tombstones. *)
+  let rec pop_free t ps =
+    match Queue.take_opt ps.free_q with
+    | None -> None
+    | Some id -> (
+        match Hashtbl.find_opt t.flows id with
+        | Some fs when not fs.is_bound -> Some id
+        | _ -> pop_free t ps)
+
+  let rec pop_bound t ps =
+    match ps.bound with
+    | [] -> None
+    | id :: rest -> (
+        ps.bound <- rest;
+        match Hashtbl.find_opt t.flows id with
+        | Some fs when fs.is_bound -> Some id
+        | _ -> pop_bound t ps)
+
+  let add t ~id ~src ~dst =
+    if src < 0 || src >= t.nl || dst < 0 || dst >= t.nr then
+      invalid_arg "Bmatching.Incremental.add: port out of range";
+    if Hashtbl.mem t.flows id then invalid_arg "Bmatching.Incremental.add: duplicate flow id";
+    let p = (src * t.nr) + dst in
+    let ps = pstate t p in
+    ps.live <- ps.live + 1;
+    let fs = { pair = p; is_bound = false } in
+    Hashtbl.add t.flows id fs;
+    if t.deg_l.(src) < t.cap_in.(src) && t.deg_r.(dst) < t.cap_out.(dst) then begin
+      fs.is_bound <- true;
+      ps.x <- ps.x + 1;
+      ps.bound <- id :: ps.bound;
+      t.deg_l.(src) <- t.deg_l.(src) + 1;
+      t.deg_r.(dst) <- t.deg_r.(dst) + 1;
+      t.value <- t.value + 1;
+      t.fast_binds <- t.fast_binds + 1
+    end
+    else begin
+      Queue.push id ps.free_q;
+      (* The pair was saturated before this arrival: a forward residual edge
+         just appeared, so an augmenting path may now exist. *)
+      if ps.x = ps.live - 1 then t.dirty <- true
+    end
+
+  let remove t id =
+    match Hashtbl.find_opt t.flows id with
+    | None -> invalid_arg "Bmatching.Incremental.remove: unknown flow id"
+    | Some fs ->
+        let p = fs.pair in
+        let ps = match t.pairs.(p) with Some ps -> ps | None -> assert false in
+        Hashtbl.remove t.flows id;
+        ps.live <- ps.live - 1;
+        if fs.is_bound then begin
+          match pop_free t ps with
+          | Some id' ->
+              (* Hand the matched unit to a surviving parallel flow. *)
+              (Hashtbl.find t.flows id').is_bound <- true;
+              ps.bound <- id' :: ps.bound;
+              t.rebinds <- t.rebinds + 1
+          | None ->
+              ps.x <- ps.x - 1;
+              let u = p / t.nr and v = p mod t.nr in
+              t.deg_l.(u) <- t.deg_l.(u) - 1;
+              t.deg_r.(v) <- t.deg_r.(v) - 1;
+              t.value <- t.value - 1;
+              t.dirty <- true
+        end
+
+  (* One BFS over ports: multi-source from left ports with spare in-degree,
+     forward along pairs with x < live, backward along pairs with x > 0,
+     terminating at a right port with spare out-degree.  On success, walk the
+     BFS tree back applying the path: bind a free flow on forward pairs,
+     unbind a bound flow on backward pairs. *)
+  let augment_once t =
+    t.searches <- t.searches + 1;
+    Array.fill t.prev_l 0 t.nl (-2);
+    Array.fill t.prev_r 0 t.nr (-2);
+    Queue.clear t.bfs_q;
+    for u = 0 to t.nl - 1 do
+      if t.deg_l.(u) < t.cap_in.(u) then begin
+        t.prev_l.(u) <- -1;
+        Queue.push u t.bfs_q
+      end
+    done;
+    let found = ref (-1) in
+    while !found < 0 && not (Queue.is_empty t.bfs_q) do
+      let node = Queue.pop t.bfs_q in
+      if node < t.nl then begin
+        let u = node in
+        let v = ref 0 in
+        while !found < 0 && !v < t.nr do
+          (match t.pairs.((u * t.nr) + !v) with
+          | Some ps when ps.x < ps.live && t.prev_r.(!v) = -2 ->
+              t.prev_r.(!v) <- (u * t.nr) + !v;
+              if t.deg_r.(!v) < t.cap_out.(!v) then found := !v
+              else Queue.push (t.nl + !v) t.bfs_q
+          | _ -> ());
+          incr v
+        done
+      end
+      else begin
+        let v = node - t.nl in
+        for u = 0 to t.nl - 1 do
+          match t.pairs.((u * t.nr) + v) with
+          | Some ps when ps.x > 0 && t.prev_l.(u) = -2 ->
+              t.prev_l.(u) <- (u * t.nr) + v;
+              Queue.push u t.bfs_q
+          | _ -> ()
+        done
+      end
+    done;
+    if !found < 0 then false
+    else begin
+      let rec walk v =
+        let p = t.prev_r.(v) in
+        let ps = match t.pairs.(p) with Some ps -> ps | None -> assert false in
+        (match pop_free t ps with
+        | Some id ->
+            (Hashtbl.find t.flows id).is_bound <- true;
+            ps.x <- ps.x + 1;
+            ps.bound <- id :: ps.bound
+        | None -> assert false (* x < live implies a live free flow exists *));
+        let u = p / t.nr in
+        if t.prev_l.(u) = -1 then u
+        else begin
+          let p' = t.prev_l.(u) in
+          let ps' = match t.pairs.(p') with Some ps -> ps | None -> assert false in
+          (match pop_bound t ps' with
+          | Some id ->
+              (Hashtbl.find t.flows id).is_bound <- false;
+              ps'.x <- ps'.x - 1;
+              Queue.push id ps'.free_q
+          | None -> assert false (* x > 0 implies a bound flow exists *));
+          walk (p' mod t.nr)
+        end
+      in
+      let src = walk !found in
+      t.deg_l.(src) <- t.deg_l.(src) + 1;
+      t.deg_r.(!found) <- t.deg_r.(!found) + 1;
+      t.value <- t.value + 1;
+      t.augments <- t.augments + 1;
+      true
+    end
+
+  let refresh t =
+    if t.dirty then begin
+      while augment_once t do
+        ()
+      done;
+      t.dirty <- false
+    end
+
+  let cardinality t =
+    refresh t;
+    t.value
+
+  let pending t = Hashtbl.length t.flows
+  let mem t id = Hashtbl.mem t.flows id
+
+  let matched t =
+    refresh t;
+    let out = ref [] in
+    for u = t.nl - 1 downto 0 do
+      for v = t.nr - 1 downto 0 do
+        match t.pairs.((u * t.nr) + v) with
+        | Some ps when ps.bound <> [] ->
+            let ids =
+              List.filter
+                (fun id ->
+                  match Hashtbl.find_opt t.flows id with
+                  | Some fs -> fs.is_bound
+                  | None -> false)
+                ps.bound
+            in
+            ps.bound <- ids;
+            out := ids @ !out
+        | _ -> ()
+      done
+    done;
+    !out
+
+  let take_matched t =
+    let ids = matched t in
+    List.iter (fun id -> remove t id) ids;
+    ids
+
+  let stats t =
+    { fast_binds = t.fast_binds; rebinds = t.rebinds; searches = t.searches; augments = t.augments }
+end

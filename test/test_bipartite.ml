@@ -477,6 +477,181 @@ let prop_incremental_matches_scratch =
       done;
       !ok)
 
+(* Capacity 2 on one input: the maximum b-matching takes two of input 0's
+   four flows, one per output it does not share, plus (1,1) and (2,3).
+   [expand] sends input 0's edges to copies 0, 1, 0, 1, so copy 1 holds the
+   edges to outputs 1 and 3, each also wanted by another input, and
+   Hopcroft-Karp on the expansion finds only 3. *)
+let test_incremental_capacity_two () =
+  let cl = [| 2; 1; 1 |] and cr = [| 1; 1; 1; 1 |] in
+  let flows = [ (0, 0); (0, 1); (0, 2); (0, 3); (1, 1); (2, 3) ] in
+  let t = Bmatching.incremental ~nl:3 ~nr:4 ~cap_in:cl ~cap_out:cr in
+  List.iteri (fun id (src, dst) -> Bmatching.Incremental.add t ~id ~src ~dst) flows;
+  let live = List.mapi (fun id (src, dst) -> (id, src, dst)) flows in
+  Alcotest.(check int) "scratch" 4 (scratch_cardinality ~nl:3 ~nr:4 ~cl ~cr live);
+  Alcotest.(check int) "incremental" 4 (Bmatching.Incremental.cardinality t);
+  let exp = Bmatching.expand (Bgraph.create ~nl:3 ~nr:4 (Array.of_list flows)) ~cl ~cr in
+  Alcotest.(check int) "expand + Hopcroft-Karp" 3
+    (Matching.max_cardinality_size exp.Bmatching.graph)
+
+(* A removed id may be added again, on any pair: the flow it named left
+   every list when it was removed. *)
+let test_incremental_id_comes_back () =
+  let module I = Bmatching.Incremental in
+  let t = Bmatching.incremental ~nl:2 ~nr:2 ~cap_in:[| 1; 1 |] ~cap_out:[| 1; 1 |] in
+  I.add t ~id:7 ~src:0 ~dst:0;
+  I.remove t 7;
+  I.add t ~id:7 ~src:1 ~dst:1;
+  Alcotest.(check (list int)) "bound, once" [ 7 ] (I.matched t);
+  I.add t ~id:1 ~src:0 ~dst:0;
+  I.add t ~id:5 ~src:0 ~dst:0;
+  I.remove t 5;
+  I.add t ~id:5 ~src:0 ~dst:1;
+  I.remove t 1;
+  (* 5 now waits on (0, 1), not on (0, 0) where it once did *)
+  Alcotest.(check (list int)) "free, on its new pair" [ 7 ] (I.matched t);
+  I.remove t 7;
+  Alcotest.(check (list int)) "augmented" [ 5 ] (I.take_matched t);
+  Alcotest.(check int) "drained" 0 (I.pending t)
+
+(* The flat Incremental against the tombstone one it replaced
+   ([Reference.Incremental]), step by step: both must make every decision
+   alike, so the lists, values, [pending], [mem] and [stats] agree after
+   every operation.  Ids are sparse, negative or extreme, or agree in their
+   low bits (one bucket of the id table).  An id is added at most once per
+   sequence: the reference recognizes a departed flow's stale entry by
+   looking its id up, so it breaks on a re-added id
+   ([test_incremental_id_comes_back] covers those on the flat one). *)
+type inc_op =
+  | Add of int * int * int  (** id, src, dst *)
+  | Remove_bound of int  (** a flow the last [matched] listed *)
+  | Remove_free of int  (** [matched] first, then a flow it did not list *)
+  | Remove_any of int
+  | Cardinality
+  | Matched
+  | Take_matched
+  | Misuse of int  (** an unknown id, a duplicate or a port out of range *)
+
+let show_inc_op = function
+  | Add (id, s, d) -> Printf.sprintf "add %d (%d,%d)" id s d
+  | Remove_bound k -> Printf.sprintf "remove-bound %d" k
+  | Remove_free k -> Printf.sprintf "remove-free %d" k
+  | Remove_any k -> Printf.sprintf "remove %d" k
+  | Cardinality -> "cardinality"
+  | Matched -> "matched"
+  | Take_matched -> "take_matched"
+  | Misuse k -> Printf.sprintf "misuse %d" k
+
+let gen_inc_case =
+  let open QCheck2.Gen in
+  let id =
+    frequency
+      [
+        (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1 ]);
+        (3, int_range (-40) 40);
+        (2, map (fun k -> k lsl 20) (int_range (-500) 500));
+        (2, map (fun k -> k * 1_000_003) (int_range (-500) 500));
+      ]
+  in
+  let* nl = int_range 1 6 in
+  let* nr = int_range 1 6 in
+  (* capacity 0 leaves a port idle; drawn less often, so that more
+     sequences reach an augmenting path *)
+  let cap = frequencyl [ (1, 0); (3, 1); (2, 2); (2, 3) ] in
+  let* cl = array_size (pure nl) cap in
+  let* cr = array_size (pure nr) cap in
+  let op =
+    frequency
+      [
+        (8, map3 (fun id s d -> Add (id, s, d)) id (int_bound (nl - 1)) (int_bound (nr - 1)));
+        (3, map (fun k -> Remove_bound k) nat);
+        (1, map (fun k -> Remove_free k) nat);
+        (1, map (fun k -> Remove_any k) nat);
+        (1, pure Cardinality);
+        (1, pure Matched);
+        (1, pure Take_matched);
+        (1, map (fun k -> Misuse k) nat);
+      ]
+  in
+  let+ ops = list_size (int_range 1 120) op in
+  (nl, nr, cl, cr, ops)
+
+let show_inc_case (nl, nr, cl, cr, ops) =
+  let ints a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "nl=%d nr=%d cap_in=[%s] cap_out=[%s]\n%s" nl nr (ints cl) (ints cr)
+    (String.concat "\n" (List.map show_inc_op ops))
+
+let prop_incremental_pinned_to_reference =
+  QCheck2.Test.make ~name:"incremental = tombstone reference, step by step" ~count:500
+    ~print:show_inc_case gen_inc_case (fun (nl, nr, cl, cr, ops) ->
+      let module I = Bmatching.Incremental in
+      let module R = Reference.Incremental in
+      let t = I.create ~nl ~nr ~cap_in:cl ~cap_out:cr in
+      let r = R.create ~nl ~nr ~cap_in:cl ~cap_out:cr in
+      let used = ref [] and pending = ref [] and listed = ref [] in
+      let pick k = function [] -> None | l -> Some (List.nth l (k mod List.length l)) in
+      let remove = function
+        | None -> true
+        | Some id ->
+            I.remove t id;
+            R.remove r id;
+            pending := List.filter (( <> ) id) !pending;
+            true
+      in
+      let matched () =
+        let m = I.matched t in
+        listed := m;
+        m = R.matched r
+      in
+      let misuse f g =
+        let msg h = match h () with () -> None | exception Invalid_argument m -> Some m in
+        let m = msg f in
+        m <> None && m = msg g
+      in
+      let step = function
+        | Add (id, src, dst) ->
+            if not (List.mem id !used) then begin
+              I.add t ~id ~src ~dst;
+              R.add r ~id ~src ~dst;
+              used := id :: !used;
+              pending := id :: !pending
+            end;
+            true
+        | Remove_bound k -> remove (pick k (List.filter (fun id -> List.mem id !pending) !listed))
+        | Remove_free k ->
+            matched () && remove (pick k (List.filter (fun id -> not (List.mem id !listed)) !pending))
+        | Remove_any k -> remove (pick k !pending)
+        | Cardinality ->
+            (* an augmenting path may unbind a listed flow *)
+            listed := [];
+            I.cardinality t = R.cardinality r
+        | Matched -> matched ()
+        | Take_matched ->
+            let m = I.take_matched t in
+            listed := [];
+            pending := List.filter (fun id -> not (List.mem id m)) !pending;
+            m = R.take_matched r
+        | Misuse k -> (
+            match (k mod 3, pick k !pending) with
+            | 0, _ ->
+                let id = k + 1_000_000_007 in
+                misuse (fun () -> I.remove t id) (fun () -> R.remove r id)
+            | 1, Some id ->
+                misuse (fun () -> I.add t ~id ~src:0 ~dst:0) (fun () -> R.add r ~id ~src:0 ~dst:0)
+            | _ ->
+                let id = -k - 1_000_000_007 in
+                misuse (fun () -> I.add t ~id ~src:nl ~dst:0) (fun () -> R.add r ~id ~src:nl ~dst:0))
+      in
+      let agree () =
+        let s = I.stats t and s' = R.stats r in
+        I.pending t = R.pending r
+        && I.pending t = List.length !pending
+        && List.for_all (fun id -> I.mem t id = R.mem r id) (0 :: 1_000_000_007 :: !used)
+        && (s.I.fast_binds, s.I.rebinds, s.I.searches, s.I.augments)
+           = (s'.R.fast_binds, s'.R.rebinds, s'.R.searches, s'.R.augments)
+      in
+      List.for_all (fun op -> step op && agree ()) ops)
+
 let prop_b_matching_decomposition =
   QCheck2.Test.make ~name:"b-matching decomposition valid and tight" ~count:300
     QCheck2.Gen.(
@@ -505,6 +680,7 @@ let () =
         prop_b_matching_decomposition;
         prop_incremental_matches_expand_on_unit_caps;
         prop_incremental_matches_scratch;
+        prop_incremental_pinned_to_reference;
       ]
   in
   Alcotest.run "flowsched_bipartite"
@@ -553,6 +729,8 @@ let () =
         [
           Alcotest.test_case "rebinds oldest first" `Quick test_incremental_rebind_oldest_first;
           Alcotest.test_case "augments across pairs" `Quick test_incremental_augments_across_pairs;
+          Alcotest.test_case "capacity 2 beats expand" `Quick test_incremental_capacity_two;
+          Alcotest.test_case "a removed id comes back" `Quick test_incremental_id_comes_back;
         ] );
       ("properties", props);
     ]
