@@ -225,8 +225,9 @@ trajectory:
 # evaluation artifacts and diff them byte-for-byte against the committed
 # goldens (goldens/).  The matrix artifact carries no timing metadata at
 # all; the sweep artifact is compared after dropping its documented
-# wall-clock lines; the serve outcome is all-integer.  Regenerate after an
-# intentional change with `make goldens` and commit the diff.
+# wall-clock lines; the serve outcome is all-integer; the figures artifact
+# has no timing field.  Regenerate after an intentional change with
+# `make goldens` and commit the diff.
 REPRO_SERVE = serve --core incremental --workload uniform -m 8 --rate 6 \
   --slots 20000 --seed 7 --status-every 0 --json
 # The Policy core (MaxWeight through Engine.run_slot) under backpressure:
@@ -259,6 +260,11 @@ WIDE_GRID = --kinds poisson -m 150 --rates 300 --rounds 10 --seeds 1,2 \
 # kernel change that only goes wrong far into a long eta chain still shows.
 # The grids above stay small.
 LP_GRID = --kinds poisson -m 6 --rates 12,24 --rounds 8 --seeds 1,2 --policies fifo --lp --jobs 2
+# Figures 6/7 as `bench figures --json` writes them (default profile: 15
+# rows of two tries each, LP bounds on T <= 10): the only leg that averages
+# cells over tries.  It writes BENCH_figures.json into its working
+# directory, so it runs in a directory of its own.
+FIGURES = figures --json --jobs 2
 
 reproduce: build
 	@rm -f _repro_*.json _repro_*.f
@@ -297,7 +303,12 @@ reproduce: build
 	@cmp goldens/serve-incremental-hotspot.json _repro_serve_hotspot.json \
 	  && echo "reproduce: Incremental hotspot serve outcome matches golden" \
 	  || (echo "reproduce: Incremental hotspot serve outcome diverges from goldens/serve-incremental-hotspot.json" && exit 1)
-	@rm -f _repro_*.json _repro_*.f
+	@rm -rf _repro_figures && mkdir _repro_figures
+	cd _repro_figures && ../_build/default/bench/main.exe $(FIGURES) >/dev/null
+	@cmp goldens/figures.json _repro_figures/BENCH_figures.json \
+	  && echo "reproduce: figures artifact matches golden" \
+	  || (echo "reproduce: figures artifact diverges from goldens/figures.json" && exit 1)
+	@rm -rf _repro_*.json _repro_*.f _repro_figures
 	@echo "reproduce: OK (all artifacts match the committed goldens)"
 
 # The certified comparison: rerun reproduce's grids and compare each
@@ -318,7 +329,7 @@ reproduce-certified: build
 GOLDENS = goldens
 GOLDEN_FILES = matrix.json sweep.filtered.json sweep-wide.filtered.json \
   sweep-lp.filtered.json serve.json serve-policy.json serve-minrtime.json \
-  serve-incremental-hotspot.json
+  serve-incremental-hotspot.json figures.json
 
 goldens: build
 	@mkdir -p $(GOLDENS)
@@ -334,6 +345,9 @@ goldens: build
 	_build/default/bin/main.exe $(REPRO_SERVE_POLICY) > $(GOLDENS)/serve-policy.json 2>/dev/null
 	_build/default/bin/main.exe $(REPRO_SERVE_MINRTIME) > $(GOLDENS)/serve-minrtime.json 2>/dev/null
 	_build/default/bin/main.exe $(REPRO_SERVE_HOTSPOT) > $(GOLDENS)/serve-incremental-hotspot.json 2>/dev/null
+	@rm -rf _golden_figures && mkdir _golden_figures
+	cd _golden_figures && ../_build/default/bench/main.exe $(FIGURES) >/dev/null
+	@mv _golden_figures/BENCH_figures.json $(GOLDENS)/figures.json && rm -rf _golden_figures
 	@echo "goldens regenerated — review and commit $(GOLDENS)/"
 
 clean:

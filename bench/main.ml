@@ -551,35 +551,35 @@ module Simplex = Flowsched_lp.Simplex
    the bound must both reproduce the cold objective to 1e-6.  Returns the
    two verdicts. *)
 let lp_large ~explicit_ub_rows n =
+  let module M = Flowsched_obs.Metrics in
   let inst = Workload.uniform_total ~m:4 ~n ~max_release:8 ~seed:77 in
   let model = (Art_lp.build_round_lp ~explicit_ub_rows inst).Art_lp.model in
-  let before = Simplex.read_counters () in
+  let before = M.snapshot () in
   let t0 = Unix.gettimeofday () in
   let cold = Simplex.solve_or_fail model in
   let cold_s = elapsed t0 in
-  let c = Simplex.diff_counters (Simplex.read_counters ()) before in
+  let c = M.diff (M.snapshot ()) before in
+  let count name = M.counter_in c ("simplex." ^ name) in
   let t1 = Unix.gettimeofday () in
   let warm = Simplex.solve_or_fail ~warm:(Array.to_list cold.Simplex.basis) model in
   let warm_s = elapsed t1 in
   let agree = abs_float (cold.Simplex.objective -. warm.Simplex.objective) <= 1e-6 in
-  let before_bound = Simplex.read_counters () in
+  let before_bound = M.snapshot () in
   let t2 = Unix.gettimeofday () in
   let bound = Art_lp.lower_bound inst in
   let bound_s = elapsed t2 in
-  let bound_piv =
-    (Simplex.diff_counters (Simplex.read_counters ()) before_bound).Simplex.pivots
-  in
+  let bound_piv = M.counter_in (M.diff (M.snapshot ()) before_bound) "simplex.pivots" in
   let bound_agree = abs_float (cold.Simplex.objective -. bound.Art_lp.total) <= 1e-6 in
   let fill =
-    if c.Simplex.basis_nnz > 0 then
-      float_of_int c.Simplex.factor_nnz /. float_of_int c.Simplex.basis_nnz
+    if count "basis_nnz" > 0 then
+      float_of_int (count "factor_nnz") /. float_of_int (count "basis_nnz")
     else 0.
   in
   Printf.printf
     "n=%d rows=%d cold_piv=%d warm_piv=%d refact=%d fill=%.2f eta_nnz=%d flips=%d \
      cold=%.3fs warm=%.3fs agree=%b bound_piv=%d bound=%.3fs bound_agree=%b\n%!"
     n (Flowsched_lp.Model.num_rows model) cold.Simplex.iterations warm.Simplex.iterations
-    c.Simplex.refactorizations fill c.Simplex.eta_nnz c.Simplex.bound_flips cold_s warm_s agree
+    (count "refactorizations") fill (count "eta_nnz") (count "bound_flips") cold_s warm_s agree
     bound_piv bound_s bound_agree;
   (agree, bound_agree)
 

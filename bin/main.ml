@@ -8,6 +8,9 @@ open Cmdliner
 open Flowsched_switch
 open Flowsched_core
 module Scenario = Flowsched_sim.Scenario
+module Experiment = Flowsched_sim.Experiment
+module Checkpoint = Flowsched_sim.Checkpoint
+module Report = Flowsched_sim.Report
 
 (* ----- shared helpers ----- *)
 
@@ -191,27 +194,6 @@ let parse_or_exit parse s =
       Printf.eprintf "error: %s\n" msg;
       exit 1
 
-(* The generators range-check their own parameters, so build each distinct
-   (kind, m, rate, rounds, max_demand) of a grid once, here in the parent: a
-   rejected parameter then fails with the generator's message before any
-   worker forks.  No seed is rejected, so one stands in for all. *)
-let check_generators_or_exit ~kinds ~m ~rates ~rounds_list ~max_demand =
-  List.concat_map
-    (fun kind ->
-      List.concat_map
-        (fun rate ->
-          List.map (fun rounds -> { Scenario.kind; m; rate; rounds; max_demand; seed = 0 })
-            rounds_list)
-        rates)
-    kinds
-  |> List.sort_uniq compare
-  |> List.iter (fun spec ->
-         match Scenario.instance spec with
-         | _ -> ()
-         | exception Invalid_argument msg ->
-             Printf.eprintf "error: %s\n" msg;
-             exit 1)
-
 let print_schedule_stats inst schedule =
   Printf.printf "flows:            %d\n" (Instance.n inst);
   Printf.printf "makespan:         %d\n" (Schedule.makespan schedule);
@@ -280,8 +262,8 @@ let generate_cmd =
 let lp_bound path stats trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
   let inst = load_instance path in
-  let module Simplex = Flowsched_lp.Simplex in
-  let before = Simplex.read_counters () in
+  let module M = Flowsched_obs.Metrics in
+  let before = M.snapshot () in
   let bound = Art_lp.lower_bound inst in
   let rho = Mrt_scheduler.min_fractional_rho inst in
   let lb, ub = Mrt_scheduler.rho_bracket inst in
@@ -294,25 +276,26 @@ let lp_bound path stats trace metrics =
   Printf.printf "LP (19)-(21) min rho:      %d\n" rho;
   Printf.printf "rho window/FIFO bracket:   [%d, %d]\n" lb ub;
   if stats then begin
-    let c = Simplex.diff_counters (Simplex.read_counters ()) before in
-    Printf.printf "simplex solves:            %d\n" c.Simplex.solves;
-    Printf.printf "simplex pivots:            %d\n" c.Simplex.pivots;
-    Printf.printf "ftran calls:               %d\n" c.Simplex.ftran_calls;
-    Printf.printf "refactorizations:          %d\n" c.Simplex.refactorizations;
-    Printf.printf "full pricing scans:        %d\n" c.Simplex.full_pricing_scans;
-    Printf.printf "partial pricing rounds:    %d\n" c.Simplex.partial_pricing_rounds;
-    Printf.printf "warm starts accepted:      %d/%d\n" c.Simplex.warm_accepted
-      c.Simplex.warm_attempts;
-    Printf.printf "phase-1 skipped:           %d\n" c.Simplex.phase1_skipped;
-    Printf.printf "basis nnz:                 %d\n" c.Simplex.basis_nnz;
-    Printf.printf "factor nnz:                %d\n" c.Simplex.factor_nnz;
-    Printf.printf "eta nnz:                   %d\n" c.Simplex.eta_nnz;
-    Printf.printf "bound flips:               %d\n" c.Simplex.bound_flips;
-    if c.Simplex.basis_nnz > 0 then
+    let d = M.diff (M.snapshot ()) before in
+    let c name = M.counter_in d ("simplex." ^ name) in
+    let g name = M.gauge_in d ("simplex." ^ name) in
+    Printf.printf "simplex solves:            %d\n" (c "solves");
+    Printf.printf "simplex pivots:            %d\n" (c "pivots");
+    Printf.printf "ftran calls:               %d\n" (c "ftran_calls");
+    Printf.printf "refactorizations:          %d\n" (c "refactorizations");
+    Printf.printf "full pricing scans:        %d\n" (c "full_pricing_scans");
+    Printf.printf "partial pricing rounds:    %d\n" (c "partial_pricing_rounds");
+    Printf.printf "warm starts accepted:      %d/%d\n" (c "warm_accepted") (c "warm_attempts");
+    Printf.printf "phase-1 skipped:           %d\n" (c "phase1_skipped");
+    Printf.printf "basis nnz:                 %d\n" (c "basis_nnz");
+    Printf.printf "factor nnz:                %d\n" (c "factor_nnz");
+    Printf.printf "eta nnz:                   %d\n" (c "eta_nnz");
+    Printf.printf "bound flips:               %d\n" (c "bound_flips");
+    if c "basis_nnz" > 0 then
       Printf.printf "LU fill-in ratio:          %.3f\n"
-        (float_of_int c.Simplex.factor_nnz /. float_of_int c.Simplex.basis_nnz);
-    Printf.printf "phase-1 time:              %.4fs\n" c.Simplex.phase1_seconds;
-    Printf.printf "phase-2 time:              %.4fs\n" c.Simplex.phase2_seconds
+        (float_of_int (c "factor_nnz") /. float_of_int (c "basis_nnz"));
+    Printf.printf "phase-1 time:              %.4fs\n" (g "phase1_seconds");
+    Printf.printf "phase-2 time:              %.4fs\n" (g "phase2_seconds")
   end
 
 let lp_bound_cmd =
@@ -617,22 +600,25 @@ let exact_cmd =
 
 let figures m tries trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
-  let grid =
-    Flowsched_sim.Experiment.fig6_grid ~m ~tries ~seed:2020
-      ~congestion:[ 1. /. 3.; 2. /. 3.; 1.; 2.; 4. ]
-      ~rounds:[ 6; 8; 10 ] ()
+  let rows =
+    try
+      Experiment.fig6_grid ~m ~tries ~seed:2020
+        ~congestion:[ 1. /. 3.; 2. /. 3.; 1.; 2.; 4. ]
+        ~rounds:[ 6; 8; 10 ] ()
+    with Invalid_argument msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 1
   in
-  let results =
-    Flowsched_sim.Experiment.run_grid
-      ~policies:Flowsched_online.Heuristics.all_paper_heuristics
+  let rows =
+    Experiment.run_grid ~policies:Flowsched_online.Heuristics.all_paper_heuristics
       ~progress:(fun msg -> Printf.eprintf "%s\n%!" msg)
-      grid
+      rows
   in
   print_endline "Figure 6 — average response time:";
-  print_string (Flowsched_sim.Report.fig6_table results);
+  print_string (Report.fig6_table rows);
   print_newline ();
   print_endline "Figure 7 — maximum response time:";
-  print_string (Flowsched_sim.Report.fig7_table results)
+  print_string (Report.fig7_table rows)
 
 let figures_cmd =
   let m = Arg.(value & opt int 6 & info [ "m" ] ~doc:"Ports per side.") in
@@ -641,12 +627,14 @@ let figures_cmd =
     (Cmd.info "figures" ~doc:"Reproduce the paper's Figure 6/7 tables (scaled).")
     Term.(const figures $ m $ tries $ trace_term $ metrics_term)
 
-(* ----- sweep ----- *)
+(* ----- the grid commands: sweep, merge, matrix ----- *)
 
-(* The sweep grid flags.  [sweep] (all modes) and [merge] must agree on
-   the grid cell for cell, so both read it from [sweep_grid_term]. *)
-type sweep_grid = {
+(* The grid flags.  [sweep] and [merge] must agree on the grid cell for
+   cell, so both read [sweep_grid_term]; [matrix] reads the same flags with
+   its own defaults, plus [--modes]. *)
+type grid = {
   kinds : string list;
+  modes : string list;
   m : int;
   rates : float list;
   rounds_list : int list;
@@ -656,84 +644,95 @@ type sweep_grid = {
   with_lp : bool;
 }
 
-let sweep_grid_term =
-  let kinds =
-    Arg.(
-      value
-      & opt (list string) [ "poisson" ]
-      & info [ "kinds" ] ~docv:"KINDS"
-          ~doc:
-            ("Comma-separated workload kinds: " ^ kind_names
-           ^ ", with optional :parameters (e.g. skewed:1.2, pareto:1.5).  Artifacts record \
-              each kind string as given."))
-  in
-  let rates =
-    Arg.(
-      value & opt (list float) [ 2.0; 4.0 ]
-      & info [ "rates" ] ~docv:"RATES" ~doc:"Comma-separated arrival rates (the paper's M).")
-  in
-  let rounds_list =
-    Arg.(
-      value & opt (list int) [ 6; 8 ]
-      & info [ "rounds" ] ~docv:"ROUNDS" ~doc:"Comma-separated generation lengths (T).")
-  in
-  let max_demand =
-    Arg.(value & opt int 3 & info [ "max-demand" ] ~doc:"Demand bound (poisson-demands).")
-  in
-  let policy_names =
-    Arg.(
-      value
-      & opt (list string) [ "maxcard"; "minrtime"; "maxweight" ]
-      & info [ "policies" ] ~docv:"POLICIES"
-          ~doc:"Comma-separated policies (maxcard|minrtime|maxweight|fifo|random).")
-  in
-  let grid kinds m rates rounds_list max_demand seeds policy_names with_lp =
-    { kinds; m; rates; rounds_list; max_demand; seeds; policy_names; with_lp }
+let grid_term ~kinds ~modes ~rates ~rounds_list ~max_demand ~policy_names =
+  let grid kinds modes m rates rounds_list max_demand seeds policy_names with_lp =
+    { kinds; modes; m; rates; rounds_list; max_demand; seeds; policy_names; with_lp }
   in
   Term.(
-    const grid $ kinds $ ports_term $ rates $ rounds_list $ max_demand $ seeds_term
+    const grid $ kinds $ modes $ ports_term $ rates $ rounds_list $ max_demand $ seeds_term
     $ policy_names $ lp_term)
 
-let sweep_cells_or_exit { kinds; m; rates; rounds_list; max_demand; seeds; with_lp; _ } =
-  check_generators_or_exit
-    ~kinds:(List.map (parse_or_exit Scenario.of_string) kinds)
-    ~m ~rates ~rounds_list ~max_demand;
+let kinds_term default doc =
+  Arg.(value & opt (list string) default & info [ "kinds" ] ~docv:"KINDS" ~doc)
+
+let rates_term default =
+  Arg.(
+    value & opt (list float) default
+    & info [ "rates" ] ~docv:"RATES" ~doc:"Comma-separated arrival rates (the paper's M).")
+
+let rounds_term default =
+  Arg.(
+    value & opt (list int) default
+    & info [ "rounds" ] ~docv:"ROUNDS" ~doc:"Comma-separated generation lengths (T).")
+
+let policies_term default doc =
+  Arg.(value & opt (list string) default & info [ "policies" ] ~docv:"POLICIES" ~doc)
+
+let sweep_grid_term =
+  grid_term
+    ~kinds:
+      (kinds_term [ "poisson" ]
+         ("Comma-separated workload kinds: " ^ kind_names
+        ^ ", with optional :parameters (e.g. skewed:1.2, pareto:1.5).  Artifacts record \
+           each kind string as given."))
+    ~modes:(Term.const [ "flows" ]) ~rates:(rates_term [ 2.0; 4.0 ])
+    ~rounds_list:(rounds_term [ 6; 8 ])
+    ~max_demand:
+      Arg.(value & opt int 3 & info [ "max-demand" ] ~doc:"Demand bound (poisson-demands).")
+    ~policy_names:
+      (policies_term [ "maxcard"; "minrtime"; "maxweight" ]
+         "Comma-separated policies (maxcard|minrtime|maxweight|fifo|random).")
+
+(* Every grid command builds its cells here.  The generators range-check
+   their own parameters, so each distinct (kind, m, rate, rounds,
+   max_demand) of the grid is built once, in the parent: a rejected
+   parameter then fails with the generator's message before any worker
+   forks.  No seed is rejected, so one stands in for all. *)
+let grid_or_exit g =
+  let modes = List.map (parse_or_exit Flowsched_sim.Matrix.mode_of_string) g.modes in
   let cells =
-    List.concat_map
-      (fun kind ->
-        List.concat_map
-          (fun rate ->
-            List.concat_map
-              (fun rounds ->
-                List.map
-                  (fun seed ->
-                    {
-                      Flowsched_sim.Experiment.workload = kind;
-                      ports = m;
-                      arrival_rate = rate;
-                      horizon = rounds;
-                      max_demand;
-                      sweep_seed = seed;
-                      lp = with_lp;
-                    })
-                  seeds)
-              rounds_list)
-          rates)
-      kinds
+    parse_or_exit Fun.id
+      (Experiment.grid ~kinds:g.kinds ~modes ~m:g.m ~rates:g.rates ~rounds:g.rounds_list
+         ~max_demand:g.max_demand ~seeds:g.seeds ~lp:g.with_lp)
   in
+  List.map (fun (c : Experiment.cell) -> { c.Experiment.spec with Scenario.seed = 0 }) cells
+  |> List.sort_uniq compare
+  |> List.iter (fun spec ->
+         match Scenario.instance spec with
+         | _ -> ()
+         | exception Invalid_argument msg ->
+             Printf.eprintf "error: %s\n" msg;
+             exit 1);
   if cells = [] then begin
-    Printf.eprintf "error: empty sweep grid (check --rates/--rounds/--seeds)\n";
+    Printf.eprintf "error: empty grid (check --kinds, --rates, --rounds and --seeds)\n";
     exit 1
   end;
   cells
 
-(* Run a grid command's cells, turning its two early stops into exit codes:
-   SIGINT/SIGTERM (the pool drained; exit 130) and a cell that spent its
-   retry budget ([Failure] from [Experiment.map_cells]; exit 1).  [exit]
-   skips [with_obs]'s finalizer, so both flush the trace and the registry
-   first: a partial trace is exactly what a post-mortem wants. *)
-let run_cells_or_exit ~trace ~metrics ~checkpoint f =
-  try f () with
+(* Run a grid command's cells, through the [--checkpoint] file when one is
+   given, and turn its two early stops into exit codes: SIGINT/SIGTERM (the
+   pool drained; exit 130) and a cell that spent its retry budget
+   ([Failure] from [Experiment.run]; exit 1).  [exit] skips [with_obs]'s
+   finalizer, so both flush the trace and the registry first: a partial
+   trace is exactly what a post-mortem wants. *)
+let run_grid_or_exit ~name ~trace ~metrics ~policies ~jobs ?timeout ?retries ?faults
+    ~checkpoint ~resume cells =
+  Printf.eprintf "%s: %d cells x %d policies, %d workers\n%!" name (List.length cells)
+    (List.length policies) jobs;
+  let progress msg = Printf.eprintf "  %s\n%!" msg in
+  let run () =
+    match checkpoint with
+    | None -> Experiment.run ~policies ~progress ~jobs ?timeout ?retries ?faults cells
+    | Some path ->
+        let ckpt = Checkpoint.open_ ~path ~resume in
+        if resume then
+          Printf.eprintf "  resuming: %d of %d cells already checkpointed\n%!"
+            (Checkpoint.loaded ckpt) (List.length cells);
+        Fun.protect
+          ~finally:(fun () -> Checkpoint.close ckpt)
+          (fun () -> Checkpoint.run ~policies ~progress ~jobs ?timeout ?retries ?faults ckpt cells)
+  in
+  try Flowsched_obs.Trace.with_span (name ^ ".run") run with
   | Flowsched_exec.Pool.Interrupted ->
       Printf.eprintf "interrupted: pool drained and workers reaped\n";
       (match checkpoint with
@@ -748,6 +747,19 @@ let run_cells_or_exit ~trace ~metrics ~checkpoint f =
       finish_obs ~trace ~metrics ();
       exit 1
 
+let write_artifact out json summary =
+  let data = Flowsched_util.Json.to_string json ^ "\n" in
+  match out with
+  | "-" -> print_string data
+  | path ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+      Printf.eprintf "wrote %s (%s)\n%!" path summary
+
+let out_term default =
+  Arg.(
+    value & opt string default
+    & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output JSON artifact path ('-' for stdout).")
+
 (* One worker's share of a distributed sweep: claim the shard lease (taking
    over a crashed predecessor's if stale), register the manifest, and fill
    the shard checkpoint — heartbeating the lease after every durable append.
@@ -755,11 +767,10 @@ let run_cells_or_exit ~trace ~metrics ~checkpoint f =
    into one. *)
 let sweep_shard_worker ~policies ~policy_names ~jobs ~timeout ~retries ~faults ~dir ~shards
     ~index ~lease_ttl cells =
-  let module Ckpt = Flowsched_sim.Checkpoint in
   let module Shard = Flowsched_dist.Shard in
   let module Lease = Flowsched_dist.Lease in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let all_keys = List.map Ckpt.sweep_key cells in
+  let all_keys = List.map Checkpoint.key cells in
   let mine = Shard.plan ~shards ~index cells in
   let stem = Shard.file_stem ~shards ~index in
   match Lease.acquire ~dir ~name:stem ~ttl:lease_ttl () with
@@ -777,20 +788,20 @@ let sweep_shard_worker ~policies ~policy_names ~jobs ~timeout ~retries ~faults ~
       let manifest = Shard.make ~kind:"sweep" ~shards ~index ~policies:policy_names all_keys in
       ignore (Shard.write_manifest ~dir manifest);
       let path = Filename.concat dir (Shard.checkpoint_name ~shards ~index) in
-      let ckpt = Ckpt.open_ ~path ~resume:true in
-      if Ckpt.loaded ckpt > 0 then
+      let ckpt = Checkpoint.open_ ~path ~resume:true in
+      if Checkpoint.loaded ckpt > 0 then
         Printf.eprintf "  resuming: %d of %d shard cells already checkpointed\n%!"
-          (Ckpt.loaded ckpt) (List.length mine);
+          (Checkpoint.loaded ckpt) (List.length mine);
       Printf.eprintf "shard %d/%d: %d of %d cells, %d workers\n%!" index shards
         (List.length mine) (List.length cells) jobs;
       let progress msg = Printf.eprintf "  %s\n%!" msg in
       let on_append _key = Lease.refresh lease in
       (try
          Fun.protect
-           ~finally:(fun () -> Ckpt.close ckpt)
+           ~finally:(fun () -> Checkpoint.close ckpt)
            (fun () ->
              ignore
-               (Ckpt.run_sweep ~policies ~progress ~jobs ?timeout ?retries ?faults ~on_append
+               (Checkpoint.run ~policies ~progress ~jobs ?timeout ?retries ?faults ~on_append
                   ckpt mine))
        with
       | Lease.Lost msg ->
@@ -839,50 +850,28 @@ let sweep grid jobs timeout retries chaos shard checkpoint_dir lease_ttl checkpo
   let timeout =
     match (timeout, faults) with None, Some _ -> Some 10. | t, _ -> t
   in
-  let cells = sweep_cells_or_exit grid in
+  let cells = grid_or_exit grid in
   let jobs = match jobs with Some j -> j | None -> Flowsched_exec.Pool.default_jobs () in
   match (shard, checkpoint_dir) with
   | Some (index, shards), Some dir ->
       sweep_shard_worker ~policies ~policy_names ~jobs ~timeout ~retries ~faults ~dir ~shards
         ~index ~lease_ttl cells
   | _ ->
-  Printf.eprintf "sweep: %d cells x %d policies, %d workers\n%!" (List.length cells)
-    (List.length policies) jobs;
-  let t0 = Unix.gettimeofday () in
-  let progress msg = Printf.eprintf "  %s\n%!" msg in
-  let results =
-    run_cells_or_exit ~trace ~metrics ~checkpoint (fun () ->
-        Flowsched_obs.Trace.with_span "sweep.run" (fun () ->
-            match checkpoint with
-            | None ->
-                Flowsched_sim.Experiment.run_sweep ~policies ~progress ~jobs ?timeout ?retries
-                  ?faults cells
-            | Some path ->
-                let ckpt = Flowsched_sim.Checkpoint.open_ ~path ~resume in
-                if resume then
-                  Printf.eprintf "  resuming: %d of %d cells already checkpointed\n%!"
-                    (Flowsched_sim.Checkpoint.loaded ckpt)
-                    (List.length cells);
-                Fun.protect
-                  ~finally:(fun () -> Flowsched_sim.Checkpoint.close ckpt)
-                  (fun () ->
-                    Flowsched_sim.Checkpoint.run_sweep ~policies ~progress ~jobs ?timeout
-                      ?retries ?faults ckpt cells)))
-  in
-  (* The metrics block is opt-in: its timing gauges are nondeterministic and
-     would break the byte-identical-across---jobs artifact guarantee. *)
-  let metrics_block =
-    if metrics then Some (Flowsched_obs.Metrics.to_json (Flowsched_obs.Metrics.snapshot ()))
-    else None
-  in
-  let artifact = Flowsched_sim.Report.sweep_json ~jobs ?metrics:metrics_block results in
-  let data = Flowsched_util.Json.to_string artifact ^ "\n" in
-  (match out with
-  | "-" -> print_string data
-  | path ->
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
-      Printf.eprintf "wrote %s (%d cells, %.1fs)\n%!" path (List.length cells)
-        (Unix.gettimeofday () -. t0))
+      let t0 = Unix.gettimeofday () in
+      let results =
+        run_grid_or_exit ~name:"sweep" ~trace ~metrics ~policies ~jobs ?timeout ?retries ?faults
+          ~checkpoint ~resume cells
+      in
+      (* The metrics block is opt-in: its timing gauges are nondeterministic
+         and would break the byte-identical-across---jobs artifact
+         guarantee. *)
+      let metrics_block =
+        if metrics then Some (Flowsched_obs.Metrics.to_json (Flowsched_obs.Metrics.snapshot ()))
+        else None
+      in
+      write_artifact out
+        (Report.sweep_json ~jobs ?metrics:metrics_block results)
+        (Printf.sprintf "%d cells, %.1fs" (List.length cells) (Unix.gettimeofday () -. t0))
 
 let sweep_cmd =
   let chaos =
@@ -921,11 +910,6 @@ let sweep_cmd =
             "Staleness horizon for shard leases: a shard whose lease heartbeat is older \
              than SECS (or whose same-host pid is dead) can be taken over.")
   in
-  let out =
-    Arg.(
-      value & opt string "sweep.json"
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output JSON artifact path ('-' for stdout).")
-  in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
@@ -933,13 +917,13 @@ let sweep_cmd =
           write a machine-readable JSON artifact.")
     Term.(
       const sweep $ sweep_grid_term $ jobs_term $ timeout_term $ retries_term
-      $ chaos $ shard $ checkpoint_dir $ lease_ttl $ checkpoint_term $ resume_term $ out
-      $ trace_term $ metrics_term)
+      $ chaos $ shard $ checkpoint_dir $ lease_ttl $ checkpoint_term $ resume_term
+      $ out_term "sweep.json" $ trace_term $ metrics_term)
 
 (* ----- merge ----- *)
 
 let merge grid dir allow_partial out =
-  let cells = sweep_cells_or_exit grid in
+  let cells = grid_or_exit grid in
   match Flowsched_dist.Merge.sweep ~dir ~policies:grid.policy_names cells with
   | Error msg ->
       Printf.eprintf "error: %s\n" msg;
@@ -966,13 +950,8 @@ let merge grid dir allow_partial out =
       end;
       (* jobs:1 — the merged artifact must be byte-identical to what one
          uninterrupted single-box [--jobs 1] run would have written. *)
-      let artifact = Flowsched_sim.Report.sweep_json ~jobs:1 results in
-      let data = Flowsched_util.Json.to_string artifact ^ "\n" in
-      (match out with
-      | "-" -> print_string data
-      | path ->
-          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
-          Printf.eprintf "wrote %s (%d cells)\n%!" path report.M.found_cells)
+      write_artifact out (Report.sweep_json ~jobs:1 results)
+        (Printf.sprintf "%d cells" report.M.found_cells)
 
 let merge_cmd =
   let dir =
@@ -990,11 +969,6 @@ let merge_cmd =
             "Write the artifact even when cells are missing (default: missing cells are an \
              error so a half-finished distributed run cannot masquerade as a complete one).")
   in
-  let out =
-    Arg.(
-      value & opt string "sweep.json"
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output JSON artifact path ('-' for stdout).")
-  in
   Cmd.v
     (Cmd.info "merge"
        ~doc:
@@ -1003,130 +977,57 @@ let merge_cmd =
           would have written. Validates every shard manifest against this grid's \
           fingerprint, requires duplicated cells to agree byte-for-byte, and refuses \
           partial grids unless --allow-partial. Give it the sharded sweep's grid flags.")
-    Term.(const merge $ sweep_grid_term $ dir $ allow_partial $ out)
+    Term.(const merge $ sweep_grid_term $ dir $ allow_partial $ out_term "sweep.json")
 
 (* ----- matrix ----- *)
 
-let matrix kinds mode_names m rates rounds_list max_demand seeds policy_names with_lp jobs
-    timeout retries checkpoint resume out trace metrics =
+let matrix grid jobs timeout retries checkpoint resume out trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
-  let module Matrix = Flowsched_scenarios.Matrix in
-  let policies = List.map (fun name -> policy_of_name name 1) policy_names in
+  let policies = List.map (fun name -> policy_of_name name 1) grid.policy_names in
   if resume && checkpoint = None then begin
     Printf.eprintf "error: --resume requires --checkpoint FILE\n";
     exit 1
   end;
-  let kinds = List.map (parse_or_exit Scenario.of_string) kinds in
-  let modes = List.map (parse_or_exit Matrix.mode_of_string) mode_names in
-  check_generators_or_exit ~kinds ~m ~rates ~rounds_list ~max_demand;
-  let cells =
-    List.concat_map
-      (fun kind ->
-        List.concat_map
-          (fun mode ->
-            List.concat_map
-              (fun rate ->
-                List.concat_map
-                  (fun rounds ->
-                    List.map
-                      (fun seed ->
-                        {
-                          Matrix.scenario =
-                            { Scenario.kind; m; rate; rounds; max_demand; seed };
-                          mode;
-                          lp = with_lp;
-                        })
-                      seeds)
-                  rounds_list)
-              rates)
-          modes)
-      kinds
-  in
-  if cells = [] then begin
-    Printf.eprintf "error: empty matrix grid (check --kinds/--modes/--rates/--seeds)\n";
-    exit 1
-  end;
+  let cells = grid_or_exit grid in
   let jobs = match jobs with Some j -> j | None -> Flowsched_exec.Pool.default_jobs () in
-  Printf.eprintf "matrix: %d cells x %d policies, %d workers\n%!" (List.length cells)
-    (List.length policies) jobs;
   let t0 = Unix.gettimeofday () in
-  let progress msg = Printf.eprintf "  %s\n%!" msg in
   let results =
-    run_cells_or_exit ~trace ~metrics ~checkpoint (fun () ->
-        Flowsched_obs.Trace.with_span "matrix.run" (fun () ->
-            match checkpoint with
-            | None -> Matrix.run ~policies ~progress ~jobs ?timeout ?retries cells
-            | Some path ->
-                let ckpt = Flowsched_sim.Checkpoint.open_ ~path ~resume in
-                if resume then
-                  Printf.eprintf "  resuming: %d of %d cells already checkpointed\n%!"
-                    (Flowsched_sim.Checkpoint.loaded ckpt)
-                    (List.length cells);
-                Fun.protect
-                  ~finally:(fun () -> Flowsched_sim.Checkpoint.close ckpt)
-                  (fun () ->
-                    Matrix.run_checkpointed ~policies ~progress ~jobs ?timeout ?retries ckpt
-                      cells)))
+    run_grid_or_exit ~name:"matrix" ~trace ~metrics ~policies ~jobs ?timeout ?retries
+      ~checkpoint ~resume cells
   in
   (* No jobs/timing metadata in the artifact: the bytes are the grid's
      deterministic content alone, so --jobs 1 and --jobs N produce identical
      files (the scenarios-smoke target diffs them). *)
-  let data = Flowsched_util.Json.to_string (Matrix.to_json results) ^ "\n" in
-  (match out with
-  | "-" -> print_string data
-  | path ->
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
-      Printf.eprintf "wrote %s (%d cells, %.1fs)\n%!" path (List.length cells)
-        (Unix.gettimeofday () -. t0))
+  write_artifact out (Report.matrix_json results)
+    (Printf.sprintf "%d cells, %.1fs" (List.length cells) (Unix.gettimeofday () -. t0))
 
 let matrix_cmd =
-  let kinds =
-    Arg.(
-      value
-      & opt (list string)
-          [ "poisson"; "pareto"; "lognormal"; "bursty"; "diurnal"; "flash-crowd"; "bimodal" ]
-      & info [ "kinds" ] ~docv:"KINDS"
-          ~doc:
-            ("Comma-separated scenario kinds, any of " ^ kind_names
-           ^ ", with optional :parameters (e.g. pareto:1.2)."))
-  in
-  let modes =
-    Arg.(
-      value
-      & opt (list string) [ "flows"; "endpoint"; "coflow" ]
-      & info [ "modes" ] ~docv:"MODES"
-          ~doc:
-            "Comma-separated problem modes: flows (the paper's problem), \
-             endpoint[:nodes[:cap]] (per-node capacities), coflow[:groups[:max_weight]] \
-             (weighted coflow completion).")
-  in
-  let rates =
-    Arg.(
-      value & opt (list float) [ 3.0 ]
-      & info [ "rates" ] ~docv:"RATES" ~doc:"Comma-separated arrival rates (the paper's M).")
-  in
-  let rounds_list =
-    Arg.(
-      value & opt (list int) [ 8 ]
-      & info [ "rounds" ] ~docv:"ROUNDS" ~doc:"Comma-separated generation lengths (T).")
-  in
-  let max_demand =
-    Arg.(value & opt int 3 & info [ "max-demand" ] ~doc:"Demand bound (demand-carrying kinds).")
-  in
-  let policy_names =
-    Arg.(
-      value
-      & opt (list string) [ "maxcard"; "minrtime"; "maxweight"; "fifo" ]
-      & info [ "policies" ] ~docv:"POLICIES"
-          ~doc:
-            "Comma-separated policies for the flows/endpoint modes \
-             (maxcard|minrtime|maxweight|fifo|random); coflow mode runs its own \
-             wsebf/sebf/flow-fifo set.")
-  in
-  let out =
-    Arg.(
-      value & opt string "matrix.json"
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output JSON artifact path ('-' for stdout).")
+  let grid =
+    grid_term
+      ~kinds:
+        (kinds_term
+           [ "poisson"; "pareto"; "lognormal"; "bursty"; "diurnal"; "flash-crowd"; "bimodal" ]
+           ("Comma-separated scenario kinds, any of " ^ kind_names
+          ^ ", with optional :parameters (e.g. pareto:1.2)."))
+      ~modes:
+        Arg.(
+          value
+          & opt (list string) [ "flows"; "endpoint"; "coflow" ]
+          & info [ "modes" ] ~docv:"MODES"
+              ~doc:
+                "Comma-separated problem modes: flows (the paper's problem), \
+                 endpoint[:nodes[:cap]] (per-node capacities), coflow[:groups[:max_weight]] \
+                 (weighted coflow completion).")
+      ~rates:(rates_term [ 3.0 ]) ~rounds_list:(rounds_term [ 8 ])
+      ~max_demand:
+        Arg.(
+          value & opt int 3 & info [ "max-demand" ] ~doc:"Demand bound (demand-carrying kinds).")
+      ~policy_names:
+        (policies_term
+           [ "maxcard"; "minrtime"; "maxweight"; "fifo" ]
+           "Comma-separated policies for the flows/endpoint modes \
+            (maxcard|minrtime|maxweight|fifo|random); coflow mode runs its own \
+            wsebf/sebf/flow-fifo set.")
   in
   Cmd.v
     (Cmd.info "matrix"
@@ -1135,9 +1036,8 @@ let matrix_cmd =
           endpoint-capacity and weighted-coflow problem variants) and write a \
           machine-readable JSON artifact, byte-identical across --jobs.")
     Term.(
-      const matrix $ kinds $ modes $ ports_term $ rates $ rounds_list $ max_demand $ seeds_term
-      $ policy_names $ lp_term $ jobs_term $ timeout_term $ retries_term
-      $ checkpoint_term $ resume_term $ out $ trace_term $ metrics_term)
+      const matrix $ grid $ jobs_term $ timeout_term $ retries_term $ checkpoint_term
+      $ resume_term $ out_term "matrix.json" $ trace_term $ metrics_term)
 
 (* ----- check-trace ----- *)
 

@@ -1,6 +1,5 @@
 open Flowsched_util
 module Experiment = Flowsched_sim.Experiment
-module Report = Flowsched_sim.Report
 module Checkpoint = Flowsched_sim.Checkpoint
 
 type report = {
@@ -61,11 +60,11 @@ let load_manifests ~dir ~kind ~policies ~all_keys =
     Ok manifests
 
 (* Fold one shard's checkpoint entries into the accumulator table.  Every
-   entry must decode against its grid cell's config; a cell present in two
-   shards (or twice in one file) is a free determinism audit — the
-   deterministic projections (timing stripped) must be byte-equal, and a
-   conflict is an error, never last-writer-wins. *)
-let absorb_shard ~dir ~config_of_key ~table ~duplicates (m : Shard.manifest) =
+   entry must decode against its grid cell; a cell present in two shards
+   (or twice in one file) is a free determinism audit — the deterministic
+   projections (timing stripped) must be byte-equal, and a conflict is an
+   error, never last-writer-wins. *)
+let absorb_shard ~dir ~cell_of_key ~table ~duplicates (m : Shard.manifest) =
   let path =
     Filename.concat dir (Shard.checkpoint_name ~shards:m.Shard.shards ~index:m.Shard.index)
   in
@@ -77,51 +76,44 @@ let absorb_shard ~dir ~config_of_key ~table ~duplicates (m : Shard.manifest) =
   List.fold_left
     (fun acc (e : Checkpoint.entry) ->
       let* () = acc in
-      if e.Checkpoint.kind <> m.Shard.kind then
-        Error
-          (Printf.sprintf "%s: entry kind %S does not match manifest kind %S" path
-             e.Checkpoint.kind m.Shard.kind)
-      else
-        match Hashtbl.find_opt config_of_key e.Checkpoint.key with
-        | None ->
-            Error
-              (Printf.sprintf "%s: entry %s is not a cell of this grid" path e.Checkpoint.key)
-        | Some config -> (
-            match Report.sweep_result_of_json ~sweep:config e.Checkpoint.result with
-            | Error msg ->
-                Error (Printf.sprintf "%s: entry %s does not decode: %s" path e.Checkpoint.key msg)
-            | Ok r -> (
-                let stripped =
-                  Json.to_string (Report.sweep_cell_json (Report.strip_sweep_timing r))
-                in
-                match Hashtbl.find_opt table e.Checkpoint.key with
-                | None ->
-                    Hashtbl.add table e.Checkpoint.key (m.Shard.index, r, stripped);
-                    Ok ()
-                | Some (first_shard, _, stripped0) ->
-                    incr duplicates;
-                    if String.equal stripped0 stripped then Ok ()
-                    else
-                      Error
-                        (Printf.sprintf
-                           "cell %s was computed by shard %d and shard %d with different \
-                            results — determinism violation, refusing to merge"
-                           e.Checkpoint.key first_shard m.Shard.index))))
+      let key = e.Checkpoint.key in
+      match Hashtbl.find_opt cell_of_key key with
+      | None -> Error (Printf.sprintf "%s: entry %s is not a cell of this grid" path key)
+      | Some cell -> (
+          match Checkpoint.decode cell e.Checkpoint.result with
+          | Error msg -> Error (Printf.sprintf "%s: entry %s does not decode: %s" path key msg)
+          | Ok r -> (
+              let stripped =
+                Json.to_string (Checkpoint.encode (Experiment.strip_timing r))
+              in
+              match Hashtbl.find_opt table key with
+              | None ->
+                  Hashtbl.add table key (m.Shard.index, r, stripped);
+                  Ok ()
+              | Some (first_shard, _, stripped0) ->
+                  incr duplicates;
+                  if String.equal stripped0 stripped then Ok ()
+                  else
+                    Error
+                      (Printf.sprintf
+                         "cell %s was computed by shard %d and shard %d with different results \
+                          — determinism violation, refusing to merge"
+                         key first_shard m.Shard.index))))
     (Ok ()) entries
 
 let sweep ~dir ~policies cells =
-  let keys = List.map Checkpoint.sweep_key cells in
+  let keys = List.map Checkpoint.key cells in
   let* manifests = load_manifests ~dir ~kind:"sweep" ~policies ~all_keys:keys in
   let shards = (List.hd manifests).Shard.shards in
-  let config_of_key = Hashtbl.create (List.length cells) in
-  List.iter2 (fun k c -> Hashtbl.replace config_of_key k c) keys cells;
+  let cell_of_key = Hashtbl.create (List.length cells) in
+  List.iter2 (fun k c -> Hashtbl.replace cell_of_key k c) keys cells;
   let table = Hashtbl.create (List.length cells) in
   let duplicates = ref 0 in
   let* () =
     List.fold_left
       (fun acc m ->
         let* () = acc in
-        absorb_shard ~dir ~config_of_key ~table ~duplicates m)
+        absorb_shard ~dir ~cell_of_key ~table ~duplicates m)
       (Ok ()) manifests
   in
   let missing =

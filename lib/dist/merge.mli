@@ -7,8 +7,8 @@
       shard count, kind, and policy set — shards cut from a different grid
       (or run with different policies) can never be merged;
     - every checkpoint entry must name a cell of the grid and decode
-      exactly against that cell's config (the {!Flowsched_sim.Report}
-      decoders are exact inverses of the encoders);
+      against that cell ({!Flowsched_sim.Checkpoint.decode}, the exact
+      inverse of the encoder, checks every identity field);
     - a cell recorded by two shards — or twice in one file — must agree
       byte-for-byte on its deterministic projection (timing fields
       stripped).  Duplicates are a {e free determinism audit}: a conflict
@@ -36,8 +36,8 @@ type report = {
 val sweep :
   dir:string ->
   policies:string list ->
-  Flowsched_sim.Experiment.sweep_config list ->
-  (Flowsched_sim.Experiment.sweep_result list * report, string) result
+  Flowsched_sim.Experiment.cell list ->
+  (Flowsched_sim.Experiment.result list * report, string) result
 (** Merge the sweep shards in [dir] against the grid [cells] (as built
     from the same CLI flags the workers ran with).  [Ok] carries the
     recovered results in grid order — possibly fewer than expected; check

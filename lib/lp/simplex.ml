@@ -13,32 +13,14 @@ type result = {
   basis : basis;
 }
 
-type counters = {
-  mutable solves : int;
-  mutable pivots : int;
-  mutable ftran_calls : int;
-  mutable refactorizations : int;
-  mutable full_pricing_scans : int;
-  mutable partial_pricing_rounds : int;
-  mutable warm_attempts : int;
-  mutable warm_accepted : int;
-  mutable phase1_skipped : int;
-  mutable basis_nnz : int;
-  mutable factor_nnz : int;
-  mutable eta_nnz : int;
-  mutable bound_flips : int;
-  mutable phase1_seconds : float;
-  mutable phase2_seconds : float;
-}
-
 module Metrics = Flowsched_obs.Metrics
 module Trace = Flowsched_obs.Trace
 
 (* The solver's event counts live in the process-wide metrics registry under
    "simplex.*", so they survive the worker-pool fork boundary (workers ship
    registry diffs back in their result frames) and show up next to the rest
-   of the pipeline's metrics.  [read_counters]/[diff_counters] below are a
-   back-compat shim over these handles. *)
+   of the pipeline's metrics.  A caller counts one section with
+   [Metrics.diff] of two snapshots. *)
 let c_solves = Metrics.counter "simplex.solves"
 let c_pivots = Metrics.counter "simplex.pivots"
 let c_ftran = Metrics.counter "simplex.ftran_calls"
@@ -54,44 +36,6 @@ let c_eta_nnz = Metrics.counter "simplex.eta_nnz"
 let c_bound_flips = Metrics.counter "simplex.bound_flips"
 let g_phase1_seconds = Metrics.gauge "simplex.phase1_seconds"
 let g_phase2_seconds = Metrics.gauge "simplex.phase2_seconds"
-
-let read_counters () =
-  {
-    solves = Metrics.counter_value c_solves;
-    pivots = Metrics.counter_value c_pivots;
-    ftran_calls = Metrics.counter_value c_ftran;
-    refactorizations = Metrics.counter_value c_refactorizations;
-    full_pricing_scans = Metrics.counter_value c_full_pricing_scans;
-    partial_pricing_rounds = Metrics.counter_value c_partial_pricing_rounds;
-    warm_attempts = Metrics.counter_value c_warm_attempts;
-    warm_accepted = Metrics.counter_value c_warm_accepted;
-    phase1_skipped = Metrics.counter_value c_phase1_skipped;
-    basis_nnz = Metrics.counter_value c_basis_nnz;
-    factor_nnz = Metrics.counter_value c_factor_nnz;
-    eta_nnz = Metrics.counter_value c_eta_nnz;
-    bound_flips = Metrics.counter_value c_bound_flips;
-    phase1_seconds = Metrics.gauge_value g_phase1_seconds;
-    phase2_seconds = Metrics.gauge_value g_phase2_seconds;
-  }
-
-let diff_counters a b =
-  {
-    solves = a.solves - b.solves;
-    pivots = a.pivots - b.pivots;
-    ftran_calls = a.ftran_calls - b.ftran_calls;
-    refactorizations = a.refactorizations - b.refactorizations;
-    full_pricing_scans = a.full_pricing_scans - b.full_pricing_scans;
-    partial_pricing_rounds = a.partial_pricing_rounds - b.partial_pricing_rounds;
-    warm_attempts = a.warm_attempts - b.warm_attempts;
-    warm_accepted = a.warm_accepted - b.warm_accepted;
-    phase1_skipped = a.phase1_skipped - b.phase1_skipped;
-    basis_nnz = a.basis_nnz - b.basis_nnz;
-    factor_nnz = a.factor_nnz - b.factor_nnz;
-    eta_nnz = a.eta_nnz - b.eta_nnz;
-    bound_flips = a.bound_flips - b.bound_flips;
-    phase1_seconds = a.phase1_seconds -. b.phase1_seconds;
-    phase2_seconds = a.phase2_seconds -. b.phase2_seconds;
-  }
 
 exception Iteration_limit of int
 

@@ -55,51 +55,22 @@ type result = {
           unless [status = Optimal]. *)
 }
 
-type counters = {
-  mutable solves : int;
-  mutable pivots : int;  (** Simplex iterations across all solves. *)
-  mutable ftran_calls : int;
-  mutable refactorizations : int;
-  mutable full_pricing_scans : int;
-  mutable partial_pricing_rounds : int;
-  mutable warm_attempts : int;
-  mutable warm_accepted : int;  (** Warm bases installed and primal feasible. *)
-  mutable phase1_skipped : int;
-  mutable basis_nnz : int;
-      (** Nonzeros of the basis matrices factorized, summed over
-          refactorizations; [factor_nnz /. basis_nnz] is the mean fill-in
-          ratio of the sparse LU. *)
-  mutable factor_nnz : int;
-      (** Nonzeros of the L and U factors produced, summed over
-          refactorizations. *)
-  mutable eta_nnz : int;
-      (** Nonzeros appended to product-form eta files, summed over pivots. *)
-  mutable bound_flips : int;
-      (** Ratio tests resolved by flipping the entering column to its other
-          bound (no basis change; not counted in [pivots]). *)
-  mutable phase1_seconds : float;
-      (** Elapsed time in phase 1, timed by the solve itself on the clock
-          spans use ({!Flowsched_obs.Trace.now_us}); solves running at once
-          on other domains do not add to it. *)
-  mutable phase2_seconds : float;  (** Likewise for phase 2. *)
-}
-(** Cumulative solver statistics of the process.
-
-    {b Deprecated interface}: the authoritative store is now the
-    process-wide {!Flowsched_obs.Metrics} registry, under the
-    ["simplex.*"] names ([simplex.solves], [simplex.pivots],
-    [simplex.ftran_calls], ...); this record is a shim read off those
-    handles and kept for existing callers.  New code should read the
-    registry — unlike this record, registry snapshots merge across the
-    worker-pool fork boundary.  Count one section by bracketing it with
-    {!read_counters} and {!diff_counters}. *)
-
-val read_counters : unit -> counters
-(** Snapshot (a copy; safe to retain) of the registry-backed counters. *)
-
-val diff_counters : counters -> counters -> counters
-(** [diff_counters after before]: field-wise subtraction, for per-section
-    accounting without resetting the shared registry. *)
+(** Solver statistics live in the {!Flowsched_obs.Metrics} registry under
+    ["simplex.*"]: the counters [simplex.solves], [simplex.pivots],
+    [simplex.ftran_calls], [simplex.refactorizations],
+    [simplex.full_pricing_scans], [simplex.partial_pricing_rounds],
+    [simplex.warm_attempts], [simplex.warm_accepted],
+    [simplex.phase1_skipped], [simplex.basis_nnz] and [simplex.factor_nnz]
+    (nonzeros of the basis matrices factorized and of their L and U
+    factors, summed over refactorizations: their ratio is the mean LU
+    fill-in), [simplex.eta_nnz] (nonzeros appended to eta files) and
+    [simplex.bound_flips] (ratio tests resolved by flipping the entering
+    column to its other bound, not counted in pivots), and the gauges
+    [simplex.phase1_seconds]/[simplex.phase2_seconds] (elapsed time per
+    phase on the clock spans use, {!Flowsched_obs.Trace.now_us}; solves
+    running at once on other domains do not add to it).  Count one
+    section with {!Flowsched_obs.Metrics.diff} of two snapshots; registry
+    snapshots merge across the worker-pool fork boundary. *)
 
 exception Iteration_limit of int
 (** Raised if the pivot count exceeds the caller's budget — indicates a bug

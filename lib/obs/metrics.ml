@@ -246,6 +246,11 @@ let diff after before =
   merge after (List.map (fun (n, v) -> (n, negate v)) before)
   |> List.filter (fun (_, v) -> not (is_zero v))
 
+let counter_in snap name =
+  match List.assoc_opt name snap with Some (Counter n) -> n | _ -> 0
+
+let gauge_in snap name = match List.assoc_opt name snap with Some (Gauge g) -> g | _ -> 0.
+
 let absorb snap =
   List.iter
     (fun (name, v) ->

@@ -87,6 +87,13 @@ val diff : snapshot -> snapshot -> snapshot
 (** [diff after before]: name-wise subtraction.  Entries equal in both are
     dropped, so a diff of an untouched registry is [[]]. *)
 
+val counter_in : snapshot -> string -> int
+(** The counter [name] in a snapshot or a {!diff}; [0] when absent (a diff
+    drops what did not move). *)
+
+val gauge_in : snapshot -> string -> float
+(** Likewise for a gauge; [0.] when absent. *)
+
 val absorb : snapshot -> unit
 (** Add a snapshot (e.g. a worker's per-job {!diff}) into the live
     registry, creating metrics as needed. *)

@@ -1,75 +1,146 @@
 open Flowsched_switch
-open Flowsched_util
+module Metrics = Flowsched_obs.Metrics
+module Policy = Flowsched_online.Policy
 
-type cell_config = {
-  m : int;
-  rate : float;
-  rounds : int;
-  tries : int;
-  seed : int;
-  with_lp : bool;
+type cell = { workload : string; spec : Scenario.spec; mode : Matrix.mode; lp : bool }
+type entry = { name : string; art : float; mrt : int }
+
+type bound = {
+  kind : string;
+  avg : float;
+  max : float;
+  error : string option;
+  lp_counters : Metrics.snapshot option;
 }
 
-type cell_result = {
-  config : cell_config;
-  flows_mean : float;
-  avg_response : (string * float) list;
-  max_response : (string * float) list;
-  lp_avg_bound : float;
-  lp_max_bound : float;
-}
+type result = { cell : cell; flows : int; entries : entry list; bound : bound; wall_s : float }
 
-let run_cell ~policies config =
-  let per_policy_avg = Hashtbl.create 8 and per_policy_max = Hashtbl.create 8 in
-  let lp_avgs = ref [] and lp_maxs = ref [] in
-  let flow_counts = ref [] in
-  let names = List.map (fun (p : Flowsched_online.Policy.t) -> p.Flowsched_online.Policy.name) policies in
-  List.iter
-    (fun name ->
-      Hashtbl.replace per_policy_avg name [];
-      Hashtbl.replace per_policy_max name [])
-    names;
-  for trial = 0 to config.tries - 1 do
-    let seed = config.seed + (1000 * trial) in
-    let inst = Workload.poisson ~m:config.m ~rate:config.rate ~rounds:config.rounds ~seed in
-    if Instance.n inst > 0 then begin
-      flow_counts := float_of_int (Instance.n inst) :: !flow_counts;
-      let max_makespan = ref 0 in
-      List.iter
-        (fun (p : Flowsched_online.Policy.t) ->
-          let r = Engine.run_instance p inst in
-          max_makespan := max !max_makespan r.Engine.makespan;
-          let name = p.Flowsched_online.Policy.name in
-          Hashtbl.replace per_policy_avg name
-            (Engine.average_response r :: Hashtbl.find per_policy_avg name);
-          Hashtbl.replace per_policy_max name
-            (float_of_int (Engine.max_response r) :: Hashtbl.find per_policy_max name))
-        policies;
-      if config.with_lp then begin
-        (* Horizon must cover the heuristics' schedules for Lemma 3.1 to
-           bound them. *)
-        let horizon = max (Flowsched_core.Art_lp.default_horizon inst) !max_makespan in
-        let bound = Flowsched_core.Art_lp.lower_bound ~horizon inst in
-        lp_avgs := bound.Flowsched_core.Art_lp.average :: !lp_avgs;
-        let rho = Flowsched_core.Mrt_scheduler.min_fractional_rho inst in
-        lp_maxs := float_of_int rho :: !lp_maxs
-      end
-    end
-  done;
-  let mean = function [] -> nan | xs -> Stats.mean (Array.of_list xs) in
-  {
-    config;
-    flows_mean = mean !flow_counts;
-    avg_response = List.map (fun n -> (n, mean (Hashtbl.find per_policy_avg n))) names;
-    max_response = List.map (fun n -> (n, mean (Hashtbl.find per_policy_max n))) names;
-    lp_avg_bound = (if config.with_lp then mean !lp_avgs else nan);
-    lp_max_bound = (if config.with_lp then mean !lp_maxs else nan);
-  }
+let grid ~kinds ~modes ~m ~rates ~rounds ~max_demand ~seeds ~lp =
+  let ( let* ) = Result.bind in
+  let* parsed =
+    List.fold_right
+      (fun w acc ->
+        let* acc = acc in
+        let* kind = Scenario.of_string w in
+        Ok ((w, kind) :: acc))
+      kinds (Ok [])
+  in
+  let each xs f = List.concat_map f xs in
+  Ok
+    (each parsed (fun (workload, kind) ->
+         each modes (fun mode ->
+             each rates (fun rate ->
+                 each rounds (fun rounds ->
+                     List.map
+                       (fun seed ->
+                         { workload; spec = { Scenario.kind; m; rate; rounds; max_demand; seed }; mode; lp })
+                       seeds)))))
 
-(* Fan a list of independent cells across the Pool; results come back in
-   input order, so output is identical to the sequential path (jobs <= 1
-   goes through the pool's inline mode, which shares the retry, timeout,
-   backoff, and fault-injection semantics of the forked path). *)
+let describe c =
+  let s = c.spec in
+  Printf.sprintf "%s %s m=%d rate=%.1f T=%d seed=%d lp=%b" c.workload
+    (Matrix.mode_to_string c.mode) s.Scenario.m s.Scenario.rate s.Scenario.rounds
+    s.Scenario.seed c.lp
+
+let no_bound = { kind = "none"; avg = nan; max = nan; error = None; lp_counters = None }
+
+(* Test seam: when set, the LP section of a cell raises this exception
+   instead of solving — the only way to exercise the graceful-degradation
+   path deterministically (real Iteration_limit needs a pathological
+   instance far too slow for the suite). *)
+let lp_failure_for_tests : exn option ref = ref None
+
+let c_lp_errors = Metrics.counter "sweep.lp_errors"
+
+(* The one LP section of a grid cell.  The simplex counts are bracketed
+   with registry snapshots (NOT a reset: a reset would wipe the other
+   cells' contribution to the process totals, and with it the guarantee
+   that merged --jobs N registry totals equal a --jobs 1 run); the diff
+   rides back through the worker pool with the rest of the result.  One
+   pathological cell (pivot-budget blowout, infeasibility surfacing as
+   Failure) must not abort the whole grid: it reports nan bounds plus the
+   error text instead. *)
+let lp_bound ~kind ~makespan inst =
+  let before = Metrics.snapshot () in
+  let lp_counters () =
+    Some
+      (List.filter
+         (fun (name, _) -> String.starts_with ~prefix:"simplex." name)
+         (Metrics.diff (Metrics.snapshot ()) before))
+  in
+  try
+    Option.iter raise !lp_failure_for_tests;
+    (* The horizon must cover the heuristics' schedules for Lemma 3.1 to
+       bound them. *)
+    let horizon = max (Flowsched_core.Art_lp.default_horizon inst) makespan in
+    let bound = Flowsched_core.Art_lp.lower_bound ~horizon inst in
+    let rho = Flowsched_core.Mrt_scheduler.min_fractional_rho inst in
+    let avg = bound.Flowsched_core.Art_lp.average in
+    { kind; avg; max = float_of_int rho; error = None; lp_counters = lp_counters () }
+  with (Flowsched_lp.Simplex.Iteration_limit _ | Failure _) as e ->
+    Metrics.incr c_lp_errors;
+    { kind; avg = nan; max = nan; error = Some (Printexc.to_string e); lp_counters = lp_counters () }
+
+(* Every policy's entry and the longest makespan, which the LP horizon
+   must cover. *)
+let run_policies ?endpoint ?(wrap = Fun.id) policies inst =
+  let makespan = ref 0 in
+  let entries =
+    List.map
+      (fun (p : Policy.t) ->
+        let r = Engine.run_instance ?endpoint (wrap p) inst in
+        makespan := max !makespan r.Engine.makespan;
+        { name = p.Policy.name; art = Engine.average_response r; mrt = Engine.max_response r })
+      policies
+  in
+  (entries, !makespan)
+
+let run_cell ~policies cell =
+  Flowsched_obs.Trace.with_span "sweep.cell"
+    ~args:(fun () -> [ ("cell", Flowsched_util.Json.Str (describe cell)) ])
+  @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let inst = Scenario.instance cell.spec in
+  let flows = Instance.n inst in
+  let lp kind ~makespan = if cell.lp then lp_bound ~kind ~makespan inst else no_bound in
+  let entries, bound =
+    if flows = 0 then
+      (List.map (fun (p : Policy.t) -> { name = p.Policy.name; art = nan; mrt = 0 }) policies, no_bound)
+    else
+      match cell.mode with
+      | Matrix.Flows ->
+          let entries, makespan = run_policies policies inst in
+          (entries, lp "lp" ~makespan)
+      | Matrix.Endpoint { nodes; node_cap } ->
+          let ep = Matrix.endpoint_for inst ~nodes ~node_cap in
+          let entries, makespan = run_policies ~endpoint:ep ~wrap:(Matrix.node_guard ep) policies inst in
+          let fifo = Flowsched_core.Baselines.fifo_endpoint ep inst in
+          let fifo =
+            { name = "fifo-endpoint"; art = Schedule.average_response inst fifo; mrt = Schedule.max_response inst fifo }
+          in
+          (* Node caps only remove schedules, so the port-capacity LP is
+             still a valid (relaxed) lower bound for this mode. *)
+          (entries @ [ fifo ], lp "lp-relaxed" ~makespan)
+      | Matrix.Coflow { groups; max_weight } ->
+          let module C = Flowsched_core.Coflow in
+          let cof = Matrix.weighted_coflows ~seed:cell.spec.Scenario.seed ~groups ~max_weight inst in
+          let entry name sched =
+            { name; art = C.weighted_average_response cof sched; mrt = C.max_response cof sched }
+          in
+          ( [ entry "wsebf" (C.wsebf cof); entry "sebf" (C.sebf cof); entry "flow-fifo" (C.flow_fifo cof) ],
+            {
+              no_bound with
+              kind = "bottleneck";
+              avg = C.weighted_bottleneck_bound cof;
+              max = float_of_int (C.max_bottleneck_bound cof);
+            } )
+  in
+  { cell; flows; entries; bound; wall_s = Unix.gettimeofday () -. t0 }
+
+(* The one cell fan-out: results come back in input order, so output is
+   identical to the sequential path (jobs <= 1 goes through the pool's
+   inline mode, which shares the retry, timeout, backoff, and
+   fault-injection semantics of the forked path). *)
 let map_cells ~jobs ?timeout ?(retries = 1) ?faults ?on_result ~describe ~progress ~f items =
   let arr = Array.of_list items in
   let open Flowsched_exec in
@@ -98,145 +169,45 @@ let map_cells ~jobs ?timeout ?(retries = 1) ?faults ?on_result ~describe ~progre
            failwith
              (Printf.sprintf "experiment job failed after %d attempts: %s" attempts reason))
 
-let describe_cell config =
-  Printf.sprintf "cell m=%d rate=%.1f T=%d lp=%b" config.m config.rate config.rounds
-    config.with_lp
+let run ~policies ?(progress = ignore) ?(jobs = 1) ?timeout ?retries ?faults ?on_result cells =
+  map_cells ~jobs ?timeout ?retries ?faults ?on_result ~describe ~progress
+    ~f:(run_cell ~policies) cells
 
-let run_grid ~policies ?(progress = fun _ -> ()) ?(jobs = 1) configs =
-  map_cells ~jobs ~describe:describe_cell ~progress ~f:(run_cell ~policies) configs
-
-(* ------------------------------------------------------------------ *)
-(* Sweep cells: one workload instance per cell (no averaging), every    *)
-(* policy measured, optional LP bounds, wall-clock recorded — the unit  *)
-(* of the machine-readable sweep artifact.                              *)
-(* ------------------------------------------------------------------ *)
-
-type sweep_config = {
-  workload : string;
-  ports : int;
-  arrival_rate : float;
-  horizon : int;
-  max_demand : int;
-  sweep_seed : int;
-  lp : bool;
-}
-
-type sweep_policy_result = { policy : string; art : float; mrt : int }
-
-type sweep_result = {
-  sweep : sweep_config;
-  flows : int;
-  per_policy : sweep_policy_result list;
-  lp_avg : float;
-  lp_max : float;
-  lp_counters : Flowsched_lp.Simplex.counters option;
-  lp_error : string option;
-  wall_s : float;
-}
-
-let sweep_instance s =
-  match Scenario.of_string s.workload with
-  | Error msg -> invalid_arg ("Experiment.sweep_instance: " ^ msg)
-  | Ok kind ->
-      Scenario.instance
-        {
-          Scenario.kind;
-          m = s.ports;
-          rate = s.arrival_rate;
-          rounds = s.horizon;
-          max_demand = s.max_demand;
-          seed = s.sweep_seed;
-        }
-
-(* Test seam: when set, the LP section of a sweep cell raises this
-   exception instead of solving — the only way to exercise the graceful-
-   degradation path deterministically (real Iteration_limit needs a
-   pathological instance far too slow for the suite). *)
-let lp_failure_for_tests : exn option ref = ref None
-
-let c_lp_errors = Flowsched_obs.Metrics.counter "sweep.lp_errors"
-
-let run_sweep_cell_timed ~policies s =
-  let t0 = Unix.gettimeofday () in
-  let inst = sweep_instance s in
-  let flows = Instance.n inst in
-  let max_makespan = ref 0 in
-  let per_policy =
-    List.map
-      (fun (p : Flowsched_online.Policy.t) ->
-        let name = p.Flowsched_online.Policy.name in
-        if flows = 0 then { policy = name; art = nan; mrt = 0 }
-        else begin
-          let r = Engine.run_instance p inst in
-          max_makespan := max !max_makespan r.Engine.makespan;
-          { policy = name; art = Engine.average_response r; mrt = Engine.max_response r }
-        end)
-      policies
-  in
-  let lp_avg, lp_max, lp_counters, lp_error =
-    if s.lp && flows > 0 then begin
-      (* Counters are global and per-process; each cell brackets its LP
-         section with read/diff (NOT reset: a reset would wipe the other
-         cells' contribution to the process totals, and with it the
-         guarantee that merged --jobs N registry totals equal a --jobs 1
-         run).  The per-cell diff rides back through the worker pool with
-         the rest of the cell result. *)
-      let before = Flowsched_lp.Simplex.read_counters () in
-      let diff () =
-        Some (Flowsched_lp.Simplex.diff_counters (Flowsched_lp.Simplex.read_counters ()) before)
-      in
-      (* Graceful degradation: one pathological cell (pivot-budget blowout,
-         infeasibility surfacing as Failure) must not abort the whole grid;
-         it reports nan bounds plus the error text instead. *)
-      try
-        (match !lp_failure_for_tests with Some e -> raise e | None -> ());
-        let horizon = max (Flowsched_core.Art_lp.default_horizon inst) !max_makespan in
-        let bound = Flowsched_core.Art_lp.lower_bound ~horizon inst in
-        let rho = Flowsched_core.Mrt_scheduler.min_fractional_rho inst in
-        (bound.Flowsched_core.Art_lp.average, float_of_int rho, diff (), None)
-      with (Flowsched_lp.Simplex.Iteration_limit _ | Failure _) as e ->
-        Flowsched_obs.Metrics.incr c_lp_errors;
-        (nan, nan, diff (), Some (Printexc.to_string e))
-    end
-    else (nan, nan, None, None)
-  in
-  {
-    sweep = s;
-    flows;
-    per_policy;
-    lp_avg;
-    lp_max;
-    lp_counters;
-    lp_error;
-    wall_s = Unix.gettimeofday () -. t0;
-  }
-
-let describe_sweep s =
-  Printf.sprintf "sweep %s m=%d rate=%.1f T=%d seed=%d lp=%b" s.workload s.ports
-    s.arrival_rate s.horizon s.sweep_seed s.lp
-
-let run_sweep_cell ~policies s =
-  Flowsched_obs.Trace.with_span "sweep.cell"
-    ~args:(fun () -> [ ("cell", Json.Str (describe_sweep s)) ])
-    (fun () -> run_sweep_cell_timed ~policies s)
-
-let run_sweep ~policies ?(progress = fun _ -> ()) ?(jobs = 1) ?timeout ?retries ?faults
-    ?on_result cells =
-  map_cells ~jobs ?timeout ?retries ?faults ?on_result ~describe:describe_sweep ~progress
-    ~f:(run_sweep_cell ~policies) cells
+let strip_timing r =
+  let timed (name, _) = name = "simplex.phase1_seconds" || name = "simplex.phase2_seconds" in
+  let lp_counters = Option.map (List.filter (fun e -> not (timed e))) r.bound.lp_counters in
+  { r with wall_s = 0.; bound = { r.bound with lp_counters } }
 
 let fig6_grid ?(m = 6) ?(tries = 3) ?(seed = 1) ?(lp_rounds_limit = 12) ~congestion ~rounds () =
+  if tries < 1 then invalid_arg "Experiment.fig6_grid: tries must be >= 1";
   List.concat_map
     (fun c ->
       List.map
         (fun t ->
-          {
-            m;
-            rate = c *. float_of_int m;
-            rounds = t;
-            tries;
-            seed = seed + int_of_float (c *. 1_000_000.) + (17 * t);
-            with_lp = t <= lp_rounds_limit;
-          })
+          let seed = seed + int_of_float (c *. 1_000_000.) + (17 * t) in
+          List.init tries (fun trial ->
+              {
+                workload = "poisson";
+                spec =
+                  {
+                    Scenario.kind = Scenario.Poisson;
+                    m;
+                    rate = c *. float_of_int m;
+                    rounds = t;
+                    max_demand = 1;
+                    seed = seed + (1000 * trial);
+                  };
+                mode = Matrix.Flows;
+                lp = t <= lp_rounds_limit;
+              }))
         rounds)
     congestion
+
+let run_grid ~policies ?(progress = ignore) ?(jobs = 1) rows =
+  map_cells ~jobs ~describe:(fun row -> describe (List.hd row)) ~progress rows
+    ~f:
+      (List.map (fun cell ->
+           let r = run_cell ~policies cell in
+           match r.bound.error with
+           | Some e -> failwith (Printf.sprintf "LP bound of %s failed: %s" (describe cell) e)
+           | None -> r))

@@ -1,15 +1,34 @@
 open Flowsched_util
+module E = Experiment
 
-let series objective (cell : Experiment.cell_result) =
-  match objective with
-  | `Avg -> (cell.Experiment.avg_response, cell.Experiment.lp_avg_bound)
-  | `Max -> (cell.Experiment.max_response, cell.Experiment.lp_max_bound)
+(* ------------------------------------------------------------------ *)
+(* Figures 6 and 7: a row is the mean over its tries                   *)
+(* ------------------------------------------------------------------ *)
 
-let table objective results =
+(* Tries that drew an empty instance are skipped, and the rest are summed
+   newest first: a float sum's last bits depend on its order, and
+   goldens/figures.json pins this one. *)
+let row_mean f row =
+  Stats.mean (Array.of_list (List.rev_map f (List.filter (fun (r : E.result) -> r.E.flows > 0) row)))
+
+(* Per-policy means of one objective, and the mean of its bound. *)
+let series objective row =
+  let value, bound =
+    match objective with
+    | `Avg -> ((fun (e : E.entry) -> e.E.art), fun (b : E.bound) -> b.E.avg)
+    | `Max -> ((fun e -> float_of_int e.E.mrt), fun b -> b.E.max)
+  in
+  ( List.mapi
+      (fun i (e : E.entry) ->
+        (e.E.name, row_mean (fun (r : E.result) -> value (List.nth r.E.entries i)) row))
+      (List.hd row).E.entries,
+    row_mean (fun r -> bound r.E.bound) row )
+
+let row_spec row = (List.hd row).E.cell.E.spec
+
+let table objective rows =
   let policy_names =
-    match results with
-    | [] -> []
-    | cell :: _ -> List.map fst (fst (series objective cell))
+    match rows with [] -> [] | row :: _ -> List.map fst (fst (series objective row))
   in
   let columns =
     [ ("M/m", Table.Right); ("T", Table.Right); ("flows", Table.Right) ]
@@ -21,111 +40,90 @@ let table objective results =
   let t = Table.create columns in
   let last_congestion = ref nan in
   List.iter
-    (fun (cell : Experiment.cell_result) ->
-      let cfg = cell.Experiment.config in
-      let congestion = cfg.Experiment.rate /. float_of_int cfg.Experiment.m in
+    (fun row ->
+      let s = row_spec row in
+      let congestion = s.Scenario.rate /. float_of_int s.Scenario.m in
       if (not (Float.is_nan !last_congestion)) && congestion <> !last_congestion then
         Table.add_separator t;
       last_congestion := congestion;
-      let values, lp = series objective cell in
+      let values, lp = series objective row in
       Table.add_row t
         ([
            Table.cell_float ~decimals:2 congestion;
-           string_of_int cfg.Experiment.rounds;
-           Table.cell_float ~decimals:1 cell.Experiment.flows_mean;
+           string_of_int s.Scenario.rounds;
+           Table.cell_float ~decimals:1 (row_mean (fun r -> float_of_int r.E.flows) row);
          ]
         @ List.concat_map
             (fun (_, v) -> [ Table.cell_float v; Table.cell_ratio v lp ])
             values
         @ [ Table.cell_float lp ]))
-    results;
+    rows;
   Table.render t
 
-let fig6_table results = table `Avg results
-let fig7_table results = table `Max results
-
-(* ------------------------------------------------------------------ *)
-(* JSON artifacts                                                      *)
-(* ------------------------------------------------------------------ *)
+let fig6_table rows = table `Avg rows
+let fig7_table rows = table `Max rows
 
 let policy_series_json values = Json.Obj (List.map (fun (name, v) -> (name, Json.float v)) values)
 
-let cell_json (cell : Experiment.cell_result) =
-  let cfg = cell.Experiment.config in
+let row_json row =
+  let s = row_spec row in
+  let avg, lp_avg = series `Avg row and mrt, lp_max = series `Max row in
   Json.Obj
     [
-      ("m", Json.Int cfg.Experiment.m);
-      ("rate", Json.Float cfg.Experiment.rate);
-      ("rounds", Json.Int cfg.Experiment.rounds);
-      ("tries", Json.Int cfg.Experiment.tries);
-      ("seed", Json.Int cfg.Experiment.seed);
-      ("with_lp", Json.Bool cfg.Experiment.with_lp);
-      ("flows_mean", Json.float cell.Experiment.flows_mean);
-      ("avg_response", policy_series_json cell.Experiment.avg_response);
-      ("max_response", policy_series_json cell.Experiment.max_response);
-      ("lp_avg_bound", Json.float cell.Experiment.lp_avg_bound);
-      ("lp_max_bound", Json.float cell.Experiment.lp_max_bound);
+      ("m", Json.Int s.Scenario.m);
+      ("rate", Json.Float s.Scenario.rate);
+      ("rounds", Json.Int s.Scenario.rounds);
+      ("tries", Json.Int (List.length row));
+      ("seed", Json.Int s.Scenario.seed);
+      ("with_lp", Json.Bool (List.hd row).E.cell.E.lp);
+      ("flows_mean", Json.float (row_mean (fun r -> float_of_int r.E.flows) row));
+      ("avg_response", policy_series_json avg);
+      ("max_response", policy_series_json mrt);
+      ("lp_avg_bound", Json.float lp_avg);
+      ("lp_max_bound", Json.float lp_max);
     ]
 
-let figures_json ?(jobs = 1) results =
+let figures_json ?(jobs = 1) rows =
   Json.Obj
     [
       ("schema", Json.Str "flowsched-figures/1");
       ("jobs", Json.Int jobs);
-      ("cells", Json.Arr (List.map cell_json results));
+      ("cells", Json.Arr (List.map row_json rows));
     ]
 
-let lp_counters_json (c : Flowsched_lp.Simplex.counters) =
-  Json.Obj
-    [
-      ("solves", Json.Int c.Flowsched_lp.Simplex.solves);
-      ("pivots", Json.Int c.Flowsched_lp.Simplex.pivots);
-      ("ftran_calls", Json.Int c.Flowsched_lp.Simplex.ftran_calls);
-      ("refactorizations", Json.Int c.Flowsched_lp.Simplex.refactorizations);
-      ("full_pricing_scans", Json.Int c.Flowsched_lp.Simplex.full_pricing_scans);
-      ("partial_pricing_rounds", Json.Int c.Flowsched_lp.Simplex.partial_pricing_rounds);
-      ("warm_attempts", Json.Int c.Flowsched_lp.Simplex.warm_attempts);
-      ("warm_accepted", Json.Int c.Flowsched_lp.Simplex.warm_accepted);
-      ("phase1_skipped", Json.Int c.Flowsched_lp.Simplex.phase1_skipped);
-      ("basis_nnz", Json.Int c.Flowsched_lp.Simplex.basis_nnz);
-      ("factor_nnz", Json.Int c.Flowsched_lp.Simplex.factor_nnz);
-      ("eta_nnz", Json.Int c.Flowsched_lp.Simplex.eta_nnz);
-      ("bound_flips", Json.Int c.Flowsched_lp.Simplex.bound_flips);
-      ("phase1_seconds", Json.float c.Flowsched_lp.Simplex.phase1_seconds);
-      ("phase2_seconds", Json.float c.Flowsched_lp.Simplex.phase2_seconds);
-    ]
+(* ------------------------------------------------------------------ *)
+(* Sweep and matrix artifacts                                          *)
+(* ------------------------------------------------------------------ *)
 
-let sweep_cell_json (r : Experiment.sweep_result) =
-  let s = r.Experiment.sweep in
+let option f = function None -> Json.Null | Some v -> f v
+
+let sweep_cell_json (r : E.result) =
+  let s = r.E.cell.E.spec and b = r.E.bound in
   Json.Obj
     [
-      ("workload", Json.Str s.Experiment.workload);
-      ("m", Json.Int s.Experiment.ports);
-      ("rate", Json.Float s.Experiment.arrival_rate);
-      ("rounds", Json.Int s.Experiment.horizon);
-      ("max_demand", Json.Int s.Experiment.max_demand);
-      ("seed", Json.Int s.Experiment.sweep_seed);
-      ("flows", Json.Int r.Experiment.flows);
+      ("workload", Json.Str r.E.cell.E.workload);
+      ("m", Json.Int s.Scenario.m);
+      ("rate", Json.Float s.Scenario.rate);
+      ("rounds", Json.Int s.Scenario.rounds);
+      ("max_demand", Json.Int s.Scenario.max_demand);
+      ("seed", Json.Int s.Scenario.seed);
+      ("flows", Json.Int r.E.flows);
       ( "policies",
         Json.Arr
           (List.map
-             (fun (p : Experiment.sweep_policy_result) ->
+             (fun (e : E.entry) ->
                Json.Obj
                  [
-                   ("name", Json.Str p.Experiment.policy);
-                   ("avg_response", Json.float p.Experiment.art);
-                   ("max_response", Json.Int p.Experiment.mrt);
+                   ("name", Json.Str e.E.name);
+                   ("avg_response", Json.float e.E.art);
+                   ("max_response", Json.Int e.E.mrt);
                  ])
-             r.Experiment.per_policy) );
-      ("lp_avg_bound", Json.float r.Experiment.lp_avg);
-      ("lp_max_bound", Json.float r.Experiment.lp_max);
-      ( "lp_counters",
-        match r.Experiment.lp_counters with
-        | None -> Json.Null
-        | Some c -> lp_counters_json c );
-      ( "lp_error",
-        match r.Experiment.lp_error with None -> Json.Null | Some e -> Json.Str e );
-      ("wall_clock_s", Json.float r.Experiment.wall_s);
+             r.E.entries) );
+      ("lp_avg_bound", Json.float b.E.avg);
+      ("lp_max_bound", Json.float b.E.max);
+      ("lp_counters", option Checkpoint.lp_counters_json b.E.lp_counters);
+      ("lp_error", option (fun e -> Json.Str e) b.E.error);
+      ("wall_clock_s", Json.float r.E.wall_s);
     ]
 
 let sweep_json ?(jobs = 1) ?metrics results =
@@ -139,109 +137,40 @@ let sweep_json ?(jobs = 1) ?metrics results =
       | None -> []
       | Some m -> [ ("metrics", m) ])
 
-(* ------------------------------------------------------------------ *)
-(* Artifact decoders — exact inverses of the cell encoders above, used  *)
-(* by Checkpoint to reload completed cells.  Invariant (tested):        *)
-(* re-encoding a decoded cell reproduces the original bytes, which is   *)
-(* what makes a resumed sweep artifact byte-identical.                  *)
-(* ------------------------------------------------------------------ *)
+let matrix_cell_json (r : E.result) =
+  let c = r.E.cell and b = r.E.bound in
+  let s = c.E.spec in
+  Json.Obj
+    [
+      ("workload", Json.Str (Scenario.to_string s.Scenario.kind));
+      ("mode", Json.Str (Matrix.mode_to_string c.E.mode));
+      ("m", Json.Int s.Scenario.m);
+      ("rate", Json.Float s.Scenario.rate);
+      ("rounds", Json.Int s.Scenario.rounds);
+      ("max_demand", Json.Int s.Scenario.max_demand);
+      ("seed", Json.Int s.Scenario.seed);
+      ("lp", Json.Bool c.E.lp);
+      ("flows", Json.Int r.E.flows);
+      ( "entries",
+        Json.Arr
+          (List.map
+             (fun (e : E.entry) ->
+               Json.Obj
+                 [
+                   ("policy", Json.Str e.E.name);
+                   ("art", Json.float e.E.art);
+                   ("mrt", Json.Int e.E.mrt);
+                 ])
+             r.E.entries) );
+      ("bound_kind", Json.Str b.E.kind);
+      ("bound_avg", Json.float b.E.avg);
+      ("bound_max", Json.float b.E.max);
+      ("error", option (fun e -> Json.Str e) b.E.error);
+    ]
 
-(* The deterministic projection of a sweep result: everything except the
-   wall-clock readings, which legitimately differ between two runs of the
-   same cell.  Two computations of one cell must agree here byte-for-byte
-   — the merge pipeline's duplicate audit and the chaos tests both compare
-   [sweep_cell_json (strip_sweep_timing r)] strings. *)
-let strip_sweep_timing (r : Experiment.sweep_result) =
-  let lp_counters =
-    Option.map
-      (fun (c : Flowsched_lp.Simplex.counters) ->
-        { c with Flowsched_lp.Simplex.phase1_seconds = 0.; phase2_seconds = 0. })
-      r.Experiment.lp_counters
-  in
-  { r with Experiment.wall_s = 0.; lp_counters }
-
-exception Decode of string
-
-let req what = function Some v -> v | None -> raise (Decode (what ^ ": missing or mistyped"))
-let req_int j name = req name (Option.bind (Json.member name j) Json.to_int_opt)
-let req_float j name = req name (Option.bind (Json.member name j) Json.to_float_opt)
-let req_str j name = req name (Option.bind (Json.member name j) Json.to_string_opt)
-
-let opt_str j name =
-  match Json.member name j with
-  | None | Some Json.Null -> None
-  | Some v -> Some (req name (Json.to_string_opt v))
-
-let lp_counters_of_json j =
-  {
-    Flowsched_lp.Simplex.solves = req_int j "solves";
-    pivots = req_int j "pivots";
-    ftran_calls = req_int j "ftran_calls";
-    refactorizations = req_int j "refactorizations";
-    full_pricing_scans = req_int j "full_pricing_scans";
-    partial_pricing_rounds = req_int j "partial_pricing_rounds";
-    warm_attempts = req_int j "warm_attempts";
-    warm_accepted = req_int j "warm_accepted";
-    phase1_skipped = req_int j "phase1_skipped";
-    basis_nnz = req_int j "basis_nnz";
-    factor_nnz = req_int j "factor_nnz";
-    eta_nnz = req_int j "eta_nnz";
-    bound_flips = req_int j "bound_flips";
-    phase1_seconds = req_float j "phase1_seconds";
-    phase2_seconds = req_float j "phase2_seconds";
-  }
-
-let check what expected got = if expected <> got then raise (Decode ("mismatched " ^ what))
-
-let sweep_result_of_json ~sweep j =
-  try
-    check "workload" sweep.Experiment.workload (req_str j "workload");
-    check "m" sweep.Experiment.ports (req_int j "m");
-    check "seed" sweep.Experiment.sweep_seed (req_int j "seed");
-    check "rounds" sweep.Experiment.horizon (req_int j "rounds");
-    let per_policy =
-      match Json.member "policies" j with
-      | Some (Json.Arr pols) ->
-          List.map
-            (fun pj ->
-              {
-                Experiment.policy = req_str pj "name";
-                art = req_float pj "avg_response";
-                mrt = req_int pj "max_response";
-              })
-            pols
-      | _ -> raise (Decode "policies: missing or mistyped")
-    in
-    let lp_counters =
-      match Json.member "lp_counters" j with
-      | None | Some Json.Null -> None
-      | Some c -> Some (lp_counters_of_json c)
-    in
-    Ok
-      {
-        Experiment.sweep;
-        flows = req_int j "flows";
-        per_policy;
-        lp_avg = req_float j "lp_avg_bound";
-        lp_max = req_float j "lp_max_bound";
-        lp_counters;
-        lp_error = opt_str j "lp_error";
-        wall_s = req_float j "wall_clock_s";
-      }
-  with Decode msg -> Error msg
-
-let csv ~objective results =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "m,rate,rounds,tries,flows,policy,value,lp_bound\n";
-  List.iter
-    (fun (cell : Experiment.cell_result) ->
-      let cfg = cell.Experiment.config in
-      let values, lp = series objective cell in
-      List.iter
-        (fun (name, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%d,%g,%d,%d,%g,%s,%g,%g\n" cfg.Experiment.m cfg.Experiment.rate
-               cfg.Experiment.rounds cfg.Experiment.tries cell.Experiment.flows_mean name v lp))
-        values)
-    results;
-  Buffer.contents buf
+let matrix_json results =
+  Json.Obj
+    [
+      ("schema", Json.Str "flowsched-matrix/1");
+      ("cells", Json.Arr (List.map matrix_cell_json results));
+    ]

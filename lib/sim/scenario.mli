@@ -7,7 +7,7 @@
 
     {!of_string}/{!to_string} are THE workload-kind parser: the CLI
     ([generate], [serve], [sweep], [merge], [matrix]) and
-    {!Experiment.sweep_instance} all go through this pair, so adding a kind
+    {!Experiment.grid} all go through this pair, so adding a kind
     means extending the variant, these two functions, {!instance} and
     {!stream} — nothing else. *)
 

@@ -10,7 +10,8 @@
    depend on every rounding of its solves.  The Theorem 3 rho search is
    kept as the plain bisection over [1, Art_lp.default_horizon] it was
    before its bracket, with the random capacitated instances it is
-   compared on. *)
+   compared on, and a Figure 6/7 row as it was averaged before the one
+   grid cell. *)
 
 open Flowsched_switch
 open Flowsched_bipartite
@@ -860,4 +861,167 @@ module Incremental = struct
 
   let stats t =
     { fast_binds = t.fast_binds; rebinds = t.rebinds; searches = t.searches; augments = t.augments }
+end
+
+(* A Figure 6/7 row as it was computed before the one grid cell: its own
+   config record, a per-try loop over Poisson instances that averages
+   every policy and the LP bounds, and the table and JSON renderers of
+   that record, copied unchanged: the oracle for the property that a row
+   of grid cells, averaged by [Flowsched_sim.Report], renders the same
+   bytes. *)
+module Figures = struct
+  open Flowsched_util
+  open Flowsched_sim
+
+  type cell_config = {
+    m : int;
+    rate : float;
+    rounds : int;
+    tries : int;
+    seed : int;
+    with_lp : bool;
+  }
+
+  type cell_result = {
+    config : cell_config;
+    flows_mean : float;
+    avg_response : (string * float) list;
+    max_response : (string * float) list;
+    lp_avg_bound : float;
+    lp_max_bound : float;
+  }
+
+  let run_cell ~policies config =
+    let per_policy_avg = Hashtbl.create 8 and per_policy_max = Hashtbl.create 8 in
+    let lp_avgs = ref [] and lp_maxs = ref [] in
+    let flow_counts = ref [] in
+    let names = List.map (fun (p : Flowsched_online.Policy.t) -> p.Flowsched_online.Policy.name) policies in
+    List.iter
+      (fun name ->
+        Hashtbl.replace per_policy_avg name [];
+        Hashtbl.replace per_policy_max name [])
+      names;
+    for trial = 0 to config.tries - 1 do
+      let seed = config.seed + (1000 * trial) in
+      let inst = Workload.poisson ~m:config.m ~rate:config.rate ~rounds:config.rounds ~seed in
+      if Instance.n inst > 0 then begin
+        flow_counts := float_of_int (Instance.n inst) :: !flow_counts;
+        let max_makespan = ref 0 in
+        List.iter
+          (fun (p : Flowsched_online.Policy.t) ->
+            let r = Engine.run_instance p inst in
+            max_makespan := max !max_makespan r.Engine.makespan;
+            let name = p.Flowsched_online.Policy.name in
+            Hashtbl.replace per_policy_avg name
+              (Engine.average_response r :: Hashtbl.find per_policy_avg name);
+            Hashtbl.replace per_policy_max name
+              (float_of_int (Engine.max_response r) :: Hashtbl.find per_policy_max name))
+          policies;
+        if config.with_lp then begin
+          (* Horizon must cover the heuristics' schedules for Lemma 3.1 to
+             bound them. *)
+          let horizon = max (Flowsched_core.Art_lp.default_horizon inst) !max_makespan in
+          let bound = Flowsched_core.Art_lp.lower_bound ~horizon inst in
+          lp_avgs := bound.Flowsched_core.Art_lp.average :: !lp_avgs;
+          let rho = Flowsched_core.Mrt_scheduler.min_fractional_rho inst in
+          lp_maxs := float_of_int rho :: !lp_maxs
+        end
+      end
+    done;
+    let mean = function [] -> nan | xs -> Stats.mean (Array.of_list xs) in
+    {
+      config;
+      flows_mean = mean !flow_counts;
+      avg_response = List.map (fun n -> (n, mean (Hashtbl.find per_policy_avg n))) names;
+      max_response = List.map (fun n -> (n, mean (Hashtbl.find per_policy_max n))) names;
+      lp_avg_bound = (if config.with_lp then mean !lp_avgs else nan);
+      lp_max_bound = (if config.with_lp then mean !lp_maxs else nan);
+    }
+
+  let fig6_grid ?(m = 6) ?(tries = 3) ?(seed = 1) ?(lp_rounds_limit = 12) ~congestion ~rounds () =
+    List.concat_map
+      (fun c ->
+        List.map
+          (fun t ->
+            {
+              m;
+              rate = c *. float_of_int m;
+              rounds = t;
+              tries;
+              seed = seed + int_of_float (c *. 1_000_000.) + (17 * t);
+              with_lp = t <= lp_rounds_limit;
+            })
+          rounds)
+      congestion
+
+  let series objective (cell : cell_result) =
+    match objective with
+    | `Avg -> (cell.avg_response, cell.lp_avg_bound)
+    | `Max -> (cell.max_response, cell.lp_max_bound)
+
+  let table objective results =
+    let policy_names =
+      match results with
+      | [] -> []
+      | cell :: _ -> List.map fst (fst (series objective cell))
+    in
+    let columns =
+      [ ("M/m", Table.Right); ("T", Table.Right); ("flows", Table.Right) ]
+      @ List.concat_map
+          (fun n -> [ (n, Table.Right); (n ^ "/LP", Table.Right) ])
+          policy_names
+      @ [ ("LP bound", Table.Right) ]
+    in
+    let t = Table.create columns in
+    let last_congestion = ref nan in
+    List.iter
+      (fun (cell : cell_result) ->
+        let cfg = cell.config in
+        let congestion = cfg.rate /. float_of_int cfg.m in
+        if (not (Float.is_nan !last_congestion)) && congestion <> !last_congestion then
+          Table.add_separator t;
+        last_congestion := congestion;
+        let values, lp = series objective cell in
+        Table.add_row t
+          ([
+             Table.cell_float ~decimals:2 congestion;
+             string_of_int cfg.rounds;
+             Table.cell_float ~decimals:1 cell.flows_mean;
+           ]
+          @ List.concat_map
+              (fun (_, v) -> [ Table.cell_float v; Table.cell_ratio v lp ])
+              values
+          @ [ Table.cell_float lp ]))
+      results;
+    Table.render t
+
+  let fig6_table results = table `Avg results
+  let fig7_table results = table `Max results
+
+  let policy_series_json values = Json.Obj (List.map (fun (name, v) -> (name, Json.float v)) values)
+
+  let cell_json (cell : cell_result) =
+    let cfg = cell.config in
+    Json.Obj
+      [
+        ("m", Json.Int cfg.m);
+        ("rate", Json.Float cfg.rate);
+        ("rounds", Json.Int cfg.rounds);
+        ("tries", Json.Int cfg.tries);
+        ("seed", Json.Int cfg.seed);
+        ("with_lp", Json.Bool cfg.with_lp);
+        ("flows_mean", Json.float cell.flows_mean);
+        ("avg_response", policy_series_json cell.avg_response);
+        ("max_response", policy_series_json cell.max_response);
+        ("lp_avg_bound", Json.float cell.lp_avg_bound);
+        ("lp_max_bound", Json.float cell.lp_max_bound);
+      ]
+
+  let figures_json ?(jobs = 1) results =
+    Json.Obj
+      [
+        ("schema", Json.Str "flowsched-figures/1");
+        ("jobs", Json.Int jobs);
+        ("cells", Json.Arr (List.map cell_json results));
+      ]
 end

@@ -309,11 +309,11 @@ let test_rounding_warm_matches_cold () =
   (* Warm-started iterative rounding must reproduce the cold-start schedule
      and LP(0) objective, and spend strictly fewer simplex pivots on a
      multi-iteration run. *)
-  let module Simplex = Flowsched_lp.Simplex in
+  let module M = Flowsched_obs.Metrics in
   let run ~warm_start inst =
-    let before = Simplex.read_counters () in
+    let before = M.snapshot () in
     let s, d = Iterative_rounding.run ~warm_start inst in
-    (s, d, (Simplex.diff_counters (Simplex.read_counters ()) before).Simplex.pivots)
+    (s, d, M.counter_in (M.diff (M.snapshot ()) before) "simplex.pivots")
   in
   let same ~tol label inst =
     let s_cold, d_cold, cold_pivots = run ~warm_start:false inst in

@@ -119,23 +119,11 @@ let test_corrupt_frames_never_wedge () =
 let policies = [ Heuristics.maxcard; Heuristics.maxweight ]
 
 let sweep_cells =
-  List.concat_map
-    (fun workload ->
-      List.map
-        (fun seed ->
-          {
-            Experiment.workload;
-            ports = 4;
-            arrival_rate = 2.0;
-            horizon = 4;
-            max_demand = 2;
-            sweep_seed = seed;
-            lp = true;
-          })
-        [ 1; 2 ])
-    [ "poisson"; "uniform" ]
+  Result.get_ok
+    (Experiment.grid ~kinds:[ "poisson"; "uniform" ] ~modes:[ Flowsched_sim.Matrix.Flows ] ~m:4
+       ~rates:[ 2.0 ] ~rounds:[ 4 ] ~max_demand:2 ~seeds:[ 1; 2 ] ~lp:true)
 
-let strip_wall = Report.strip_sweep_timing
+let strip_wall = Experiment.strip_timing
 
 (* The byte-identity oracle: the artifact with its (legitimately
    nondeterministic) timing fields zeroed. *)
@@ -160,9 +148,9 @@ let with_temp_checkpoint f =
 
 let test_checkpoint_prefix_resume () =
   with_temp_checkpoint @@ fun path ->
-  let reference = Experiment.run_sweep ~policies ~jobs:1 sweep_cells in
+  let reference = Experiment.run ~policies ~jobs:1 sweep_cells in
   let ck = Checkpoint.open_ ~path ~resume:false in
-  let full = Checkpoint.run_sweep ~policies ~jobs:2 ck sweep_cells in
+  let full = Checkpoint.run ~policies ~jobs:2 ck sweep_cells in
   Checkpoint.close ck;
   Alcotest.(check bool) "checkpointed run matches plain run" true
     (artifact reference = artifact full);
@@ -182,7 +170,7 @@ let test_checkpoint_prefix_resume () =
   in
   let ck = Checkpoint.open_ ~path ~resume:true in
   Alcotest.(check int) "two cells recovered" 2 (Checkpoint.loaded ck);
-  let resumed = Checkpoint.run_sweep ~policies ~jobs:2 ck sweep_cells in
+  let resumed = Checkpoint.run ~policies ~jobs:2 ck sweep_cells in
   Checkpoint.close ck;
   Alcotest.(check bool) "resumed artifact byte-identical" true
     (artifact reference = artifact resumed);
@@ -190,19 +178,19 @@ let test_checkpoint_prefix_resume () =
      original run's wall-clock readings through decode . encode. *)
   List.iter2
     (fun cell (orig, res) ->
-      if List.mem (Checkpoint.sweep_key cell) kept_keys then
+      if List.mem (Checkpoint.key cell) kept_keys then
         Alcotest.(check string)
-          (Printf.sprintf "cell %s preserved exactly" (Checkpoint.sweep_key cell))
-          (Json.to_string (Report.sweep_cell_json orig))
-          (Json.to_string (Report.sweep_cell_json res)))
+          (Printf.sprintf "cell %s preserved exactly" (Checkpoint.key cell))
+          (Json.to_string (Checkpoint.encode orig))
+          (Json.to_string (Checkpoint.encode res)))
     sweep_cells (List.combine full resumed)
 
 let test_checkpoint_under_chaos_matches_fault_free () =
   with_temp_checkpoint @@ fun path ->
-  let reference = Experiment.run_sweep ~policies ~jobs:1 sweep_cells in
+  let reference = Experiment.run ~policies ~jobs:1 sweep_cells in
   let ck = Checkpoint.open_ ~path ~resume:false in
   let chaotic =
-    Checkpoint.run_sweep ~policies ~jobs:2 ~retries:10 ~timeout:5.
+    Checkpoint.run ~policies ~jobs:2 ~retries:10 ~timeout:5.
       ~faults:(Faults.chaos ~seed:5) ck sweep_cells
   in
   Checkpoint.close ck;
@@ -213,7 +201,7 @@ let test_checkpoint_under_chaos_matches_fault_free () =
 let test_checkpoint_partial_tail_tolerated () =
   with_temp_checkpoint @@ fun path ->
   let ck = Checkpoint.open_ ~path ~resume:false in
-  let full = Checkpoint.run_sweep ~policies ~jobs:1 ck sweep_cells in
+  let full = Checkpoint.run ~policies ~jobs:1 ck sweep_cells in
   Checkpoint.close ck;
   let lines = read_lines path in
   (* A writer killed mid-append leaves a truncated last line. *)
@@ -221,7 +209,7 @@ let test_checkpoint_partial_tail_tolerated () =
       Out_channel.output_string oc {|{"kind": "sweep", "key": "tr|});
   let ck = Checkpoint.open_ ~path ~resume:true in
   Alcotest.(check int) "all complete cells survive" (List.length lines) (Checkpoint.loaded ck);
-  let resumed = Checkpoint.run_sweep ~policies ~jobs:1 ck sweep_cells in
+  let resumed = Checkpoint.run ~policies ~jobs:1 ck sweep_cells in
   Checkpoint.close ck;
   Alcotest.(check bool) "nothing recomputed, artifact identical" true
     (artifact full = artifact resumed);
@@ -231,7 +219,7 @@ let test_checkpoint_partial_tail_tolerated () =
 let test_checkpoint_corrupt_middle_rejected () =
   with_temp_checkpoint @@ fun path ->
   let ck = Checkpoint.open_ ~path ~resume:false in
-  ignore (Checkpoint.run_sweep ~policies ~jobs:1 ck sweep_cells);
+  ignore (Checkpoint.run ~policies ~jobs:1 ck sweep_cells);
   Checkpoint.close ck;
   (match read_lines path with
   | first :: rest when rest <> [] -> write_lines path (("garbage " ^ first) :: rest)
@@ -244,7 +232,7 @@ let test_checkpoint_corrupt_middle_rejected () =
 let test_checkpoint_stale_entry_rejected () =
   with_temp_checkpoint @@ fun path ->
   let ck = Checkpoint.open_ ~path ~resume:false in
-  ignore (Checkpoint.run_sweep ~policies ~jobs:1 ck sweep_cells);
+  ignore (Checkpoint.run ~policies ~jobs:1 ck sweep_cells);
   Checkpoint.close ck;
   (* Splice cell 0's key onto cell 1's recorded result: the key matches a
      grid cell but the payload disagrees with its config (different seed) —
@@ -259,27 +247,49 @@ let test_checkpoint_stale_entry_rejected () =
      the integrity layer and be caught by the config check at decode. *)
   let forged =
     match (lines, Json.parse (List.nth lines 1)) with
-    | first :: _, Ok j ->
-        let kind =
-          Option.get (Option.bind (Json.member "kind" j) Json.to_string_opt)
-        in
-        let result = Option.get (Json.member "result" j) in
-        Checkpoint.seal ~kind ~key:(key_of first) result
+    | first :: _, Ok j -> Checkpoint.seal ~key:(key_of first) (Option.get (Json.member "result" j))
     | _ -> Alcotest.fail "expected parsable checkpoint lines"
   in
   write_lines path [ forged ];
   let ck = Checkpoint.open_ ~path ~resume:true in
   Alcotest.(check int) "forged entry loads" 1 (Checkpoint.loaded ck);
   Alcotest.(check bool) "mismatched entry rejected at decode" true
-    (match Checkpoint.run_sweep ~policies ~jobs:1 ck sweep_cells with
+    (match Checkpoint.run ~policies ~jobs:1 ck sweep_cells with
     | _ -> false
     | exception Failure _ -> true);
   Checkpoint.close ck
 
+(* The result of a cell under its own key, with one identity field
+   rewritten and the line re-sealed: a valid CRC under a key of the grid.
+   Resuming must refuse it, whichever identity field lies. *)
+let test_checkpoint_splice_rejected () =
+  with_temp_checkpoint @@ fun path ->
+  let ck = Checkpoint.open_ ~path ~resume:false in
+  ignore (Checkpoint.run ~policies ~jobs:1 ck sweep_cells);
+  Checkpoint.close ck;
+  let entry = List.hd (Checkpoint.read_entries ~path) in
+  List.iter
+    (fun (name, value) ->
+      let spliced =
+        match entry.Checkpoint.result with
+        | Json.Obj fields ->
+            Json.Obj (List.map (fun (k, v) -> if k = name then (k, value) else (k, v)) fields)
+        | _ -> Alcotest.fail "a result is an object"
+      in
+      write_lines path [ Checkpoint.seal ~key:entry.Checkpoint.key spliced ];
+      let ck = Checkpoint.open_ ~path ~resume:true in
+      Alcotest.(check int) (name ^ ": spliced entry loads") 1 (Checkpoint.loaded ck);
+      Alcotest.(check bool) (name ^ ": spliced entry rejected at decode") true
+        (match Checkpoint.run ~policies ~jobs:1 ck sweep_cells with
+        | _ -> false
+        | exception Failure _ -> true);
+      Checkpoint.close ck)
+    [ ("rate", Json.Float 5.0); ("max_demand", Json.Int 9) ]
+
 let test_kill_then_resume () =
   with_temp_checkpoint @@ fun path ->
   Sys.remove path;
-  let reference = Experiment.run_sweep ~policies ~jobs:1 sweep_cells in
+  let reference = Experiment.run ~policies ~jobs:1 sweep_cells in
   flush stdout;
   flush stderr;
   match Unix.fork () with
@@ -287,7 +297,7 @@ let test_kill_then_resume () =
       (* The doomed writer: plod through the grid, checkpointing each cell. *)
       (try
          let ck = Checkpoint.open_ ~path ~resume:false in
-         ignore (Checkpoint.run_sweep ~policies ~jobs:1 ck sweep_cells);
+         ignore (Checkpoint.run ~policies ~jobs:1 ck sweep_cells);
          Checkpoint.close ck
        with _ -> ());
       Unix._exit 0
@@ -315,7 +325,7 @@ let test_kill_then_resume () =
       let survived = Checkpoint.loaded ck in
       Alcotest.(check bool) "survivors bounded by the grid" true
         (survived <= List.length sweep_cells);
-      let resumed = Checkpoint.run_sweep ~policies ~jobs:1 ck sweep_cells in
+      let resumed = Checkpoint.run ~policies ~jobs:1 ck sweep_cells in
       Checkpoint.close ck;
       Alcotest.(check bool)
         (Printf.sprintf "resume after kill (%d cells survived) equals uninterrupted" survived)
@@ -347,6 +357,8 @@ let () =
           Alcotest.test_case "corrupt middle rejected" `Quick
             test_checkpoint_corrupt_middle_rejected;
           Alcotest.test_case "stale entry rejected" `Quick test_checkpoint_stale_entry_rejected;
+          Alcotest.test_case "spliced rate or max_demand rejected" `Quick
+            test_checkpoint_splice_rejected;
           Alcotest.test_case "kill then resume" `Slow test_kill_then_resume;
         ] );
     ]

@@ -16,24 +16,14 @@ module Heuristics = Flowsched_online.Heuristics
 let policies = [ Heuristics.maxcard; Heuristics.minrtime ]
 let policy_names = [ "maxcard"; "minrtime" ]
 
-let sweep_cells =
-  List.concat_map
-    (fun kind ->
-      List.map
-        (fun seed ->
-          {
-            Experiment.workload = kind;
-            ports = 4;
-            arrival_rate = 2.0;
-            horizon = 4;
-            max_demand = 2;
-            sweep_seed = seed;
-            lp = false;
-          })
-        [ 1; 2; 3 ])
-    [ "poisson"; "uniform" ]
+let grid ~kinds ~m ~rounds ~seeds =
+  Result.get_ok
+    (Experiment.grid ~kinds ~modes:[ Flowsched_sim.Matrix.Flows ] ~m ~rates:[ 2.0 ] ~rounds
+       ~max_demand:2 ~seeds ~lp:false)
 
-let strip = Report.strip_sweep_timing
+let sweep_cells = grid ~kinds:[ "poisson"; "uniform" ] ~m:4 ~rounds:[ 4 ] ~seeds:[ 1; 2; 3 ]
+
+let strip = Experiment.strip_timing
 
 let artifact results =
   Json.to_string (Report.sweep_json ~jobs:1 (List.map strip results))
@@ -57,7 +47,7 @@ let contains haystack needle =
 (* Run one shard the way [flowsched sweep --shard] does, minus the lease:
    plan the subset, fill the checkpoint, register the manifest. *)
 let run_shard ~dir ~shards ~index cells =
-  let all_keys = List.map Checkpoint.sweep_key cells in
+  let all_keys = List.map Checkpoint.key cells in
   let mine = Shard.plan ~shards ~index cells in
   ignore
     (Shard.write_manifest ~dir
@@ -66,7 +56,7 @@ let run_shard ~dir ~shards ~index cells =
   let ck = Checkpoint.open_ ~path ~resume:true in
   Fun.protect
     ~finally:(fun () -> Checkpoint.close ck)
-    (fun () -> ignore (Checkpoint.run_sweep ~policies ~jobs:1 ck mine))
+    (fun () -> ignore (Checkpoint.run ~policies ~jobs:1 ck mine))
 
 (* --- shard planning --- *)
 
@@ -246,7 +236,7 @@ let test_lease_refresh_detects_theft () =
 
 let test_merge_equals_single_box () =
   with_temp_dir @@ fun dir ->
-  let reference = Experiment.run_sweep ~policies ~jobs:1 sweep_cells in
+  let reference = Experiment.run ~policies ~jobs:1 sweep_cells in
   let shards = 3 in
   for index = 0 to shards - 1 do
     run_shard ~dir ~shards ~index sweep_cells
@@ -312,7 +302,7 @@ let test_merge_rejects_conflicting_duplicate () =
              fields)
     | _ -> Alcotest.fail "sweep result must be an object"
   in
-  let line = Checkpoint.seal ~kind:entry.Checkpoint.kind ~key:entry.Checkpoint.key tampered in
+  let line = Checkpoint.seal ~key:entry.Checkpoint.key tampered in
   Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path1 (fun oc ->
       Out_channel.output_string oc (line ^ "\n"));
   (match Merge.sweep ~dir ~policies:policy_names sweep_cells with
@@ -320,9 +310,7 @@ let test_merge_rejects_conflicting_duplicate () =
   | Error e -> Alcotest.(check bool) "names the determinism violation" true
         (contains e "determinism"));
   (* The same duplicate with identical bytes is fine — and audited. *)
-  let clean = Checkpoint.seal ~kind:entry.Checkpoint.kind ~key:entry.Checkpoint.key
-      entry.Checkpoint.result
-  in
+  let clean = Checkpoint.seal ~key:entry.Checkpoint.key entry.Checkpoint.result in
   let lines = In_channel.with_open_bin path1 In_channel.input_lines in
   let keep = List.filter (fun l -> l <> line) lines in
   Out_channel.with_open_bin path1 (fun oc ->
@@ -331,13 +319,46 @@ let test_merge_rejects_conflicting_duplicate () =
   | Error e -> Alcotest.failf "byte-equal duplicate must merge: %s" e
   | Ok (_, report) -> Alcotest.(check int) "duplicate audited" 1 report.Merge.duplicate_cells
 
+(* A shard entry re-sealed under its own key with one identity field
+   rewritten: valid CRC, a key of the grid, and a payload that claims to be
+   another cell.  The merge must refuse it, whichever identity field lies. *)
+let test_merge_rejects_spliced_entry () =
+  List.iter
+    (fun (name, value) ->
+      with_temp_dir @@ fun dir ->
+      let shards = 2 in
+      run_shard ~dir ~shards ~index:0 sweep_cells;
+      run_shard ~dir ~shards ~index:1 sweep_cells;
+      let path = Filename.concat dir (Shard.checkpoint_name ~shards ~index:0) in
+      let splice (e : Checkpoint.entry) =
+        match e.Checkpoint.result with
+        | Json.Obj fields ->
+            Checkpoint.seal ~key:e.Checkpoint.key
+              (Json.Obj (List.map (fun (k, v) -> if k = name then (k, value) else (k, v)) fields))
+        | _ -> Alcotest.fail "a result is an object"
+      in
+      let lines =
+        match Checkpoint.read_entries ~path with
+        | first :: rest ->
+            splice first
+            :: List.map (fun (e : Checkpoint.entry) -> Checkpoint.seal ~key:e.Checkpoint.key e.Checkpoint.result) rest
+        | [] -> Alcotest.fail "shard 0 checkpointed nothing"
+      in
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
+      match Merge.sweep ~dir ~policies:policy_names sweep_cells with
+      | Ok _ -> Alcotest.failf "a result spliced with %s must refuse to merge" name
+      | Error e -> Alcotest.(check bool) (name ^ ": names the undecodable entry") true
+            (contains e "does not decode"))
+    [ ("rate", Json.Float 5.0); ("max_demand", Json.Int 9) ]
+
 (* --- kill a worker mid-shard, take over its lease, resume, merge --- *)
 
 let test_takeover_after_kill () =
   with_temp_dir @@ fun dir ->
   let shards = 2 in
-  let reference = Experiment.run_sweep ~policies ~jobs:1 sweep_cells in
-  let all_keys = List.map Checkpoint.sweep_key sweep_cells in
+  let reference = Experiment.run ~policies ~jobs:1 sweep_cells in
+  let all_keys = List.map Checkpoint.key sweep_cells in
   let mine = Shard.plan ~shards ~index:0 sweep_cells in
   let ckpt_path = Filename.concat dir (Shard.checkpoint_name ~shards ~index:0) in
   flush stdout;
@@ -354,7 +375,7 @@ let test_takeover_after_kill () =
                   (Shard.make ~kind:"sweep" ~shards ~index:0 ~policies:policy_names all_keys));
              let ck = Checkpoint.open_ ~path:ckpt_path ~resume:true in
              ignore
-               (Checkpoint.run_sweep ~policies ~jobs:1
+               (Checkpoint.run ~policies ~jobs:1
                   ~on_append:(fun _ -> Lease.refresh lease)
                   ck mine);
              Checkpoint.close ck;
@@ -397,7 +418,7 @@ let test_takeover_after_kill () =
       Alcotest.(check bool) "dead worker's prefix survives" true
         (Checkpoint.loaded ck <= List.length mine);
       ignore
-        (Checkpoint.run_sweep ~policies ~jobs:1
+        (Checkpoint.run ~policies ~jobs:1
            ~on_append:(fun _ -> Lease.refresh lease)
            ck mine);
       Checkpoint.close ck;
@@ -413,22 +434,10 @@ let test_takeover_after_kill () =
 
 (* --- property: any shard count merges to the unsharded run --- *)
 
-let property_cells =
-  List.map
-    (fun seed ->
-      {
-        Experiment.workload = "poisson";
-        ports = 3;
-        arrival_rate = 2.0;
-        horizon = 3;
-        max_demand = 2;
-        sweep_seed = seed;
-        lp = false;
-      })
-    [ 1; 2; 3; 4; 5 ]
+let property_cells = grid ~kinds:[ "poisson" ] ~m:3 ~rounds:[ 3 ] ~seeds:[ 1; 2; 3; 4; 5 ]
 
 let property_reference =
-  lazy (artifact (Experiment.run_sweep ~policies ~jobs:1 property_cells))
+  lazy (artifact (Experiment.run ~policies ~jobs:1 property_cells))
 
 let prop_merge_any_shard_count =
   QCheck2.Test.make ~name:"merge over any shard count = unsharded run" ~count:8
@@ -468,6 +477,7 @@ let () =
           Alcotest.test_case "rejects foreign grid" `Quick test_merge_rejects_foreign_grid;
           Alcotest.test_case "rejects conflicting duplicate" `Quick
             test_merge_rejects_conflicting_duplicate;
+          Alcotest.test_case "rejects spliced entry" `Quick test_merge_rejects_spliced_entry;
         ] );
       ( "takeover", [ Alcotest.test_case "kill then takeover" `Slow test_takeover_after_kill ] );
       ( "properties", List.map QCheck_alcotest.to_alcotest [ prop_merge_any_shard_count ] );

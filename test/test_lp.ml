@@ -549,59 +549,19 @@ let test_warm_basis_shape () =
   | _ -> ()
 
 let test_counters_accounting () =
-  let before = Simplex.read_counters () in
+  let module M = Flowsched_obs.Metrics in
+  let before = M.snapshot () in
   let m, _ = build_random_lp (11, 8, 5) in
   let r = Simplex.solve_or_fail m in
-  let c = Simplex.diff_counters (Simplex.read_counters ()) before in
-  Alcotest.(check int) "one solve recorded" 1 c.Simplex.solves;
-  Alcotest.(check int) "pivots = result iterations" r.Simplex.iterations c.Simplex.pivots;
+  let d = M.diff (M.snapshot ()) before in
+  Alcotest.(check int) "one solve recorded" 1 (M.counter_in d "simplex.solves");
+  Alcotest.(check int) "pivots = result iterations" r.Simplex.iterations
+    (M.counter_in d "simplex.pivots");
   Alcotest.(check bool) "snapshot is detached" true
-    (let snap = Simplex.read_counters () in
+    (let snap = M.snapshot () in
      ignore (Simplex.solve m);
-     snap.Simplex.solves = before.Simplex.solves + 1)
+     M.counter_in snap "simplex.solves" = M.counter_in before "simplex.solves" + 1)
 
-(* The legacy counters record is a shim over the flowsched_obs metrics
-   registry: over any section, its diff must equal the registry's. *)
-let test_counters_shim_matches_registry () =
-  let module M = Flowsched_obs.Metrics in
-  let reg name = M.counter_value (M.counter name) in
-  let gauge name = M.gauge_value (M.gauge name) in
-  let names =
-    [
-      "simplex.solves"; "simplex.pivots"; "simplex.ftran_calls"; "simplex.refactorizations";
-      "simplex.full_pricing_scans"; "simplex.partial_pricing_rounds"; "simplex.warm_attempts";
-      "simplex.warm_accepted"; "simplex.phase1_skipped"; "simplex.basis_nnz";
-      "simplex.factor_nnz"; "simplex.eta_nnz"; "simplex.bound_flips";
-    ]
-  in
-  let reg_before = List.map reg names in
-  let phase1_before = gauge "simplex.phase1_seconds" in
-  let phase2_before = gauge "simplex.phase2_seconds" in
-  let before = Simplex.read_counters () in
-  let m, _ = build_random_lp (13, 9, 7) in
-  let r = Simplex.solve_or_fail m in
-  ignore (Simplex.solve ~warm:(Array.to_list r.Simplex.basis) m);
-  let d = Simplex.diff_counters (Simplex.read_counters ()) before in
-  let reg_diff = List.map2 (fun name b -> reg name - b) names reg_before in
-  Alcotest.(check (list int)) "counter diffs"
-    reg_diff
-    [
-      d.Simplex.solves; d.Simplex.pivots; d.Simplex.ftran_calls; d.Simplex.refactorizations;
-      d.Simplex.full_pricing_scans; d.Simplex.partial_pricing_rounds; d.Simplex.warm_attempts;
-      d.Simplex.warm_accepted; d.Simplex.phase1_skipped; d.Simplex.basis_nnz;
-      d.Simplex.factor_nnz; d.Simplex.eta_nnz; d.Simplex.bound_flips;
-    ];
-  Alcotest.(check int) "two solves" 2 d.Simplex.solves;
-  Alcotest.(check (float 1e-9)) "phase1 seconds"
-    (gauge "simplex.phase1_seconds" -. phase1_before)
-    d.Simplex.phase1_seconds;
-  Alcotest.(check (float 1e-9)) "phase2 seconds"
-    (gauge "simplex.phase2_seconds" -. phase2_before)
-    d.Simplex.phase2_seconds
-
-(* Phase times are wall time on the solving domain: two domains solving
-   at once each report no more phase time than their own solve took
-   (process CPU time would count both domains). *)
 let test_phase_time_is_per_domain_wall_time () =
   let module M = Flowsched_obs.Metrics in
   let phases () =
@@ -967,13 +927,14 @@ let test_bounded_pure_flip_no_rows () =
      flip — no basis, no pivots. *)
   let m = Model.create () in
   let x = Model.add_var ~obj:(-1.) ~ub:3. m in
-  let before = Simplex.read_counters () in
+  let module M = Flowsched_obs.Metrics in
+  let before = M.snapshot () in
   let r = Simplex.solve_or_fail m in
   check_close "objective" (-3.) r.Simplex.objective;
   check_close "x at bound" 3. r.Simplex.values.(x);
   Alcotest.(check int) "no pivots" 0 r.Simplex.iterations;
   Alcotest.(check bool) "flip counted" true
-    ((Simplex.diff_counters (Simplex.read_counters ()) before).Simplex.bound_flips >= 1)
+    (M.counter_in (M.diff (M.snapshot ()) before) "simplex.bound_flips" >= 1)
 
 let test_bounded_infeasible_vs_row () =
   (* x >= 5 but x <= 2 declared: phase 1 cannot reach feasibility. *)
@@ -1129,8 +1090,6 @@ let () =
           Alcotest.test_case "same-model re-solve" `Quick test_warm_resolve_same_model;
           Alcotest.test_case "basis shape" `Quick test_warm_basis_shape;
           Alcotest.test_case "counters accounting" `Quick test_counters_accounting;
-          Alcotest.test_case "counters shim matches registry" `Quick
-            test_counters_shim_matches_registry;
           Alcotest.test_case "phase time is per-domain wall time" `Quick
             test_phase_time_is_per_domain_wall_time;
         ] );

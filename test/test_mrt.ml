@@ -107,11 +107,11 @@ let test_reference_bisection_warm_matches_cold () =
      change the answer (feasibility of each probe LP is vertex-independent)
      and must strictly reduce the total pivot count.  The library's
      bracketed search must agree with both. *)
-  let module Simplex = Flowsched_lp.Simplex in
+  let module M = Flowsched_obs.Metrics in
   let search ~warm_start inst =
-    let before = Simplex.read_counters () in
+    let before = M.snapshot () in
     let rho = Reference.plain_min_fractional_rho ~warm_start inst in
-    (rho, (Simplex.diff_counters (Simplex.read_counters ()) before).Simplex.pivots)
+    (rho, M.counter_in (M.diff (M.snapshot ()) before) "simplex.pivots")
   in
   let inst = tiny_instance 71 ~m:4 ~n:24 ~maxrel:4 in
   let rho_cold, cold_pivots = search ~warm_start:false inst in

@@ -4,9 +4,10 @@
    weighted coflows), and the matrix artifact's independence of --jobs. *)
 
 open Flowsched_switch
-open Flowsched_scenarios
 module Scenario = Flowsched_sim.Scenario
 module Workload = Flowsched_sim.Workload
+module Matrix = Flowsched_sim.Matrix
+module Experiment = Flowsched_sim.Experiment
 
 let spec kind = { Scenario.kind; m = 5; rate = 2.0; rounds = 8; max_demand = 3; seed = 11 }
 
@@ -199,9 +200,15 @@ let policies = Flowsched_online.Heuristics.all_paper_heuristics
 
 let small_cells =
   List.concat_map
-    (fun kind ->
+    (fun workload ->
       List.map
-        (fun mode -> { Matrix.scenario = spec (Scenario.of_string_exn kind); mode; lp = true })
+        (fun mode ->
+          {
+            Experiment.workload;
+            spec = spec (Scenario.of_string_exn workload);
+            mode;
+            lp = true;
+          })
         [
           Matrix.Flows;
           Matrix.Endpoint { nodes = 2; node_cap = 2 };
@@ -211,35 +218,38 @@ let small_cells =
 
 let test_matrix_cell_shapes () =
   List.iter
-    (fun cell ->
-      let r = Matrix.run_cell ~policies cell in
-      Alcotest.(check bool) "has entries" true (r.Matrix.entries <> []);
-      (match cell.Matrix.mode with
-      | Matrix.Flows ->
-          Alcotest.(check string) "lp bound kind" "lp" r.Matrix.bound_kind
+    (fun (cell : Experiment.cell) ->
+      let r = Experiment.run_cell ~policies cell in
+      let b = r.Experiment.bound in
+      Alcotest.(check bool) "has entries" true (r.Experiment.entries <> []);
+      (match cell.Experiment.mode with
+      | Matrix.Flows -> Alcotest.(check string) "lp bound kind" "lp" b.Experiment.kind
       | Matrix.Endpoint _ ->
-          Alcotest.(check string) "relaxed bound kind" "lp-relaxed" r.Matrix.bound_kind;
+          Alcotest.(check string) "relaxed bound kind" "lp-relaxed" b.Experiment.kind;
           Alcotest.(check bool) "fifo-endpoint entry present" true
-            (List.exists (fun e -> e.Matrix.name = "fifo-endpoint") r.Matrix.entries)
+            (List.exists
+               (fun (e : Experiment.entry) -> e.Experiment.name = "fifo-endpoint")
+               r.Experiment.entries)
       | Matrix.Coflow _ ->
-          Alcotest.(check string) "bottleneck bound kind" "bottleneck" r.Matrix.bound_kind);
-      if r.Matrix.flows > 0 && r.Matrix.error = None then begin
-        Alcotest.(check bool) "avg bound finite" true (Float.is_finite r.Matrix.bound_avg);
+          Alcotest.(check string) "bottleneck bound kind" "bottleneck" b.Experiment.kind);
+      if r.Experiment.flows > 0 && b.Experiment.error = None then begin
+        Alcotest.(check bool) "avg bound finite" true (Float.is_finite b.Experiment.avg);
         (* Every algorithm must stay above the mode's lower bound. *)
         List.iter
-          (fun e ->
+          (fun (e : Experiment.entry) ->
             Alcotest.(check bool)
-              (Printf.sprintf "%s above bound in %s" e.Matrix.name
-                 (Matrix.mode_to_string cell.Matrix.mode))
+              (Printf.sprintf "%s above bound in %s" e.Experiment.name
+                 (Matrix.mode_to_string cell.Experiment.mode))
               true
-              (e.Matrix.art +. 1e-9 >= r.Matrix.bound_avg))
-          r.Matrix.entries
+              (e.Experiment.art +. 1e-9 >= b.Experiment.avg))
+          r.Experiment.entries
       end)
     small_cells
 
 let test_matrix_backend_identical () =
   let render jobs =
-    Flowsched_util.Json.to_string (Matrix.to_json (Matrix.run ~policies ~jobs small_cells))
+    Flowsched_util.Json.to_string
+      (Flowsched_sim.Report.matrix_json (Experiment.run ~policies ~jobs small_cells))
   in
   Alcotest.(check string) "fork jobs=3 identical to inline" (render 1) (render 3)
 

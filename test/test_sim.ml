@@ -1,5 +1,6 @@
 (* Tests for the simulator layer: workload generation, adaptive engine
-   plumbing, the experiment grid, and report rendering. *)
+   plumbing, the grid cell, its checkpoint encoding, and report
+   rendering. *)
 
 open Flowsched_switch
 open Flowsched_online
@@ -172,68 +173,91 @@ let test_adaptive_rejects_bad_specs () =
       ("demand 3 on capacity 1", (0, 1, 3), "Instance: demand exceeds kappa (min port capacity)");
     ]
 
-(* --- experiment grid --- *)
+(* --- the grid cell --- *)
+
+let cell ?(mode = Matrix.Flows) ?(lp = true) ?(m = 4) ?(rate = 2.0) ?(rounds = 4)
+    ?(max_demand = 2) workload seed =
+  {
+    Experiment.workload;
+    spec = { Scenario.kind = Scenario.of_string_exn workload; m; rate; rounds; max_demand; seed };
+    mode;
+    lp;
+  }
 
 let test_run_cell_without_lp () =
-  let cell =
+  let r =
     Experiment.run_cell ~policies:Heuristics.all_paper_heuristics
-      {
-        Experiment.m = 4;
-        rate = 2.0;
-        rounds = 5;
-        tries = 3;
-        seed = 11;
-        with_lp = false;
-      }
+      (cell ~lp:false ~rounds:5 "poisson" 11)
   in
-  Alcotest.(check int) "three policies (avg)" 3 (List.length cell.Experiment.avg_response);
-  Alcotest.(check int) "three policies (max)" 3 (List.length cell.Experiment.max_response);
-  Alcotest.(check bool) "lp skipped" true (Float.is_nan cell.Experiment.lp_avg_bound);
+  let b = r.Experiment.bound in
+  Alcotest.(check bool) "instance not empty" true (r.Experiment.flows > 0);
+  Alcotest.(check int) "three policies" 3 (List.length r.Experiment.entries);
+  Alcotest.(check string) "no bound" "none" b.Experiment.kind;
+  Alcotest.(check bool) "lp skipped" true
+    (Float.is_nan b.Experiment.avg && Float.is_nan b.Experiment.max && b.Experiment.lp_counters = None);
   List.iter
-    (fun (_, v) -> Alcotest.(check bool) "avg >= 1" true (v >= 1.))
-    cell.Experiment.avg_response
+    (fun (e : Experiment.entry) -> Alcotest.(check bool) "avg >= 1" true (e.Experiment.art >= 1.))
+    r.Experiment.entries
 
 let test_run_cell_with_lp () =
-  let cell =
+  let r =
     Experiment.run_cell ~policies:Heuristics.all_paper_heuristics
-      {
-        Experiment.m = 3;
-        rate = 1.5;
-        rounds = 4;
-        tries = 2;
-        seed = 5;
-        with_lp = true;
-      }
+      (cell ~m:3 ~rate:1.5 "poisson" 5)
   in
-  Alcotest.(check bool) "lp bound computed" true
-    (not (Float.is_nan cell.Experiment.lp_avg_bound));
-  Alcotest.(check bool) "lp max bound computed" true
-    (not (Float.is_nan cell.Experiment.lp_max_bound));
+  let b = r.Experiment.bound in
+  Alcotest.(check string) "lp bound" "lp" b.Experiment.kind;
+  Alcotest.(check bool) "lp bound computed" true (not (Float.is_nan b.Experiment.avg));
+  Alcotest.(check bool) "lp max bound computed" true (not (Float.is_nan b.Experiment.max));
+  Alcotest.(check bool) "pivots counted" true
+    (match b.Experiment.lp_counters with
+    | Some c -> Flowsched_obs.Metrics.counter_in c "simplex.solves" > 0
+    | None -> false);
   (* Lemma 3.1/relaxation: bounds sit below every heuristic *)
   List.iter
-    (fun (name, v) ->
-      Alcotest.(check bool) (name ^ " above avg LP") true
-        (v >= cell.Experiment.lp_avg_bound -. 1e-6))
-    cell.Experiment.avg_response;
-  List.iter
-    (fun (name, v) ->
-      Alcotest.(check bool) (name ^ " above max LP") true
-        (v >= cell.Experiment.lp_max_bound -. 1e-6))
-    cell.Experiment.max_response
+    (fun (e : Experiment.entry) ->
+      Alcotest.(check bool) (e.Experiment.name ^ " above avg LP") true
+        (e.Experiment.art >= b.Experiment.avg -. 1e-6);
+      Alcotest.(check bool) (e.Experiment.name ^ " above max LP") true
+        (float_of_int e.Experiment.mrt >= b.Experiment.max -. 1e-6))
+    r.Experiment.entries
 
 let test_fig6_grid_layout () =
-  let grid =
+  let rows =
     Experiment.fig6_grid ~m:6 ~tries:2 ~lp_rounds_limit:8 ~congestion:[ 0.5; 1.0 ]
       ~rounds:[ 6; 8; 12 ] ()
   in
-  Alcotest.(check int) "cells" 6 (List.length grid);
+  Alcotest.(check int) "rows" 6 (List.length rows);
   List.iter
-    (fun (c : Experiment.cell_config) ->
-      Alcotest.(check bool) "lp flag respects limit" true
-        (c.Experiment.with_lp = (c.Experiment.rounds <= 8));
-      Alcotest.(check bool) "rate scales with m" true
-        (c.Experiment.rate = 3.0 || c.Experiment.rate = 6.0))
-    grid
+    (fun row ->
+      Alcotest.(check int) "one cell per try" 2 (List.length row);
+      let seed0 = (List.hd row).Experiment.spec.Scenario.seed in
+      List.iteri
+        (fun i (c : Experiment.cell) ->
+          let s = c.Experiment.spec in
+          Alcotest.(check bool) "lp flag respects limit" true
+            (c.Experiment.lp = (s.Scenario.rounds <= 8));
+          Alcotest.(check bool) "rate scales with m" true
+            (s.Scenario.rate = 3.0 || s.Scenario.rate = 6.0);
+          Alcotest.(check int) "tries seeded 1000 apart" (seed0 + (1000 * i)) s.Scenario.seed)
+        row)
+    rows;
+  Alcotest.(check bool) "no tries rejected" true
+    (match Experiment.fig6_grid ~tries:0 ~congestion:[ 1. ] ~rounds:[ 6 ] () with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* A figures row averages its tries, so a try whose LP failed must fail the
+   run instead of averaging a nan into the row. *)
+let test_figures_lp_failure_fails_run () =
+  let rows = Experiment.fig6_grid ~m:3 ~tries:2 ~congestion:[ 1. ] ~rounds:[ 4 ] () in
+  Experiment.lp_failure_for_tests := Some (Failure "synthetic LP failure");
+  Alcotest.(check bool) "raises Failure" true
+    (Fun.protect
+       ~finally:(fun () -> Experiment.lp_failure_for_tests := None)
+       (fun () ->
+         match Experiment.run_grid ~policies:[ Heuristics.maxcard ] rows with
+         | _ -> false
+         | exception Failure _ -> true))
 
 (* --- report --- *)
 
@@ -242,31 +266,19 @@ let contains s sub =
   let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
   go 0
 
-let sample_results () =
-  Experiment.run_grid ~policies:Heuristics.all_paper_heuristics
-    [
-      { Experiment.m = 3; rate = 1.0; rounds = 4; tries = 2; seed = 3; with_lp = true };
-      { Experiment.m = 3; rate = 3.0; rounds = 4; tries = 2; seed = 4; with_lp = false };
-    ]
-
 let test_report_tables () =
-  let results = sample_results () in
-  let f6 = Report.fig6_table results and f7 = Report.fig7_table results in
+  let rows =
+    Experiment.run_grid ~policies:Heuristics.all_paper_heuristics
+      (Experiment.fig6_grid ~m:3 ~tries:2 ~seed:3 ~lp_rounds_limit:4
+         ~congestion:[ 1. /. 3.; 1. ] ~rounds:[ 4; 5 ] ())
+  in
+  let f6 = Report.fig6_table rows and f7 = Report.fig7_table rows in
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " in fig6") true (contains f6 name);
       Alcotest.(check bool) (name ^ " in fig7") true (contains f7 name))
     [ "MaxCard"; "MinRTime"; "MaxWeight"; "LP bound" ];
-  Alcotest.(check bool) "lp-less cell rendered with dashes" true (contains f6 "-")
-
-let test_report_csv () =
-  let results = sample_results () in
-  let csv = Report.csv ~objective:`Avg results in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  (* header + 2 cells x 3 policies *)
-  Alcotest.(check int) "line count" 7 (List.length lines);
-  Alcotest.(check bool) "header" true
-    (contains (List.hd lines) "policy,value,lp_bound")
+  Alcotest.(check bool) "lp-less row rendered with dashes" true (contains f6 "-")
 
 (* --- properties --- *)
 
@@ -339,11 +351,11 @@ let prop_inline_equals_fork =
       let run jobs cells =
         let module Metrics = Flowsched_obs.Metrics in
         let before = Metrics.snapshot () in
-        let results = Experiment.run_sweep ~policies ~jobs cells in
+        let results = Experiment.run ~policies ~jobs cells in
         let counters = algorithmic_counters (Metrics.diff (Metrics.snapshot ()) before) in
         let artifact =
           Flowsched_util.Json.to_string
-            (Report.sweep_json ~jobs:1 (List.map Report.strip_sweep_timing results))
+            (Report.sweep_json ~jobs:1 (List.map Experiment.strip_timing results))
         in
         (artifact, counters)
       in
@@ -351,15 +363,9 @@ let prop_inline_equals_fork =
         (fun (seed, ncells, horizon) ->
           let cells =
             List.init ncells (fun i ->
-                {
-                  Experiment.workload = (if (seed + i) mod 2 = 0 then "poisson" else "uniform");
-                  ports = 4;
-                  arrival_rate = 2.0;
-                  horizon;
-                  max_demand = 3;
-                  sweep_seed = seed + (31 * i);
-                  lp = true;
-                })
+                cell ~rounds:horizon ~max_demand:3
+                  (if (seed + i) mod 2 = 0 then "poisson" else "uniform")
+                  (seed + (31 * i)))
           in
           let inline_artifact, inline_counters = run 1 cells in
           let fork_artifact, fork_counters = run 4 cells in
@@ -369,6 +375,142 @@ let prop_inline_equals_fork =
             QCheck2.Test.fail_reportf "seed %d: fork counter totals differ from inline" seed;
           true)
         specs)
+
+(* A Figure 6/7 row of grid cells, averaged by Report, must render the
+   bytes of the per-try loop that computed rows before the one grid cell
+   (Reference.Figures): 1-4 tries (their means fold newest first, which
+   only matters from three tries on), LP on and off, and congestions low
+   enough that some tries draw an empty instance and drop out of the
+   means. *)
+let prop_figures_rows_match_reference =
+  QCheck2.Test.make ~name:"figures rows = per-try loop reference" ~count:60
+    ~print:(fun (m, c, rounds, tries, seed, lp) ->
+      Printf.sprintf "m=%d congestion=%h rounds=%d tries=%d seed=%d lp=%b" m c rounds tries seed lp)
+    QCheck2.Gen.(
+      let* m = int_range 1 4
+      and* c = oneof [ float_range 0.02 0.3; float_range 0.3 2. ]
+      and* rounds = int_range 1 6
+      and* tries = int_range 1 4
+      and* seed = int_bound 1_000_000
+      and* lp = bool in
+      return (m, c, rounds, tries, seed, lp))
+    (fun (m, c, rounds, tries, seed, lp) ->
+      let policies = Heuristics.all_paper_heuristics in
+      let lp_rounds_limit = if lp then rounds else rounds - 1 in
+      let module R = Reference.Figures in
+      let old =
+        List.map (R.run_cell ~policies)
+          (R.fig6_grid ~m ~tries ~seed ~lp_rounds_limit ~congestion:[ c ] ~rounds:[ rounds ] ())
+      in
+      let rows =
+        Experiment.run_grid ~policies
+          (Experiment.fig6_grid ~m ~tries ~seed ~lp_rounds_limit ~congestion:[ c ]
+             ~rounds:[ rounds ] ())
+      in
+      let json f x = Flowsched_util.Json.to_string (f x) in
+      json (R.figures_json ~jobs:2) old = json (Report.figures_json ~jobs:2) rows
+      && R.fig6_table old = Report.fig6_table rows
+      && R.fig7_table old = Report.fig7_table rows)
+
+(* The one decoder at the checkpoint trust boundary.  Random results of
+   every mode, with nan bounds, an LP error or none and LP counters or
+   none, must re-encode to their own bytes; every truncation of an
+   encoding, every dropped field, every retyped value and every non-object
+   entry must decode to [Error], never raise. *)
+let prop_decoder_rejects_mutations =
+  let module J = Flowsched_util.Json in
+  let module M = Flowsched_obs.Metrics in
+  let gen_result =
+    let open QCheck2.Gen in
+    let maybe_nan g = oneof [ return nan; g ] in
+    let counter n = map (Option.map (fun v -> ("simplex." ^ n, M.Counter v))) (opt (int_range 1 9999)) in
+    let gauge n = map (Option.map (fun v -> ("simplex." ^ n, M.Gauge v))) (opt (float_range 1e-6 2.)) in
+    let lp_counters =
+      map
+        (fun xs -> List.sort compare (List.filter_map Fun.id xs))
+        (flatten_l
+           (List.map counter
+              [
+                "solves"; "pivots"; "ftran_calls"; "refactorizations"; "full_pricing_scans";
+                "partial_pricing_rounds"; "warm_attempts"; "warm_accepted"; "phase1_skipped";
+                "basis_nnz"; "factor_nnz"; "eta_nnz"; "bound_flips";
+              ]
+           @ List.map gauge [ "phase1_seconds"; "phase2_seconds" ]))
+    in
+    let entry =
+      map3
+        (fun name art mrt -> { Experiment.name; art; mrt })
+        (oneofl [ "MaxCard"; "fifo-endpoint"; "wsebf" ])
+        (maybe_nan (float_range 1. 40.))
+        (int_bound 60)
+    in
+    let* workload = oneofl [ "poisson"; "pareto"; "pareto:1.5"; "uniform"; "bursty:4:10:0.3" ]
+    and* mode =
+      oneofl
+        [
+          Matrix.Flows;
+          Matrix.Endpoint { nodes = 2; node_cap = 3 };
+          Matrix.Coflow { groups = 4; max_weight = 2 };
+        ]
+    and* m = int_range 1 9
+    and* rate = float_range 0.1 50.
+    and* rounds = int_range 1 30
+    and* seed = int_bound 1_000_000
+    and* lp = bool
+    and* flows = int_bound 500
+    and* entries = list_size (int_range 1 4) entry
+    and* kind = oneofl [ "lp"; "lp-relaxed"; "bottleneck"; "none" ]
+    and* avg = maybe_nan (float_range 0. 40.)
+    and* max = maybe_nan (float_range 0. 40.)
+    and* error = opt (oneofl [ "Failure(\"synthetic LP failure\")"; "Iteration_limit(5000)" ])
+    and* lp_counters = opt lp_counters
+    and* wall_s = float_range 0. 5. in
+    return
+      {
+        Experiment.cell = cell ~mode ~lp ~m ~rate ~rounds workload seed;
+        flows;
+        entries;
+        bound = { Experiment.kind; avg; max; error; lp_counters };
+        wall_s;
+      }
+  in
+  let retype = function J.Bool _ -> J.Int 1 | _ -> J.Bool true in
+  (* Every single-value mutation of a JSON tree: each object field dropped
+     or retyped, each array element made a non-object, recursively. *)
+  let rec mutants = function
+    | J.Obj fields ->
+        List.concat
+          (List.mapi
+             (fun i (_, v) ->
+               let set v' = J.Obj (List.mapi (fun i' (k', v0) -> (k', if i' = i then v' else v0)) fields) in
+               (J.Obj (List.filteri (fun i' _ -> i' <> i) fields) :: set (retype v)
+               :: List.map set (mutants v)))
+             fields)
+    | J.Arr items ->
+        List.concat
+          (List.mapi
+             (fun i v ->
+               let set v' = J.Arr (List.mapi (fun i' v0 -> if i' = i then v' else v0) items) in
+               List.map set ([ J.Int 3; J.Str "x"; J.Arr []; J.Null ] @ mutants v))
+             items)
+    | _ -> []
+  in
+  QCheck2.Test.make ~name:"one decoder: mutants give Error, encodings round-trip" ~count:150
+    ~print:(fun r -> J.to_string ~pretty:false (Checkpoint.encode r))
+    gen_result
+    (fun r ->
+      let c = r.Experiment.cell in
+      let j = Checkpoint.encode r in
+      let s = J.to_string ~pretty:false j in
+      let rejected j = match Checkpoint.decode c j with Error _ -> true | Ok _ -> false in
+      (match Checkpoint.decode c j with
+      | Ok r' -> J.to_string ~pretty:false (Checkpoint.encode r') = s
+      | Error e -> QCheck2.Test.fail_reportf "own encoding rejected: %s" e)
+      && List.for_all rejected (J.Int 0 :: J.Arr [ j ] :: mutants j)
+      && List.for_all
+           (fun k ->
+             match J.parse (String.sub s 0 k) with Error _ -> true | Ok j -> rejected j)
+           (List.init (String.length s) Fun.id))
 
 (* --- parallel grids and the sweep artifact --- *)
 
@@ -380,43 +522,32 @@ let test_run_grid_parallel_identical () =
   let policies = Heuristics.all_paper_heuristics in
   let seq = Experiment.run_grid ~policies ~jobs:1 grid in
   let par = Experiment.run_grid ~policies ~jobs:3 grid in
-  Alcotest.(check int) "same cell count" (List.length seq) (List.length par);
-  Alcotest.(check bool) "identical results in job order" true (seq = par);
+  let strip = List.map (List.map Experiment.strip_timing) in
+  Alcotest.(check int) "same row count" (List.length seq) (List.length par);
+  Alcotest.(check bool) "identical results in job order" true (strip seq = strip par);
   Alcotest.(check string) "identical fig6 table" (Report.fig6_table seq)
     (Report.fig6_table par);
   Alcotest.(check string) "identical fig7 table" (Report.fig7_table seq)
     (Report.fig7_table par)
 
 let sweep_cells =
-  List.concat_map
-    (fun workload ->
-      List.map
-        (fun seed ->
-          {
-            Experiment.workload;
-            ports = 4;
-            arrival_rate = 2.0;
-            horizon = 4;
-            max_demand = 2;
-            sweep_seed = seed;
-            lp = true;
-          })
-        [ 1; 2 ])
-    [ "poisson"; "uniform" ]
+  Result.get_ok
+    (Experiment.grid ~kinds:[ "poisson"; "uniform" ] ~modes:[ Matrix.Flows ] ~m:4 ~rates:[ 2.0 ]
+       ~rounds:[ 4 ] ~max_demand:2 ~seeds:[ 1; 2 ] ~lp:true)
 
 let test_sweep_deterministic_across_jobs () =
   let policies = [ Heuristics.maxcard; Heuristics.maxweight ] in
   (* Discrete LP counters (pivots, warm accepts, ...) must be identical
      across job counts too; only the timing fields are nondeterministic. *)
-  let strip_wall = Report.strip_sweep_timing in
-  let seq = List.map strip_wall (Experiment.run_sweep ~policies ~jobs:1 sweep_cells) in
-  let par = List.map strip_wall (Experiment.run_sweep ~policies ~jobs:3 sweep_cells) in
+  let strip_wall = Experiment.strip_timing in
+  let seq = List.map strip_wall (Experiment.run ~policies ~jobs:1 sweep_cells) in
+  let par = List.map strip_wall (Experiment.run ~policies ~jobs:3 sweep_cells) in
   Alcotest.(check bool) "sweep results identical up to wall-clock" true (seq = par)
 
 let test_sweep_artifact_roundtrip () =
   let open Flowsched_util in
   let policies = [ Heuristics.maxcard; Heuristics.minrtime ] in
-  let results = Experiment.run_sweep ~policies ~jobs:2 sweep_cells in
+  let results = Experiment.run ~policies ~jobs:2 sweep_cells in
   let artifact = Report.sweep_json ~jobs:2 results in
   let parsed =
     match Json.parse (Json.to_string artifact) with
@@ -430,91 +561,97 @@ let test_sweep_artifact_roundtrip () =
   let cells = Json.to_list (Option.value ~default:Json.Null (Json.member "cells" parsed)) in
   Alcotest.(check int) "one JSON object per cell" (List.length results) (List.length cells);
   List.iter2
-    (fun (r : Experiment.sweep_result) cell ->
-      Alcotest.(check (option string)) "workload" (Some r.Experiment.sweep.Experiment.workload)
+    (fun (r : Experiment.result) cell ->
+      Alcotest.(check (option string)) "workload" (Some r.Experiment.cell.Experiment.workload)
         (Option.bind (Json.member "workload" cell) Json.to_string_opt);
       Alcotest.(check (option int)) "flows" (Some r.Experiment.flows)
         (Option.bind (Json.member "flows" cell) Json.to_int_opt);
       let pols = Json.to_list (Option.value ~default:Json.Null (Json.member "policies" cell)) in
-      Alcotest.(check int) "per-policy entries" (List.length r.Experiment.per_policy)
+      Alcotest.(check int) "per-policy entries" (List.length r.Experiment.entries)
         (List.length pols);
       List.iter2
-        (fun (p : Experiment.sweep_policy_result) pj ->
-          Alcotest.(check (option string)) "policy name" (Some p.Experiment.policy)
+        (fun (p : Experiment.entry) pj ->
+          Alcotest.(check (option string)) "policy name" (Some p.Experiment.name)
             (Option.bind (Json.member "name" pj) Json.to_string_opt);
           (match Option.bind (Json.member "avg_response" pj) Json.to_float_opt with
           | Some art -> Alcotest.(check (float 1e-9)) "ART round-trips" p.Experiment.art art
           | None -> Alcotest.(check bool) "nan ART serialized as null" true (Float.is_nan p.Experiment.art));
           Alcotest.(check (option int)) "MRT round-trips" (Some p.Experiment.mrt)
             (Option.bind (Json.member "max_response" pj) Json.to_int_opt))
-        r.Experiment.per_policy pols;
+        r.Experiment.entries pols;
+      let lp_avg = r.Experiment.bound.Experiment.avg in
       match Option.bind (Json.member "lp_avg_bound" cell) Json.to_float_opt with
-      | Some lp -> Alcotest.(check (float 1e-9)) "LP bound round-trips" r.Experiment.lp_avg lp
-      | None -> Alcotest.(check bool) "nan LP serialized as null" true (Float.is_nan r.Experiment.lp_avg))
+      | Some lp -> Alcotest.(check (float 1e-9)) "LP bound round-trips" lp_avg lp
+      | None -> Alcotest.(check bool) "nan LP serialized as null" true (Float.is_nan lp_avg))
     results cells
 
+(* The LP section is shared by the Flows and Endpoint modes: a failure in
+   either degrades the cell's bound and counts once under sweep.lp_errors. *)
 let test_lp_failure_degrades_gracefully () =
   let open Flowsched_util in
   let policies = [ Heuristics.maxcard ] in
-  let cell = List.hd sweep_cells in
   let c = Flowsched_obs.Metrics.counter "sweep.lp_errors" in
-  let before = Flowsched_obs.Metrics.counter_value c in
-  Experiment.lp_failure_for_tests := Some (Failure "synthetic LP failure");
-  let r =
-    Fun.protect
-      ~finally:(fun () -> Experiment.lp_failure_for_tests := None)
-      (fun () -> Experiment.run_sweep_cell ~policies cell)
-  in
-  Alcotest.(check bool) "both bounds degrade to nan" true
-    (Float.is_nan r.Experiment.lp_avg && Float.is_nan r.Experiment.lp_max);
-  (match r.Experiment.lp_error with
-  | Some msg ->
-      Alcotest.(check bool) "error text preserved" true
-        (let rec go i =
-           i + 20 <= String.length msg && (String.sub msg i 20 = "synthetic LP failure" || go (i + 1))
-         in
-         go 0)
-  | None -> Alcotest.fail "lp_error must be set");
-  Alcotest.(check int) "counted under sweep.lp_errors" (before + 1)
-    (Flowsched_obs.Metrics.counter_value c);
-  Alcotest.(check bool) "heuristics still measured" true (r.Experiment.per_policy <> []);
-  (* The degraded cell still round-trips byte-identically through the
-     checkpoint encoders: lp_error as a string, nan bounds as null. *)
-  let j = Report.sweep_cell_json r in
-  match Report.sweep_result_of_json ~sweep:cell j with
-  | Ok r' ->
-      Alcotest.(check string) "re-encode byte-identical" (Json.to_string j)
-        (Json.to_string (Report.sweep_cell_json r'))
-  | Error e -> Alcotest.failf "degraded cell does not decode: %s" e
+  List.iter
+    (fun (cell : Experiment.cell) ->
+      let mode = Matrix.mode_to_string cell.Experiment.mode in
+      let before = Flowsched_obs.Metrics.counter_value c in
+      Experiment.lp_failure_for_tests := Some (Failure "synthetic LP failure");
+      let r =
+        Fun.protect
+          ~finally:(fun () -> Experiment.lp_failure_for_tests := None)
+          (fun () -> Experiment.run_cell ~policies cell)
+      in
+      let b = r.Experiment.bound in
+      Alcotest.(check bool) (mode ^ ": both bounds degrade to nan") true
+        (Float.is_nan b.Experiment.avg && Float.is_nan b.Experiment.max);
+      (match b.Experiment.error with
+      | Some msg ->
+          Alcotest.(check bool) (mode ^ ": error text preserved") true
+            (contains msg "synthetic LP failure")
+      | None -> Alcotest.fail "the bound's error must be set");
+      Alcotest.(check int) (mode ^ ": counted under sweep.lp_errors") (before + 1)
+        (Flowsched_obs.Metrics.counter_value c);
+      Alcotest.(check bool) (mode ^ ": heuristics still measured") true
+        (r.Experiment.entries <> []);
+      (* The degraded cell still round-trips byte-identically through the
+         checkpoint encoding: the error as a string, nan bounds as null. *)
+      let j = Checkpoint.encode r in
+      match Checkpoint.decode cell j with
+      | Ok r' ->
+          Alcotest.(check string) (mode ^ ": re-encode byte-identical") (Json.to_string j)
+            (Json.to_string (Checkpoint.encode r'))
+      | Error e -> Alcotest.failf "%s: degraded cell does not decode: %s" mode e)
+    [ List.hd sweep_cells; { (List.hd sweep_cells) with mode = Matrix.Endpoint { nodes = 2; node_cap = 2 } } ]
 
 let test_sweep_unknown_workload_rejected () =
-  let bad = { (List.hd sweep_cells) with Experiment.workload = "fractal" } in
-  Alcotest.(check bool) "raises Invalid_argument" true
-    (match Experiment.sweep_instance bad with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  match
+    Experiment.grid ~kinds:[ "poisson"; "fractal" ] ~modes:[ Matrix.Flows ] ~m:4 ~rates:[ 2.0 ]
+      ~rounds:[ 4 ] ~max_demand:2 ~seeds:[ 1 ] ~lp:false
+  with
+  | Ok _ -> Alcotest.fail "an unknown kind must be rejected"
+  | Error msg -> Alcotest.(check bool) "names the kind" true (contains msg "fractal")
 
-(* test_sim names no module of lib/scenarios, so this also checks that
-   sweep cells resolve zoo and parameterized kinds with nothing else
+(* test_sim names no module outside lib/sim, so this also checks that
+   grid cells resolve zoo and parameterized kinds with nothing else
    linked. *)
 let test_sweep_resolves_every_kind () =
-  List.iter
-    (fun workload ->
-      let cell = { (List.hd sweep_cells) with Experiment.workload; horizon = 6; max_demand = 3 } in
-      let spec =
-        {
-          Scenario.kind = Scenario.of_string_exn workload;
-          m = cell.Experiment.ports;
-          rate = cell.Experiment.arrival_rate;
-          rounds = cell.Experiment.horizon;
-          max_demand = cell.Experiment.max_demand;
-          seed = cell.Experiment.sweep_seed;
-        }
-      in
-      Alcotest.(check string) workload
-        (Instance.to_string (Scenario.instance spec))
-        (Instance.to_string (Experiment.sweep_instance cell)))
-    [ "pareto:1.5"; "staircase"; "skewed:1.2" ]
+  let kinds = [ "pareto:1.5"; "staircase"; "skewed:1.2" ] in
+  let cells =
+    Result.get_ok
+      (Experiment.grid ~kinds ~modes:[ Matrix.Flows ] ~m:4 ~rates:[ 2.0 ] ~rounds:[ 6 ]
+         ~max_demand:3 ~seeds:[ 1 ] ~lp:false)
+  in
+  List.iter2
+    (fun workload (c : Experiment.cell) ->
+      Alcotest.(check string) "kind string kept as given" workload c.Experiment.workload;
+      Alcotest.(check string) (workload ^ " parsed")
+        (Scenario.to_string (Scenario.of_string_exn workload))
+        (Scenario.to_string c.Experiment.spec.Scenario.kind);
+      let n = Instance.n (Scenario.instance c.Experiment.spec) in
+      Alcotest.(check bool) (workload ^ " draws flows") true (n > 0);
+      Alcotest.(check int) (workload ^ " runs") n
+        (Experiment.run_cell ~policies:[ Heuristics.fifo ] c).Experiment.flows)
+    kinds cells
 
 let () =
   let props =
@@ -524,6 +661,8 @@ let () =
         prop_generators_match_reference;
         prop_engine_matches_offline_fifo;
         prop_inline_equals_fork;
+        prop_figures_rows_match_reference;
+        prop_decoder_rejects_mutations;
       ]
   in
   Alcotest.run "flowsched_sim"
@@ -556,11 +695,12 @@ let () =
           Alcotest.test_case "cell without lp" `Quick test_run_cell_without_lp;
           Alcotest.test_case "cell with lp" `Quick test_run_cell_with_lp;
           Alcotest.test_case "fig6 grid layout" `Quick test_fig6_grid_layout;
+          Alcotest.test_case "figures LP failure fails the run" `Quick
+            test_figures_lp_failure_fails_run;
         ] );
       ( "report",
         [
           Alcotest.test_case "tables" `Quick test_report_tables;
-          Alcotest.test_case "csv" `Quick test_report_csv;
         ] );
       ( "parallel",
         [
