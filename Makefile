@@ -90,10 +90,13 @@ chaos-smoke: build
 	  || (echo "chaos-smoke: resumed artifact diverges" && exit 1)
 	@rm -f _chaos_ref.json _chaos_run.json _chaos_resume.json _chaos_ckpt.jsonl _chaos_*.f
 
-# Large-instance LP gate: single ART round-LPs at 240 and 600 flows (the
-# sparse engine's target regime), each solved cold, re-solved warm from its
-# own optimal basis, and bounded through Art_lp.lower_bound (greedy
-# max-card's crash start, checked by its Lagrangian dual D(u)).  lp-large
+# Large-instance LP gate.  First, bench/main.exe must reject an argument
+# it does not read: `lp-large 10 --rows` (the bounds as rows, an encoding
+# that now lives only in the tests) exits 2 instead of silently running
+# the declared-bound LP.  Then single ART round-LPs at 240 and 600 flows
+# (the sparse engine's target regime), each solved cold, re-solved warm
+# from its own optimal basis, and bounded through Art_lp.lower_bound
+# (greedy max-card's crash start, checked by its Lagrangian dual D(u)).  lp-large
 # exits non-zero if the warm objective or the bound disagrees with the cold
 # objective beyond 1e-6; its summary line records pivots, LU fill-in and
 # wall time.  The warm = cold gate on the smaller offline pipelines lives in
@@ -107,6 +110,9 @@ chaos-smoke: build
 MRT_PAPER = poisson -m 150 --rate 150 --rounds 20 --seed 1
 
 bench-lp: build
+	@_build/default/bench/main.exe lp-large 10 --rows > /dev/null 2>&1; rc=$$?; \
+	  if [ $$rc -eq 2 ]; then echo "bench-lp: lp-large rejects an unknown argument (exit 2)"; \
+	  else echo "bench-lp: lp-large 10 --rows exited $$rc, expected 2"; exit 1; fi
 	dune exec bench/main.exe -- lp-large 240
 	dune exec bench/main.exe -- lp-large 600
 	@rm -f _mrt_paper.out

@@ -15,14 +15,14 @@
      dune exec bench/main.exe -- adversarial  # Figure 4 + AMRT experiments
      dune exec bench/main.exe -- lp-large N   # one ART round-LP of N flows,
                                               # cold vs warm re-solve; exits 1
-                                              # if they disagree (--rows: the
-                                              # x <= 1 bounds as explicit rows)
+                                              # if they disagree
 
    figures, ablations and adversarial accept `--jobs N` (N a positive count
    or `auto` for the detected core count; default auto) and fan their
    mutually independent cells across a Flowsched_exec.Pool of forked
    workers.  Results are merged in job order, so every table is
-   byte-identical to a sequential `--jobs 1` run. *)
+   byte-identical to a sequential `--jobs 1` run.  Any other argument exits
+   2 with the usage line. *)
 
 open Flowsched_switch
 open Flowsched_core
@@ -508,8 +508,7 @@ let amrt_block ~jobs () =
           ~cap_out:inst.Instance.cap_out ~dmax:1
       in
       let amrt =
-        Amrt.make ~planning_cap_in:inst.Instance.cap_in
-          ~planning_cap_out:inst.Instance.cap_out ()
+        Amrt.make ~planning_cap_in:inst.Instance.cap_in ~planning_cap_out:inst.Instance.cap_out
       in
       let augmented = Instance.create ~cap_in ~cap_out ~m ~m':m inst.Instance.flows in
       let r = Engine.run_instance amrt augmented in
@@ -550,10 +549,10 @@ module Simplex = Flowsched_lp.Simplex
    start and the D(u) check.  The gates are exactness: the warm re-solve and
    the bound must both reproduce the cold objective to 1e-6.  Returns the
    two verdicts. *)
-let lp_large ~explicit_ub_rows n =
+let lp_large n =
   let module M = Flowsched_obs.Metrics in
   let inst = Workload.uniform_total ~m:4 ~n ~max_release:8 ~seed:77 in
-  let model = (Art_lp.build_round_lp ~explicit_ub_rows inst).Art_lp.model in
+  let model = (Art_lp.build_round_lp inst).Art_lp.model in
   let before = M.snapshot () in
   let t0 = Unix.gettimeofday () in
   let cold = Simplex.solve_or_fail model in
@@ -585,6 +584,17 @@ let lp_large ~explicit_ub_rows n =
 
 (* ------------------------------------------------------------------ *)
 
+let usage =
+  "usage: main.exe [figures [--paper|--full] [--json] | ablations | adversarial | lp-large N] \
+   [--jobs N|auto]"
+
+let bad_usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "%s\n%s\n" msg usage;
+      exit 2)
+    fmt
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   (* Pull `--jobs N` out of the argument list; every remaining argument is
@@ -594,13 +604,8 @@ let () =
     | "--jobs" :: v :: rest -> (
         match int_of_string_opt v with
         | Some n when n >= 1 -> (n, List.rev_append acc rest)
-        | _ ->
-            Printf.eprintf
-              "bad --jobs value %S (expected a positive integer or \"auto\")\n" v;
-            exit 2)
-    | "--jobs" :: [] ->
-        Printf.eprintf "--jobs needs a value\n";
-        exit 2
+        | _ -> bad_usage "bad --jobs value %S (expected a positive integer or \"auto\")" v)
+    | "--jobs" :: [] -> bad_usage "--jobs needs a value"
     | x :: rest -> extract_jobs (x :: acc) rest
     | [] -> (Pool.default_jobs (), List.rev acc)
   in
@@ -613,31 +618,33 @@ let () =
       ablations ~jobs ();
       adversarial ~jobs ()
   | "figures" :: rest ->
+      List.iter
+        (fun a ->
+          if not (List.mem a [ "--full"; "--paper"; "--json" ]) then
+            bad_usage "unknown figures argument %S" a)
+        rest;
       let profile =
         if List.mem "--full" rest then `Full
         else if List.mem "--paper" rest then `Paper
         else `Default
       in
       figures ~profile ~jobs ~json:(List.mem "--json" rest) ()
-  | "ablations" :: _ -> ablations ~jobs ()
-  | "adversarial" :: _ -> adversarial ~jobs ()
-  | "lp-large" :: n :: rest -> (
+  | [ "ablations" ] -> ablations ~jobs ()
+  | [ "adversarial" ] -> adversarial ~jobs ()
+  | [ "lp-large"; n ] -> (
       match int_of_string_opt n with
       | Some n when n >= 1 ->
-          let agree, bound_agree = lp_large ~explicit_ub_rows:(List.mem "--rows" rest) n in
+          let agree, bound_agree = lp_large n in
           if not agree then
             Printf.eprintf "FAIL: warm re-solve disagrees with the cold objective beyond 1e-6\n%!";
           if not bound_agree then
             Printf.eprintf
               "FAIL: Art_lp.lower_bound disagrees with the cold objective beyond 1e-6\n%!";
           if not (agree && bound_agree) then exit 1
-      | _ ->
-          Printf.eprintf "bad lp-large size %S (expected a positive flow count)\n" n;
-          exit 2)
-  | other :: _ ->
-      Printf.eprintf "unknown bench mode %S (try figures|ablations|adversarial|lp-large N)\n"
-        other;
-      exit 2);
+      | _ -> bad_usage "bad lp-large size %S (expected a positive flow count)" n)
+  | ("ablations" | "adversarial" | "lp-large") :: _ ->
+      bad_usage "wrong arguments for %S" (String.concat " " args)
+  | other :: _ -> bad_usage "unknown bench mode %S" other);
   section "Metrics registry";
   print_string (Flowsched_obs.Metrics.to_text (Flowsched_obs.Metrics.snapshot ()));
   Printf.printf "\nall benches finished in %.1fs\n%!" (elapsed t0)

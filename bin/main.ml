@@ -218,7 +218,7 @@ let generate kind m rate rounds n max_release max_demand seed =
       (* generate's "uniform" predates the scenario namespace and keeps its
          --n/--max-release knobs rather than the rate * rounds volume. *)
       | "uniform" -> Flowsched_sim.Workload.uniform_total ~m ~n ~max_release ~seed
-      | "slack1" -> Open_problem.generate ~seed ~m ~rounds ()
+      | "slack1" -> Open_problem.generate ~seed ~m ~rounds
       | "fig4a" -> Lower_bounds.fig4a_static ~t:(rounds / 2) ~total_rounds:rounds
       | "fig4b" -> Lower_bounds.fig4b_static ()
       | other -> (

@@ -69,7 +69,7 @@ let lemma_5_3 () =
       ~dmax:1
   in
   let amrt =
-    Amrt.make ~planning_cap_in:inst.Instance.cap_in ~planning_cap_out:inst.Instance.cap_out ()
+    Amrt.make ~planning_cap_in:inst.Instance.cap_in ~planning_cap_out:inst.Instance.cap_out
   in
   let augmented = Instance.create ~cap_in ~cap_out ~m:6 ~m':6 inst.Instance.flows in
   let r = Engine.run_instance amrt augmented in

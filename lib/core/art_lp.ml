@@ -30,55 +30,6 @@ let default_horizon inst =
     load_out;
   Instance.last_release inst + !worst + 1
 
-(* Shared construction: per-flow variables over [release, horizon), demand
-   rows; the capacity rows and objective differ between the two programs. *)
-let build ~objective_term ~add_capacity_rows ?(explicit_ub_rows = false) ?horizon inst =
-  let horizon = match horizon with Some h -> h | None -> default_horizon inst in
-  if horizon <= Instance.last_release inst then
-    invalid_arg "Art_lp: horizon does not cover all release times";
-  let model = Model.create () in
-  let n = Instance.n inst in
-  let tbl = Hashtbl.create (4 * n) in
-  let cap_rows_in = Array.make_matrix inst.Instance.m horizon (-1) in
-  let cap_rows_out = Array.make_matrix inst.Instance.m' horizon (-1) in
-  let vars_of_flow = Array.make n [] in
-  Array.iter
-    (fun (f : Flow.t) ->
-      let e = f.Flow.id in
-      let vars = ref [] in
-      for t = horizon - 1 downto f.Flow.release do
-        let obj = objective_term inst f t in
-        (* b_{e,t} <= d_e is non-binding at the optimum (the positive
-           objective coefficients already force the demand row to hold with
-           equality), but declaring it bounds every column for the simplex
-           engine; [explicit_ub_rows] instead emits it as constraint rows,
-           kept as a parity oracle for tests. *)
-        let ub = if explicit_ub_rows then infinity else float_of_int f.Flow.demand in
-        let v = Model.add_var ~obj ~ub model in
-        if explicit_ub_rows then
-          ignore (Model.add_constraint model [ (v, 1.) ] Model.Le (float_of_int f.Flow.demand));
-        Hashtbl.add tbl (e, t) v;
-        vars := (t, v) :: !vars
-      done;
-      vars_of_flow.(e) <- !vars;
-      (* (2)/(6): the flow is fully scheduled across its rounds *)
-      ignore
-        (Model.add_constraint model
-           (List.map (fun (_, v) -> (v, 1.)) !vars)
-           Model.Ge
-           (float_of_int f.Flow.demand)))
-    inst.Instance.flows;
-  add_capacity_rows model inst horizon tbl ~rows_in:cap_rows_in ~rows_out:cap_rows_out;
-  {
-    model;
-    var = (fun e t -> Hashtbl.find_opt tbl (e, t));
-    vars_of_flow;
-    horizon;
-    instance = inst;
-    cap_rows_in;
-    cap_rows_out;
-  }
-
 (* Flows grouped by port, for building capacity rows. *)
 let flows_by_port inst =
   let by_in = Array.make inst.Instance.m [] in
@@ -90,7 +41,8 @@ let flows_by_port inst =
     inst.Instance.flows;
   (by_in, by_out)
 
-let round_capacity_rows model inst horizon tbl ~rows_in ~rows_out =
+(* (3): one capacity row per port and round that has a column. *)
+let capacity_rows model inst horizon tbl ~rows_in ~rows_out =
   let by_in, by_out = flows_by_port inst in
   let add caps flows_of_port rows =
     Array.iteri
@@ -113,54 +65,63 @@ let round_capacity_rows model inst horizon tbl ~rows_in ~rows_out =
   add inst.Instance.cap_in by_in rows_in;
   add inst.Instance.cap_out by_out rows_out
 
-let interval_capacity_rows model inst horizon tbl ~rows_in ~rows_out =
-  let by_in, by_out = flows_by_port inst in
-  let nwindows = (horizon + 3) / 4 in
-  let add caps flows_of_port rows =
-    Array.iteri
-      (fun p flows ->
-        if flows <> [] then
-          for a = 0 to nwindows - 1 do
-            let terms = ref [] in
-            for t = 4 * a to min ((4 * a) + 3) (horizon - 1) do
-              List.iter
-                (fun (f : Flow.t) ->
-                  match Hashtbl.find_opt tbl (f.Flow.id, t) with
-                  | Some v -> terms := (v, 1.) :: !terms
-                  | None -> ())
-                flows
-            done;
-            if !terms <> [] then begin
-              let r = Model.add_constraint model !terms Model.Le (4. *. float_of_int caps.(p)) in
-              for t = 4 * a to min ((4 * a) + 3) (horizon - 1) do
-                rows.(p).(t) <- r
-              done
-            end
-          done)
-      flows_of_port
-  in
-  add inst.Instance.cap_in by_in rows_in;
-  add inst.Instance.cap_out by_out rows_out
+(* Per-flow variables over [release, horizon), demand rows, then the
+   per-round capacity rows; only the objective differs between the
+   unweighted and the weighted bound. *)
+let build ~objective_term ?horizon inst =
+  let horizon = match horizon with Some h -> h | None -> default_horizon inst in
+  if horizon <= Instance.last_release inst then
+    invalid_arg "Art_lp: horizon does not cover all release times";
+  let model = Model.create () in
+  let n = Instance.n inst in
+  let tbl = Hashtbl.create (4 * n) in
+  let cap_rows_in = Array.make_matrix inst.Instance.m horizon (-1) in
+  let cap_rows_out = Array.make_matrix inst.Instance.m' horizon (-1) in
+  let vars_of_flow = Array.make n [] in
+  Array.iter
+    (fun (f : Flow.t) ->
+      let e = f.Flow.id in
+      let vars = ref [] in
+      for t = horizon - 1 downto f.Flow.release do
+        let obj = objective_term inst f t in
+        (* b_{e,t} <= d_e is non-binding at the optimum (the positive
+           objective coefficients already force the demand row to hold with
+           equality), but declaring it bounds every column for the simplex
+           engine. *)
+        let v = Model.add_var ~obj ~ub:(float_of_int f.Flow.demand) model in
+        Hashtbl.add tbl (e, t) v;
+        vars := (t, v) :: !vars
+      done;
+      vars_of_flow.(e) <- !vars;
+      (* (2): the flow is fully scheduled across its rounds *)
+      ignore
+        (Model.add_constraint model
+           (List.map (fun (_, v) -> (v, 1.)) !vars)
+           Model.Ge
+           (float_of_int f.Flow.demand)))
+    inst.Instance.flows;
+  capacity_rows model inst horizon tbl ~rows_in:cap_rows_in ~rows_out:cap_rows_out;
+  {
+    model;
+    var = (fun e t -> Hashtbl.find_opt tbl (e, t));
+    vars_of_flow;
+    horizon;
+    instance = inst;
+    cap_rows_in;
+    cap_rows_out;
+  }
 
-let build_round_lp ?explicit_ub_rows ?horizon inst =
+let build_round_lp ?horizon inst =
   let objective_term inst (f : Flow.t) t =
     let kappa = float_of_int (Instance.kappa inst f) in
     (float_of_int (t - f.Flow.release) /. float_of_int f.Flow.demand) +. (1. /. (2. *. kappa))
   in
-  build ~objective_term ~add_capacity_rows:round_capacity_rows ?explicit_ub_rows ?horizon
-    inst
-
-let build_interval_lp ?explicit_ub_rows ?horizon inst =
-  let objective_term _inst (f : Flow.t) t =
-    (float_of_int (t - f.Flow.release) /. float_of_int f.Flow.demand) +. 0.5
-  in
-  build ~objective_term ~add_capacity_rows:interval_capacity_rows ?explicit_ub_rows
-    ?horizon inst
+  build ~objective_term ?horizon inst
 
 (* D(u): relax the capacity rows with multipliers u >= 0 and what is left
    splits by flow, each putting its whole demand on its cheapest round under
-   the prices c_{e,t} + u_{src,t} + u_{dst,t}.  Every row a round's column
-   sits in is charged once, so a window row of LP (5)-(8) counts once too. *)
+   the prices c_{e,t} + u_{src,t} + u_{dst,t}.  Each capacity row covers
+   one round, so each is charged once. *)
 let dual_bound built u =
   let model = built.model in
   if Array.length u <> Model.num_rows model then
@@ -192,8 +153,7 @@ let dual_bound built u =
       (fun p of_round ->
         Array.iteri
           (fun t r ->
-            if r >= 0 && (t = 0 || of_round.(t - 1) <> r) then
-              d := !d -. (Model.row_rhs model r *. price rows p t))
+            if r >= 0 then d := !d -. (Model.row_rhs model r *. price rows p t))
           of_round)
       rows
   in
@@ -264,6 +224,5 @@ let weighted_lower_bound ?horizon inst ~weights =
     *. ((float_of_int (t - f.Flow.release) /. float_of_int f.Flow.demand)
        +. (1. /. (2. *. kappa)))
   in
-  bound_of_solution
-    (build ~objective_term ~add_capacity_rows:round_capacity_rows ?horizon inst)
+  bound_of_solution (build ~objective_term ?horizon inst)
     (Array.fold_left ( +. ) 0. weights)

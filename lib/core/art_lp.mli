@@ -1,18 +1,11 @@
-(** Linear programs for Flow Scheduling to Minimize Average Response Time
-    (FS-ART), Section 3 of the paper.
-
-    Two relaxations are provided:
-
-    - {!lower_bound} solves LP (1)–(4) (the Garg–Kumar-style program with
-      per-round capacity constraints and fractional response-time objective
-      [(t - r_e)/d_e + 1/(2 kappa_e)]).  By Lemma 3.1 its optimum lower
-      bounds the total response time of {e any} schedule that finishes
-      within the chosen horizon.  This is the baseline the paper's Figure 6
-      compares the online heuristics against.
-
-    - {!build_interval_lp} builds LP (5)–(8), the interval-relaxed program
-      (capacity aggregated over length-4 windows, [1/2] additive term) that
-      seeds the iterative rounding of Lemma 3.3.
+(** LP (1)–(4) for Flow Scheduling to Minimize Average Response Time
+    (FS-ART), Section 3 of the paper: the Garg–Kumar-style program with
+    per-round capacity constraints and fractional response-time objective
+    [(t - r_e)/d_e + 1/(2 kappa_e)].  By Lemma 3.1 its optimum lower bounds
+    the total response time of {e any} schedule that finishes within the
+    chosen horizon.  This is the baseline the paper's Figure 6 compares the
+    online heuristics against.  The interval relaxation LP (5)–(8) that
+    seeds the rounding of Lemma 3.3 is built by {!Iterative_rounding}.
 
     The horizon defaults to a value that provably leaves the fractional
     optimum unconstrained (uniform spreading after the last release is
@@ -32,8 +25,7 @@ type built = {
   cap_rows_in : Flowsched_lp.Model.row array array;
       (** [cap_rows_in.(p).(t)] is the capacity row of input port [p] that
           round [t]'s columns sit in, or [-1] when the port has no column in
-          that round.  In LP (5)–(8) every round of a window maps to the
-          window's row. *)
+          that round. *)
   cap_rows_out : Flowsched_lp.Model.row array array;  (** Likewise for output ports. *)
 }
 
@@ -42,21 +34,11 @@ val default_horizon : Flowsched_switch.Instance.t -> int
     uniformly over the rounds after the last release is feasible within this
     horizon, so the LP optimum is not constrained by it. *)
 
-val build_round_lp :
-  ?explicit_ub_rows:bool -> ?horizon:int -> Flowsched_switch.Instance.t -> built
+val build_round_lp : ?horizon:int -> Flowsched_switch.Instance.t -> built
 (** LP (1)–(4): variables [b_{e,t}], demand rows (2), per-round port
     capacity rows (3), objective [sum ((t - r_e)/d_e + 1/(2 kappa_e))
     b_{e,t}].  Each variable carries the declared bound [b_{e,t} <= d_e]
-    (non-binding at the optimum); [explicit_ub_rows] (default [false])
-    emits those bounds as constraint rows instead — slower, kept as a
-    parity oracle for tests. *)
-
-val build_interval_lp :
-  ?explicit_ub_rows:bool -> ?horizon:int -> Flowsched_switch.Instance.t -> built
-(** LP (5)–(8): same variables and demand rows, capacity rows aggregated
-    over windows [(4(a-1), 4a]] with right-hand side [4 c_p], objective
-    [sum ((t - r_e)/d_e + 1/2) b_{e,t}].  [explicit_ub_rows] as in
-    {!build_round_lp}. *)
+    (non-binding at the optimum), which adds no row. *)
 
 val dual_bound : built -> float array -> float
 (** [dual_bound built u] is the Lagrangian dual of the capacity rows at the

@@ -58,8 +58,8 @@ let feasible_with_rho inst ~rho =
     if go 0 then Some (Schedule.make assignment) else None
   end
 
-let min_max_response ?hi inst =
-  let hi = match hi with Some h -> h | None -> Instance.horizon inst in
+let min_max_response inst =
+  let hi = Instance.horizon inst in
   let rec try_rho rho =
     if rho > hi then None
     else

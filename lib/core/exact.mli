@@ -10,10 +10,10 @@ val feasible_with_rho : Flowsched_switch.Instance.t -> rho:int ->
 (** A schedule with maximum response time at most [rho] under the original
     capacities, or [None] if none exists. *)
 
-val min_max_response : ?hi:int -> Flowsched_switch.Instance.t ->
+val min_max_response : Flowsched_switch.Instance.t ->
   (int * Flowsched_switch.Schedule.t) option
 (** Smallest achievable maximum response time, by trying rho = 1, 2, ...
-    up to [hi] (default: a horizon where the serial schedule fits). *)
+    up to a horizon where the serial schedule fits. *)
 
 val min_total_response : ?horizon:int -> Flowsched_switch.Instance.t ->
   int * Flowsched_switch.Schedule.t

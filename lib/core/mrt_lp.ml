@@ -27,7 +27,7 @@ type fractional = {
   basis : basis_key list;
 }
 
-let solve ?(explicit_ub_rows = false) ?residual ?warm inst active =
+let solve ?residual ?warm inst active =
   let n = Instance.n inst in
   let model = Model.create () in
   let var = Hashtbl.create (4 * n) in
@@ -44,11 +44,8 @@ let solve ?(explicit_ub_rows = false) ?residual ?warm inst active =
             invalid_arg "Mrt_lp.solve: active round before release";
           (* x_{e,t} <= 1 is implied by the assignment row, but declaring it
              lets the bounded-variable simplex park the column at either
-             bound; [explicit_ub_rows] keeps the old row-based formulation
-             around as a parity oracle. *)
-          let ub = if explicit_ub_rows then infinity else 1. in
-          let v = Model.add_var ~ub model in
-          if explicit_ub_rows then ignore (Model.add_constraint model [ (v, 1.) ] Model.Le 1.);
+             bound. *)
+          let v = Model.add_var ~ub:1. model in
           Hashtbl.add var (e, t) v;
           Hashtbl.add var_rev v (e, t);
           let push key =

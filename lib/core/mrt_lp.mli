@@ -31,7 +31,6 @@ type fractional = {
 }
 
 val solve :
-  ?explicit_ub_rows:bool ->
   ?residual:(bool * int * int -> int) ->
   ?warm:basis_key list ->
   Flowsched_switch.Instance.t -> active -> fractional option
@@ -46,6 +45,5 @@ val solve :
     against the model with [Model.is_feasible ~tol:Tol.art_infeasible], the
     threshold at which phase 1 declares the LP feasible, and [Failure] is
     raised if it fails, so no start, cold or warm, reports a false
-    "feasible".  [explicit_ub_rows] (default
-    [false]) encodes [x_{e,t} <= 1] as explicit constraint rows instead of
-    declared variable bounds — slower, kept as a parity oracle for tests. *)
+    "feasible".  Each [x_{e,t} <= 1] is a declared variable bound, not a
+    row. *)

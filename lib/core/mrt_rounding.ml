@@ -16,7 +16,7 @@ type outcome = {
 
 type row_key = bool * int * int (* is_input, port, round *)
 
-let round_loop ~warm_start ?start inst active =
+let round_loop ?start inst active =
   let n = Instance.n inst in
   let dmax = Instance.dmax inst in
   let bound = max 0 ((2 * dmax) - 1) in
@@ -99,25 +99,19 @@ let round_loop ~warm_start ?start inst active =
     incr lp_solves;
     Metrics.incr c_lp_solves;
     let sub_warm =
-      if not warm_start then None
-      else
-        Option.map
-          (fun keys ->
-            let sub_of_global = Hashtbl.create (Array.length ids) in
-            Array.iteri (fun i e -> Hashtbl.replace sub_of_global e i) ids;
-            List.filter_map
-              (function
-                | Mrt_lp.Bvar (e, t) ->
-                    Option.map
-                      (fun i -> Mrt_lp.Bvar (i, t))
-                      (Hashtbl.find_opt sub_of_global e)
-                | Mrt_lp.Bub (e, t) ->
-                    Option.map
-                      (fun i -> Mrt_lp.Bub (i, t))
-                      (Hashtbl.find_opt sub_of_global e)
-                | Mrt_lp.Bcap _ as k -> Some k)
-              keys)
-          !warm
+      Option.map
+        (fun keys ->
+          let sub_of_global = Hashtbl.create (Array.length ids) in
+          Array.iteri (fun i e -> Hashtbl.replace sub_of_global e i) ids;
+          List.filter_map
+            (function
+              | Mrt_lp.Bvar (e, t) ->
+                  Option.map (fun i -> Mrt_lp.Bvar (i, t)) (Hashtbl.find_opt sub_of_global e)
+              | Mrt_lp.Bub (e, t) ->
+                  Option.map (fun i -> Mrt_lp.Bub (i, t)) (Hashtbl.find_opt sub_of_global e)
+              | Mrt_lp.Bcap _ as k -> Some k)
+            keys)
+        !warm
     in
     (match Mrt_lp.solve ~residual ?warm:sub_warm sub_inst sub_active with
     | None -> infeasible := true
@@ -206,7 +200,7 @@ let round_loop ~warm_start ?start inst active =
       }
   end
 
-let round ?(warm_start = true) ?start inst active =
+let round ?start inst active =
   Trace.with_span "mrt.round"
     ~args:(fun () -> [ ("flows", Flowsched_util.Json.Int (Instance.n inst)) ])
-    (fun () -> round_loop ~warm_start ?start inst active)
+    (fun () -> round_loop ?start inst active)

@@ -30,18 +30,16 @@ type outcome = {
 }
 
 val round :
-  ?warm_start:bool ->
   ?start:Mrt_lp.basis_key list ->
   Flowsched_switch.Instance.t ->
   Mrt_lp.active ->
   outcome option
 (** [None] when the LP itself is infeasible (then no schedule meets the
-    deadlines at all, by Theorem 3's relaxation argument).  With
-    [warm_start] (default [true]) the first solve starts from [start], in
-    the instance's flow ids (keys outside the active rounds drop out; cold
-    without [start]), and each re-solve from the previous round's optimal
-    basis, translated through the shrinking flow renumbering; with
-    [~warm_start:false] every solve is cold.  {!Mrt_scheduler} passes
+    deadlines at all, by Theorem 3's relaxation argument).  The first
+    solve starts from [start], in the instance's flow ids (keys outside the
+    active rounds drop out; cold without [start]), and each re-solve from
+    the previous round's optimal basis, translated through the shrinking
+    flow renumbering.  {!Mrt_scheduler} passes
     FIFO's schedule, one [Bvar (e, round)] per flow: the flows it serves
     inside their active rounds start basic at 1, and when it serves them
     all phase 1 is skipped, the first vertex is FIFO's own integral point

@@ -30,17 +30,17 @@ let interval_slack inst =
   scan count_out;
   if !worst = min_int then 0 else max !worst 0
 
-let generate ~seed ~m ~rounds ?(density = 0.7) ?(perturbations = -1) () =
+let generate ~seed ~m ~rounds =
   let g = Prng.create seed in
-  let perturbations = if perturbations < 0 then m * rounds / 2 else perturbations in
-  (* One random partial matching per round: a random permutation filtered by
-     density, so each port sees at most one release per round. *)
+  (* One random partial matching per round: a random permutation whose
+     edges are kept with probability 0.7, so each port sees at most one
+     release per round. *)
   let specs = ref [] in
   for t = 0 to rounds - 1 do
     let perm = Array.init m (fun i -> i) in
     Sampling.shuffle g perm;
     Array.iteri
-      (fun src dst -> if Prng.float g < density then specs := (src, dst, 1, t) :: !specs)
+      (fun src dst -> if Prng.float g < 0.7 then specs := (src, dst, 1, t) :: !specs)
       perm
   done;
   let specs = Array.of_list (List.rev !specs) in
@@ -50,7 +50,7 @@ let generate ~seed ~m ~rounds ?(density = 0.7) ?(perturbations = -1) () =
   if Array.length specs = 0 then Instance.of_flows ~m ~m':m [ (0, 0, 1, 0) ]
   else begin
     (* Perturb: advance random releases while the +1 slack holds. *)
-    for _ = 1 to perturbations do
+    for _ = 1 to m * rounds / 2 do
       let i = Prng.int g (Array.length specs) in
       let src, dst, d, r = specs.(i) in
       if r > 0 then begin
@@ -110,7 +110,7 @@ let study ~seed ~m ~rounds ~trials =
   let worst_exact = ref None in
   let flows_total = ref 0 in
   for trial = 0 to trials - 1 do
-    let inst = generate ~seed:(seed + (31 * trial)) ~m ~rounds () in
+    let inst = generate ~seed:(seed + (31 * trial)) ~m ~rounds in
     flows_total := !flows_total + Instance.n inst;
     worst_slack := max !worst_slack (interval_slack inst);
     worst_frac := max !worst_frac (Mrt_scheduler.min_fractional_rho inst);

@@ -21,14 +21,11 @@ val interval_slack : Flowsched_switch.Instance.t -> int
     instance class is exactly [interval_slack <= 1]; a sequence of plain
     matchings has slack <= 0. *)
 
-val generate :
-  seed:int -> m:int -> rounds:int -> ?density:float -> ?perturbations:int -> unit ->
-  Flowsched_switch.Instance.t
+val generate : seed:int -> m:int -> rounds:int -> Flowsched_switch.Instance.t
 (** Unit-capacity, unit-demand instance with [interval_slack <= 1]:
-    [rounds] random partial matchings (edge kept with probability
-    [density], default 0.7) released one per round, then up to
-    [perturbations] (default [m * rounds / 2]) random flows have their
-    release moved earlier while the slack condition is re-checked. *)
+    [rounds] random partial matchings (each edge kept with probability
+    0.7) released one per round, then [m * rounds / 2] times a random flow
+    has its release moved earlier, undone if the slack condition fails. *)
 
 type study = {
   trials : int;

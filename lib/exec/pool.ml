@@ -7,7 +7,6 @@ let c_retries = Metrics.counter "pool.retries"
 let c_workers_spawned = Metrics.counter "pool.workers_spawned"
 let c_worker_deaths = Metrics.counter "pool.worker_deaths"
 let c_frames_corrupt = Metrics.counter "pool.frames_corrupt"
-let g_backoff_seconds = Metrics.gauge "pool.backoff_seconds"
 let h_job_seconds = Metrics.histogram "pool.job_seconds"
 
 type 'b outcome =
@@ -90,21 +89,6 @@ type 'a request =
   | Quit
 
 (* ------------------------------------------------------------------ *)
-(* Retry backoff: exponential in the attempt number with deterministic   *)
-(* jitter drawn from (base_seed, job, attempt), capped at 60s.           *)
-(* ------------------------------------------------------------------ *)
-
-let backoff_delay ~backoff ~base_seed ~job ~attempt =
-  if backoff <= 0. then 0.
-  else begin
-    let g =
-      Flowsched_util.Prng.create (base_seed + (1_000_033 * job) + (104_729 * attempt))
-    in
-    let jitter = 0.5 +. Flowsched_util.Prng.float g in
-    Float.min 60. (backoff *. Float.of_int (1 lsl min 20 (attempt - 1))) *. jitter
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Workers                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -115,7 +99,7 @@ type worker = {
   mutable current : (int * int * float) option;  (* job, attempt, start time *)
 }
 
-let seed_for ~base_seed job = base_seed + (1000003 * (job + 1))
+let seed_for job = 1000003 * (job + 1)
 
 (* [others] lists the live workers whose inherited pipe ends the child must
    close, so that a worker's death is visible to the parent as EOF instead
@@ -187,14 +171,13 @@ let kill_and_reap w =
   reap w
 
 (* ------------------------------------------------------------------ *)
-(* Sequential fallback (jobs <= 1): same retry/backoff/fault semantics,  *)
-(* no forking.  A timeout cannot interrupt [f] here (there is no worker  *)
-(* to kill), but an attempt that comes back over budget is discarded and *)
+(* Sequential fallback (jobs <= 1): same retry/fault semantics, no       *)
+(* forking.  A timeout cannot interrupt [f] here (there is no worker to  *)
+(* kill), but an attempt that comes back over budget is discarded and    *)
 (* counted as "timed out", matching worker semantics post hoc.           *)
 (* ------------------------------------------------------------------ *)
 
-let run_inline ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted ~progress ~on_result
-    ~f inputs =
+let run_inline ~timeout ~retries ~faults ~interrupted ~progress ~on_result ~f inputs =
   Array.mapi
     (fun job input ->
       let rec attempt k =
@@ -209,7 +192,7 @@ let run_inline ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted ~progr
               d
         in
         let t0 = Unix.gettimeofday () in
-        Random.init (seed_for ~base_seed job);
+        Random.init (seed_for job);
         let result =
           match fault with
           | Some kind -> Error (Faults.reason kind ~job ~attempt:k)
@@ -236,11 +219,6 @@ let run_inline ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted ~progr
             if k <= retries then begin
               Metrics.incr c_retries;
               progress (Job_retried { job; attempt = k; reason });
-              let delay = backoff_delay ~backoff ~base_seed ~job ~attempt:k in
-              if delay > 0. then begin
-                Metrics.add_gauge g_backoff_seconds delay;
-                (try Unix.sleepf delay with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-              end;
               attempt (k + 1)
             end
             else begin
@@ -258,30 +236,20 @@ let run_inline ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted ~progr
 (* Parallel dispatch loop                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted ~progress
-    ~on_result ~f inputs =
+let run_forked ~jobs ~timeout ~retries ~faults ~interrupted ~progress ~on_result ~f inputs =
   let n = Array.length inputs in
   let results = Array.make n None in
   let completed = ref 0 in
   let pending = Queue.create () in
-  (* Retry attempts serving a backoff delay wait here as
-     (ready_at, job, attempt), promoted into [pending] when due. *)
-  let delayed = ref [] in
   for job = 0 to n - 1 do
     Queue.add (job, 1) pending
   done;
   let workers = ref [] in
-  let have_work () = (not (Queue.is_empty pending)) || !delayed <> [] in
   let settle job attempt reason =
     if attempt <= retries then begin
       Metrics.incr c_retries;
       progress (Job_retried { job; attempt; reason });
-      let delay = backoff_delay ~backoff ~base_seed ~job ~attempt in
-      if delay > 0. then begin
-        Metrics.add_gauge g_backoff_seconds delay;
-        delayed := (Unix.gettimeofday () +. delay, job, attempt + 1) :: !delayed
-      end
-      else Queue.add (job, attempt + 1) pending
+      Queue.add (job, attempt + 1) pending
     end
     else begin
       Metrics.incr c_jobs_failed;
@@ -308,7 +276,7 @@ let run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted 
     | Some (job, attempt, _) -> settle job attempt reason
     | None -> ());
     retire w;
-    if have_work () then spawn_worker ()
+    if not (Queue.is_empty pending) then spawn_worker ()
   in
   let dispatch w =
     let job, attempt = Queue.pop pending in
@@ -324,11 +292,11 @@ let run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted 
     progress (Job_started { job; attempt });
     try
       write_frame w.to_w
-        (Job { job; attempt; seed = seed_for ~base_seed job; fault; payload = inputs.(job) })
+        (Job { job; attempt; seed = seed_for job; fault; payload = inputs.(job) })
     with Worker_eof | Unix.Unix_error _ | Sys_error _ ->
       handle_dead w "worker crashed (pipe closed before dispatch)"
   in
-  (* A signal must abort select/sleep promptly instead of being swallowed
+  (* A signal must abort select promptly instead of being swallowed
      by the EINTR-restart wrapper. *)
   let rec select_interruptible fds tmo =
     if !interrupted then raise Interrupted;
@@ -357,52 +325,27 @@ let run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted 
       done;
       while !completed < n do
         if !interrupted then raise Interrupted;
-        let now = Unix.gettimeofday () in
-        delayed :=
-          List.filter
-            (fun (ready_at, job, attempt) ->
-              if ready_at <= now then begin
-                Queue.add (job, attempt) pending;
-                false
-              end
-              else true)
-            !delayed;
         List.iter (fun w -> if w.current = None && not (Queue.is_empty pending) then dispatch w) !workers;
         let busy = List.filter (fun w -> w.current <> None) !workers in
         if busy = [] then begin
-          if not (Queue.is_empty pending) then begin
-            (* Every incomplete job is pending but no worker survived to
-               take it (e.g. all crashed while the queue drained): refill. *)
-            if !workers = [] then spawn_worker ()
-          end
-          else begin
-            match !delayed with
-            | [] ->
-                invalid_arg "Pool.map: internal accounting error (no busy worker, no pending job)"
-            | ds ->
-                (* Only backoff delays remain; nothing to select on. *)
-                let ready_at = List.fold_left (fun acc (t, _, _) -> min acc t) infinity ds in
-                if ready_at > now then begin
-                  try Unix.sleepf (ready_at -. now)
-                  with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                end
-          end
+          if Queue.is_empty pending then
+            invalid_arg "Pool.map: internal accounting error (no busy worker, no pending job)";
+          (* Every incomplete job is pending but no worker survived to take
+             it (e.g. all crashed while the queue drained): refill. *)
+          if !workers = [] then spawn_worker ()
         end
         else begin
           let select_timeout =
-            let deadlines =
-              (match timeout with
-              | None -> []
-              | Some t ->
-                  List.filter_map
-                    (fun w ->
-                      match w.current with Some (_, _, start) -> Some (start +. t) | None -> None)
-                    busy)
-              @ List.map (fun (ready_at, _, _) -> ready_at) !delayed
-            in
-            match deadlines with
-            | [] -> -1.
-            | ds -> max 0. (List.fold_left min infinity ds -. now)
+            match timeout with
+            | None -> -1.
+            | Some t ->
+                let now = Unix.gettimeofday () in
+                List.fold_left
+                  (fun acc w ->
+                    match w.current with Some (_, _, start) -> min acc (start +. t) | None -> acc)
+                  infinity busy
+                -. now
+                |> max 0.
           in
           let readable, _, _ =
             select_interruptible (List.map (fun w -> w.from_w) busy) select_timeout
@@ -463,8 +406,8 @@ let run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted 
       done;
       Array.map (function Some r -> r | None -> assert false) results)
 
-let map ?jobs ?timeout ?(retries = 1) ?(base_seed = 0) ?(backoff = 0.) ?faults
-    ?(progress = fun _ -> ()) ?(on_result = fun _ _ -> ()) ~f inputs =
+let map ?jobs ?timeout ?(retries = 1) ?faults ?(progress = fun _ -> ())
+    ?(on_result = fun _ _ -> ()) ~f inputs =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   if Array.length inputs = 0 then [||]
   else begin
@@ -480,9 +423,8 @@ let map ?jobs ?timeout ?(retries = 1) ?(base_seed = 0) ?(backoff = 0.) ?faults
             ])
           (fun () ->
             if jobs = 1 then
-              run_inline ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted ~progress
-                ~on_result ~f inputs
+              run_inline ~timeout ~retries ~faults ~interrupted ~progress ~on_result ~f inputs
             else
-              run_forked ~jobs ~timeout ~retries ~base_seed ~backoff ~faults ~interrupted
-                ~progress ~on_result ~f inputs))
+              run_forked ~jobs ~timeout ~retries ~faults ~interrupted ~progress ~on_result ~f
+                inputs))
   end

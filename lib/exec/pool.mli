@@ -14,9 +14,8 @@
     is retried (in a fresh worker for crashes and corrupt frames) up to a
     bounded retry budget, after which the job is reported as {!Failed}.  A
     job exceeding its [timeout] has its worker SIGKILLed and is treated the
-    same way.  Retry attempts can be spaced by exponential [backoff] with
-    deterministic jitter.  The pool always [waitpid]s every child it forked,
-    so no run leaves zombies behind.
+    same way.  The pool always [waitpid]s every child it forked, so no run
+    leaves zombies behind.
 
     Graceful shutdown: while [map] runs, SIGINT/SIGTERM are redirected to a
     flag; the dispatch loop notices it at the next step, drains and reaps
@@ -32,8 +31,8 @@
     converges to the exact fault-free output.
 
     Determinism support: before each attempt the worker reseeds the stdlib
-    [Random] state with a value derived only from the job index (and
-    [base_seed]), so job code that consults the global PRNG behaves the same
+    [Random] state with a value derived only from the job index, so job
+    code that consults the global PRNG behaves the same
     no matter which worker runs it or in what order.  Code using explicit
     {!Flowsched_util.Prng} states seeded from the job payload is naturally
     deterministic already.
@@ -57,8 +56,8 @@
     without returning a frame (crash, timeout) lose their metrics, mirroring
     inline mode where such attempts cannot occur.  The pool itself counts
     under "pool.*" ([jobs_done], [jobs_failed], [retries],
-    [workers_spawned], [worker_deaths], [frames_corrupt], the
-    [backoff_seconds] gauge, and the [job_seconds] histogram); fault injections count under "faults.injected_*".  These
+    [workers_spawned], [worker_deaths], [frames_corrupt], and the
+    [job_seconds] histogram); fault injections count under "faults.injected_*".  These
     are parent-side and legitimately differ between [--jobs] settings.
     Span tracing ({!Flowsched_obs.Trace}) is disabled in workers right after
     fork; only the parent's spans (e.g. ["pool.map"]) survive. *)
@@ -93,8 +92,6 @@ val map :
   ?jobs:int ->
   ?timeout:float ->
   ?retries:int ->
-  ?base_seed:int ->
-  ?backoff:float ->
   ?faults:Faults.plan ->
   ?progress:(event -> unit) ->
   ?on_result:(int -> 'b outcome -> unit) ->
@@ -114,13 +111,6 @@ val map :
     - [retries] (default 1): additional attempts after the first failure;
       a job is reported {!Failed} after exactly [retries + 1] failed
       attempts.
-    - [base_seed] (default 0): mixed into the per-job [Random] reseed and
-      the backoff jitter.
-    - [backoff] (default 0 = none): base delay in seconds before retry
-      attempt [k+1], growing as [backoff * 2^(k-1)] (capped at 60s) and
-      scaled by a deterministic jitter factor in [0.5, 1.5) drawn from
-      [(base_seed, job, attempt)].  Accumulated under the
-      ["pool.backoff_seconds"] gauge.
     - [faults]: a deterministic chaos plan; see {!Faults}.
     - [progress]: called in the parent for every lifecycle event.
     - [on_result]: called in the parent exactly once per job, with its
@@ -132,16 +122,10 @@ val map :
     must be marshalable (closures in the payload are tolerated thanks to
     fork's shared code image, but plain data is preferred). *)
 
-val seed_for : base_seed:int -> int -> int
-(** [seed_for ~base_seed job]: the value fed to [Random.init] before every
-    attempt of [job], a pure function of [(base_seed, job)] only — never of
-    the attempt, the worker, or scheduling order.  This is the per-job PRNG
-    splitting contract (see {!Flowsched_util.Prng} for the stream-level
-    guarantee): distinct jobs get distinct seeds, so their derived streams
-    are disjoint in practice. *)
-
-val backoff_delay : backoff:float -> base_seed:int -> job:int -> attempt:int -> float
-(** The (pure) backoff schedule used between retry attempts:
-    [backoff * 2^(attempt-1)] capped at 60s, scaled by a deterministic
-    jitter factor in [0.5, 1.5) drawn from [(base_seed, job, attempt)].
-    [0.] when [backoff <= 0.]. *)
+val seed_for : int -> int
+(** [seed_for job]: the value fed to [Random.init] before every attempt of
+    [job], a pure function of [job] only — never of the attempt, the
+    worker, or scheduling order.  This is the per-job PRNG splitting
+    contract (see {!Flowsched_util.Prng} for the stream-level guarantee):
+    distinct jobs get distinct seeds, so their derived streams are disjoint
+    in practice. *)

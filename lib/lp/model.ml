@@ -27,20 +27,16 @@ type var = int
 type row = int
 type sense = Le | Ge | Eq
 
-(* Names are optional: an unnamed variable or row is called [x<id>] or
-   [r<id>], formatted only when [var_name] or [row_name] asks, so a model
-   built for solving alone formats no names at all. *)
-type row_data = { terms : (var * float) list; sense : sense; rhs : float; rname : string option }
+type row_data = { terms : (var * float) list; sense : sense; rhs : float }
 
 type t = {
   mutable objs : float array;
   mutable ubs : float array;
-  mutable vnames : string option array;
   mutable nvars : int;
   rows : row_data Dyn.t;
 }
 
-let create () = { objs = [||]; ubs = [||]; vnames = [||]; nvars = 0; rows = Dyn.create () }
+let create () = { objs = [||]; ubs = [||]; nvars = 0; rows = Dyn.create () }
 
 let grow_vars t =
   if t.nvars = Array.length t.objs then begin
@@ -50,19 +46,15 @@ let grow_vars t =
     t.objs <- objs;
     let ubs = Array.make cap infinity in
     Array.blit t.ubs 0 ubs 0 t.nvars;
-    t.ubs <- ubs;
-    let vnames = Array.make cap None in
-    Array.blit t.vnames 0 vnames 0 t.nvars;
-    t.vnames <- vnames
+    t.ubs <- ubs
   end
 
-let add_var ?name ?(obj = 0.) ?(ub = infinity) t =
+let add_var ?(obj = 0.) ?(ub = infinity) t =
   if ub < 0. || Float.is_nan ub then invalid_arg "Model.add_var: negative upper bound";
   grow_vars t;
   let v = t.nvars in
   t.objs.(v) <- obj;
   t.ubs.(v) <- ub;
-  t.vnames.(v) <- name;
   t.nvars <- t.nvars + 1;
   v
 
@@ -77,28 +69,17 @@ let merge_terms terms =
   let merged = Hashtbl.fold (fun v c acc -> if c = 0. then acc else (v, c) :: acc) tbl [] in
   List.sort (fun (a, _) (b, _) -> compare a b) merged
 
-let add_constraint ?name t terms sense rhs =
+let add_constraint t terms sense rhs =
   List.iter
     (fun (v, _) ->
       if v < 0 || v >= t.nvars then invalid_arg "Model.add_constraint: unknown variable")
     terms;
   let r = Dyn.length t.rows in
-  Dyn.add t.rows { terms = merge_terms terms; sense; rhs; rname = name };
+  Dyn.add t.rows { terms = merge_terms terms; sense; rhs };
   r
-
-let set_obj t v c =
-  if v < 0 || v >= t.nvars then invalid_arg "Model.set_obj";
-  t.objs.(v) <- c
-
-let set_upper t v ub =
-  if v < 0 || v >= t.nvars then invalid_arg "Model.set_upper";
-  if ub < 0. || Float.is_nan ub then invalid_arg "Model.set_upper: negative upper bound";
-  t.ubs.(v) <- ub
 
 let num_vars t = t.nvars
 let num_rows t = Dyn.length t.rows
-let var_name t v = match t.vnames.(v) with Some n -> n | None -> Printf.sprintf "x%d" v
-let row_name t r = match (Dyn.get t.rows r).rname with Some n -> n | None -> Printf.sprintf "r%d" r
 let objective_coeff t v = t.objs.(v)
 let var_upper t v = t.ubs.(v)
 let row_terms t r = (Dyn.get t.rows r).terms
@@ -116,7 +97,7 @@ let is_feasible ?(tol = 1e-6) t x =
       if x.(v) < -.tol || x.(v) > t.ubs.(v) +. tol then ok := false
     done;
     Dyn.iter
-      (fun { terms; sense; rhs; _ } ->
+      (fun { terms; sense; rhs } ->
         let act = List.fold_left (fun acc (v, c) -> acc +. (c *. x.(v))) 0. terms in
         let row_ok =
           match sense with
@@ -157,8 +138,3 @@ let to_csc t =
       (Dyn.get t.rows r).terms
   done;
   { col_ptr; row_ind; values }
-
-let pp_stats fmt t =
-  let nnz = ref 0 in
-  Dyn.iter (fun r -> nnz := !nnz + List.length r.terms) t.rows;
-  Format.fprintf fmt "lp: %d vars, %d rows, %d nonzeros" t.nvars (num_rows t) !nnz

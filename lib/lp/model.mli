@@ -21,7 +21,7 @@ type sense = Le | Ge | Eq
 
 val create : unit -> t
 
-val add_var : ?name:string -> ?obj:float -> ?ub:float -> t -> var
+val add_var : ?obj:float -> ?ub:float -> t -> var
 (** Declares a non-negative variable with objective coefficient [obj]
     (default [0.]) and declared upper bound [ub] (default [infinity], i.e.
     unbounded above).  A finite bound is enforced by the simplex engine's
@@ -29,27 +29,13 @@ val add_var : ?name:string -> ?obj:float -> ?ub:float -> t -> var
     adds no row to the model.  Raises [Invalid_argument] on a negative or
     NaN bound. *)
 
-val add_constraint : ?name:string -> t -> (var * float) list -> sense -> float -> row
+val add_constraint : t -> (var * float) list -> sense -> float -> row
 (** [add_constraint t terms sense rhs] adds the row [terms sense rhs].
     Duplicate variables in [terms] are summed.  Raises [Invalid_argument] on
     an out-of-range variable. *)
 
-val set_obj : t -> var -> float -> unit
-(** Overwrites the objective coefficient of a variable. *)
-
-val set_upper : t -> var -> float -> unit
-(** Overwrites the declared upper bound of a variable. *)
-
 val num_vars : t -> int
 val num_rows : t -> int
-val var_name : t -> var -> string
-(** The name given to {!add_var}, or [x<id>] for an unnamed variable,
-    formatted on each call. *)
-
-val row_name : t -> row -> string
-(** The name given to {!add_constraint}, or [r<id>] for an unnamed row,
-    formatted on each call. *)
-
 val objective_coeff : t -> var -> float
 
 val var_upper : t -> var -> float
@@ -74,6 +60,3 @@ type csc = { col_ptr : int array; row_ind : int array; values : float array }
 val to_csc : t -> csc
 (** One-pass CSC snapshot of the current rows.  Duplicate terms were already
     merged by {!add_constraint}, so each (row, column) pair appears once. *)
-
-val pp_stats : Format.formatter -> t -> unit
-(** One-line size summary: variables, rows, non-zeros. *)

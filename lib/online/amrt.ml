@@ -8,8 +8,8 @@ let required_capacities ~cap_in ~cap_out ~dmax =
 let rho_registry : (string, int ref) Hashtbl.t = Hashtbl.create 4
 let instance_counter = ref 0
 
-let make ?(initial_rho = 1) ~planning_cap_in ~planning_cap_out () =
-  let rho = ref (max 1 initial_rho) in
+let make ~planning_cap_in ~planning_cap_out =
+  let rho = ref 1 in
   let next_checkpoint = ref 0 in
   (* flow id -> committed absolute round *)
   let plan : (int, int) Hashtbl.t = Hashtbl.create 64 in

@@ -11,14 +11,10 @@
     [2 (c_p + 2 dmax - 1)] capacity at each port — run it on an engine with
     capacities augmented via {!required_capacities}. *)
 
-val make :
-  ?initial_rho:int ->
-  planning_cap_in:int array ->
-  planning_cap_out:int array ->
-  unit -> Policy.t
-(** A fresh stateful policy.  [planning_cap_*] are the {e original} port
-    capacities the offline subroutine plans against; [initial_rho] defaults
-    to 1. *)
+val make : planning_cap_in:int array -> planning_cap_out:int array -> Policy.t
+(** A fresh stateful policy whose guess starts at [rho = 1].
+    [planning_cap_*] are the {e original} port capacities the offline
+    subroutine plans against. *)
 
 val required_capacities :
   cap_in:int array -> cap_out:int array -> dmax:int -> int array * int array

@@ -95,6 +95,20 @@ let run_policies ?endpoint ?(wrap = Fun.id) policies inst =
   in
   (entries, !makespan)
 
+(* The Endpoint mode's capacity-aware baseline and the Coflow mode's
+   schedulers, by entry name. *)
+let fifo_endpoint = "fifo-endpoint"
+
+let coflow_schedulers =
+  Flowsched_core.Coflow.[ ("wsebf", wsebf); ("sebf", sebf); ("flow-fifo", flow_fifo) ]
+
+(* A cell's entry names in report order; an empty instance reports these
+   same names with no result. *)
+let entry_names ~policies = function
+  | Matrix.Flows -> List.map (fun (p : Policy.t) -> p.Policy.name) policies
+  | Matrix.Endpoint _ -> List.map (fun (p : Policy.t) -> p.Policy.name) policies @ [ fifo_endpoint ]
+  | Matrix.Coflow _ -> List.map fst coflow_schedulers
+
 let run_cell ~policies cell =
   Flowsched_obs.Trace.with_span "sweep.cell"
     ~args:(fun () -> [ ("cell", Flowsched_util.Json.Str (describe cell)) ])
@@ -105,7 +119,8 @@ let run_cell ~policies cell =
   let lp kind ~makespan = if cell.lp then lp_bound ~kind ~makespan inst else no_bound in
   let entries, bound =
     if flows = 0 then
-      (List.map (fun (p : Policy.t) -> { name = p.Policy.name; art = nan; mrt = 0 }) policies, no_bound)
+      ( List.map (fun name -> { name; art = nan; mrt = 0 }) (entry_names ~policies cell.mode),
+        no_bound )
     else
       match cell.mode with
       | Matrix.Flows ->
@@ -116,7 +131,7 @@ let run_cell ~policies cell =
           let entries, makespan = run_policies ~endpoint:ep ~wrap:(Matrix.node_guard ep) policies inst in
           let fifo = Flowsched_core.Baselines.fifo_endpoint ep inst in
           let fifo =
-            { name = "fifo-endpoint"; art = Schedule.average_response inst fifo; mrt = Schedule.max_response inst fifo }
+            { name = fifo_endpoint; art = Schedule.average_response inst fifo; mrt = Schedule.max_response inst fifo }
           in
           (* Node caps only remove schedules, so the port-capacity LP is
              still a valid (relaxed) lower bound for this mode. *)
@@ -127,7 +142,7 @@ let run_cell ~policies cell =
           let entry name sched =
             { name; art = C.weighted_average_response cof sched; mrt = C.max_response cof sched }
           in
-          ( [ entry "wsebf" (C.wsebf cof); entry "sebf" (C.sebf cof); entry "flow-fifo" (C.flow_fifo cof) ],
+          ( List.map (fun (name, schedule) -> entry name (schedule cof)) coflow_schedulers,
             {
               no_bound with
               kind = "bottleneck";
@@ -139,8 +154,8 @@ let run_cell ~policies cell =
 
 (* The one cell fan-out: results come back in input order, so output is
    identical to the sequential path (jobs <= 1 goes through the pool's
-   inline mode, which shares the retry, timeout, backoff, and
-   fault-injection semantics of the forked path). *)
+   inline mode, which shares the retry, timeout and fault-injection
+   semantics of the forked path). *)
 let map_cells ~jobs ?timeout ?(retries = 1) ?faults ?on_result ~describe ~progress ~f items =
   let arr = Array.of_list items in
   let open Flowsched_exec in

@@ -64,9 +64,11 @@ val grid :
     [Error] on a kind string {!Scenario.of_string} rejects. *)
 
 val run_cell : policies:Flowsched_online.Policy.t list -> cell -> result
-(** [policies] drive the Flows and Endpoint modes; Coflow mode has its own
-    fixed algorithm set (wsebf/sebf/flow-fifo).  Runs under a
-    ["sweep.cell"] span. *)
+(** [policies] drive the Flows and Endpoint modes (Endpoint adds
+    [fifo-endpoint]); Coflow mode has its own fixed algorithm set
+    (wsebf/sebf/flow-fifo).  A cell whose instance is empty lists the same
+    entries with [art = nan] and [mrt = 0], and bound kind ["none"].  Runs
+    under a ["sweep.cell"] span. *)
 
 val run :
   policies:Flowsched_online.Policy.t list ->

@@ -17,7 +17,7 @@
       experiment-sized horizon (the test suite asserts disjointness over
       10^5 draws).
     - {b Jobs derive seeds, never share state.}  An executor job seeds its
-      local randomness from [Flowsched_exec.Pool.seed_for ~base_seed job]
+      local randomness from [Flowsched_exec.Pool.seed_for job]
       (an injective map, identical on the pool's inline and forked paths
       — this is what makes artifacts independent of [--jobs]).  A [t]
       must never be captured by a closure that crosses jobs: with forked

@@ -10,8 +10,9 @@
    depend on every rounding of its solves.  The Theorem 3 rho search is
    kept as the plain bisection over [1, Art_lp.default_horizon] it was
    before its bracket, with the random capacitated instances it is
-   compared on, and a Figure 6/7 row as it was averaged before the one
-   grid cell. *)
+   compared on; LP (1)-(4) and LP (19)-(21) with their variable bounds
+   written as rows; and a Figure 6/7 row as it was averaged before the
+   one grid cell. *)
 
 open Flowsched_switch
 open Flowsched_bipartite
@@ -592,6 +593,69 @@ let capacitated_instance seed =
     (src, dst, demand, int 0 6)
   in
   Instance.of_flows ~cap_in ~cap_out ~m ~m':m (List.init n flow)
+
+(* The bound rows LP (1)-(4) and LP (19)-(21) carried before their upper
+   bounds became declared ones.  [with_bound_rows m] copies [m]'s columns
+   and rows through [Model]'s accessors and then writes each finite
+   declared bound as an explicit [Le] row, so the copy declares none and
+   describes the same polytope. *)
+let with_bound_rows m =
+  let module Model = Flowsched_lp.Model in
+  let copy = Model.create () in
+  for v = 0 to Model.num_vars m - 1 do
+    ignore (Model.add_var ~obj:(Model.objective_coeff m v) copy)
+  done;
+  for r = 0 to Model.num_rows m - 1 do
+    ignore
+      (Model.add_constraint copy (Model.row_terms m r) (Model.row_sense m r) (Model.row_rhs m r))
+  done;
+  for v = 0 to Model.num_vars m - 1 do
+    let ub = Model.var_upper m v in
+    if ub < infinity then ignore (Model.add_constraint copy [ (v, 1.) ] Model.Le ub)
+  done;
+  copy
+
+(* LP (19)-(21) with each x_{e,t} <= 1 as an explicit row: one column per
+   flow and active round, the assignment rows (20), the demand-weighted
+   capacity rows (19), then the bound rows.  Returns each flow's scheduled
+   total sum_t x_{e,t} after a cold solve, or [None] when it is
+   infeasible. *)
+let mrt_lp_with_bound_rows inst (active : Flowsched_core.Mrt_lp.active) =
+  let module Model = Flowsched_lp.Model in
+  let module Simplex = Flowsched_lp.Simplex in
+  let model = Model.create () in
+  let cap_terms = Hashtbl.create 64 in
+  let columns = ref [] in
+  Array.iter
+    (fun (f : Flow.t) ->
+      let terms =
+        List.map
+          (fun t ->
+            let v = Model.add_var model in
+            columns := (f.Flow.id, v) :: !columns;
+            List.iter
+              (fun key ->
+                let cur = Option.value (Hashtbl.find_opt cap_terms key) ~default:[] in
+                Hashtbl.replace cap_terms key ((v, float_of_int f.Flow.demand) :: cur))
+              [ (true, f.Flow.src, t); (false, f.Flow.dst, t) ];
+            (v, 1.))
+          (active f.Flow.id)
+      in
+      ignore (Model.add_constraint model terms Model.Eq 1.))
+    inst.Instance.flows;
+  Hashtbl.iter
+    (fun (is_input, p, _) terms ->
+      let cap = if is_input then inst.Instance.cap_in.(p) else inst.Instance.cap_out.(p) in
+      ignore (Model.add_constraint model terms Model.Le (float_of_int cap)))
+    cap_terms;
+  List.iter (fun (_, v) -> ignore (Model.add_constraint model [ (v, 1.) ] Model.Le 1.)) !columns;
+  let res = Simplex.solve model in
+  if res.Simplex.status <> Simplex.Optimal then None
+  else begin
+    let sums = Array.make (Instance.n inst) 0. in
+    List.iter (fun (e, v) -> sums.(e) <- sums.(e) +. res.Simplex.values.(v)) !columns;
+    Some sums
+  end
 
 (* Bmatching.Incremental as it was before its state moved into flat arrays:
    per-pair records allocated on first use, a [Queue] of free flows and a

@@ -1,6 +1,6 @@
-(* Tests for the FS-ART pipeline: LP (1)-(4) / (5)-(8), Lemma 3.1's lower
-   bound, the iterative rounding of Lemma 3.3, and Theorem 1's conversion to
-   a valid resource-augmented schedule. *)
+(* Tests for the FS-ART pipeline: LP (1)-(4) and Lemma 3.1's lower bound,
+   the iterative rounding of Lemma 3.3 from LP (5)-(8), and Theorem 1's
+   conversion to a valid resource-augmented schedule. *)
 
 open Flowsched_switch
 open Flowsched_core
@@ -75,33 +75,37 @@ let test_lower_bound_respects_capacity () =
      rounds: 2*(0 + 1/4) + 2*(1 + 1/4) = 3 *)
   Alcotest.(check (float 1e-6)) "capacity-2 drain" 3. bound.Art_lp.total
 
-let test_interval_lp_relaxes_round_lp () =
-  let inst = tiny_instance 5 ~m:3 ~n:10 ~maxrel:3 in
-  let round_lp = Art_lp.build_round_lp inst in
-  let interval_lp = Art_lp.build_interval_lp inst in
-  let r1 = Flowsched_lp.Simplex.solve_or_fail round_lp.Art_lp.model in
-  let r2 = Flowsched_lp.Simplex.solve_or_fail interval_lp.Art_lp.model in
-  (* the interval LP aggregates capacity over 4-round windows: weaker *)
-  Alcotest.(check bool) "interval optimum <= round optimum" true
-    (r2.Flowsched_lp.Simplex.objective <= r1.Flowsched_lp.Simplex.objective +. 1e-6)
+(* LP (5)-(8), which Iterative_rounding solves as its LP(0), aggregates
+   capacity over 4-round windows; with unit capacities its objective term
+   1/2 is LP (1)-(4)'s 1/(2 kappa_e), so its optimum is at most LP
+   (1)-(4)'s. *)
+let prop_interval_lp_relaxes_round_lp =
+  QCheck2.Test.make ~name:"interval LP relaxes round LP" ~count:60
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 2 4) (int_range 1 16))
+    (fun (seed, m, n) ->
+      let inst = tiny_instance seed ~m ~n ~maxrel:3 in
+      let _, diag = Iterative_rounding.run inst in
+      diag.Iterative_rounding.lp_objective <= (Art_lp.lower_bound inst).Art_lp.total +. 1e-6)
 
 let prop_declared_ub_matches_explicit_rows =
   (* Declared per-variable bounds b_{e,t} <= d_e vs the same bounds as
-     explicit Le rows: both formulations describe the same polytope, so the
-     optima must coincide (for the round LP and the interval LP alike). *)
+     explicit Le rows: both describe the same polytope, so the optima must
+     coincide, on unit instances and where d_e goes above 1. *)
   QCheck2.Test.make ~name:"Art_lp declared ubs = explicit rows" ~count:30
     QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 2 4) (int_range 2 10))
     (fun (seed, m, n) ->
-      let inst = tiny_instance seed ~m ~n ~maxrel:3 in
-      let solve build =
-        (Flowsched_lp.Simplex.solve_or_fail (build inst).Art_lp.model)
-          .Flowsched_lp.Simplex.objective
+      let solve model =
+        (Flowsched_lp.Simplex.solve_or_fail model).Flowsched_lp.Simplex.objective
       in
-      let close a b = abs_float (a -. b) <= 1e-6 in
-      close (solve Art_lp.build_round_lp) (solve (Art_lp.build_round_lp ~explicit_ub_rows:true))
-      && close
-           (solve Art_lp.build_interval_lp)
-           (solve (Art_lp.build_interval_lp ~explicit_ub_rows:true)))
+      List.for_all
+        (fun inst ->
+          let model = (Art_lp.build_round_lp inst).Art_lp.model in
+          abs_float (solve model -. solve (Reference.with_bound_rows model)) <= 1e-6)
+        [
+          tiny_instance seed ~m ~n ~maxrel:3;
+          tiny_capacitated seed ~m ~n ~maxrel:3;
+          Reference.capacitated_instance seed;
+        ])
 
 let test_weighted_bound_uniform_weights () =
   (* weight 1 everywhere must reproduce the unweighted bound *)
@@ -172,27 +176,23 @@ let prop_crash_start_matches_cold =
         [ tiny_instance seed ~m ~n ~maxrel:4; Reference.capacitated_instance seed ])
 
 (* Weak duality: D(u) <= the optimum for every u >= 0.  At the multipliers
-   read off a cold solve's own duals it meets the optimum, on the round LP
-   and on the interval LP, whose window rows the same function charges once. *)
+   read off a cold solve's own duals it meets the optimum. *)
 let prop_dual_bound_duality =
   QCheck2.Test.make ~name:"Art_lp.dual_bound: <= optimum, = at its duals" ~count:100
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 0 2))
     (fun (seed, scale) ->
       let inst = Reference.capacitated_instance seed in
       let g = Flowsched_util.Prng.create (seed + 1) in
-      List.for_all
-        (fun (built : Art_lp.built) ->
-          let u =
-            Array.init (Flowsched_lp.Model.num_rows built.Art_lp.model) (fun _ ->
-                if Flowsched_util.Prng.bool g then 0.
-                else float_of_int scale *. Flowsched_util.Prng.float g)
-          in
-          let res = Flowsched_lp.Simplex.solve_or_fail built.Art_lp.model in
-          let opt = res.Flowsched_lp.Simplex.objective in
-          let u_star = Array.map (fun y -> Float.max 0. (-.y)) res.Flowsched_lp.Simplex.duals in
-          Art_lp.dual_bound built u <= opt +. 1e-9
-          && close_rel (Art_lp.dual_bound built u_star) opt)
-        [ Art_lp.build_round_lp inst; Art_lp.build_interval_lp inst ])
+      let built = Art_lp.build_round_lp inst in
+      let u =
+        Array.init (Flowsched_lp.Model.num_rows built.Art_lp.model) (fun _ ->
+            if Flowsched_util.Prng.bool g then 0.
+            else float_of_int scale *. Flowsched_util.Prng.float g)
+      in
+      let res = Flowsched_lp.Simplex.solve_or_fail built.Art_lp.model in
+      let opt = res.Flowsched_lp.Simplex.objective in
+      let u_star = Array.map (fun y -> Float.max 0. (-.y)) res.Flowsched_lp.Simplex.duals in
+      Art_lp.dual_bound built u <= opt +. 1e-9 && close_rel (Art_lp.dual_bound built u_star) opt)
 
 let test_dual_bound_zero_multipliers () =
   (* u = 0 leaves every flow at its release round, so D(0) is
@@ -432,7 +432,7 @@ let () =
           Alcotest.test_case "single flow bound" `Quick test_lower_bound_single_flow;
           Alcotest.test_case "contention bound" `Quick test_lower_bound_contention;
           Alcotest.test_case "capacity-aware bound" `Quick test_lower_bound_respects_capacity;
-          Alcotest.test_case "interval LP relaxes round LP" `Quick test_interval_lp_relaxes_round_lp;
+          QCheck_alcotest.to_alcotest prop_interval_lp_relaxes_round_lp;
           Alcotest.test_case "weighted bound: uniform weights" `Quick test_weighted_bound_uniform_weights;
           Alcotest.test_case "weighted bound: prioritizes heavy" `Quick test_weighted_bound_prioritizes;
           Alcotest.test_case "weighted bound: validation" `Quick test_weighted_bound_validation;

@@ -214,33 +214,6 @@ let test_inline_posthoc_timeout () =
       Alcotest.(check bool) "reason mentions timeout" true (contains reason "timed out")
   | Pool.Done _ -> Alcotest.fail "over-budget inline attempt must not be accepted"
 
-let test_backoff_delays_retry () =
-  let g = Metrics.gauge "pool.backoff_seconds" in
-  let f, cleanup = fail_once_job () in
-  let gauge_before = Metrics.gauge_value g in
-  let t0 = Unix.gettimeofday () in
-  let outcomes = Pool.map ~jobs:2 ~retries:1 ~backoff:0.4 ~f [| 0 |] in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  cleanup ();
-  (match outcomes.(0) with
-  | Pool.Done v -> Alcotest.(check int) "recovered after backoff" 42 v
-  | Pool.Failed { reason; _ } -> Alcotest.failf "should have recovered: %s" reason);
-  (* Jitter scales the 0.4s base by a factor in [0.5, 1.5). *)
-  Alcotest.(check bool) "retry was delayed" true (elapsed >= 0.2);
-  Alcotest.(check bool) "backoff gauge accumulated" true
-    (Metrics.gauge_value g -. gauge_before >= 0.2);
-  Alcotest.(check bool) "no zombies" true (no_zombies_left ())
-
-let test_backoff_deterministic () =
-  let d1 = Pool.backoff_delay ~backoff:0.4 ~base_seed:3 ~job:5 ~attempt:2 in
-  let d2 = Pool.backoff_delay ~backoff:0.4 ~base_seed:3 ~job:5 ~attempt:2 in
-  Alcotest.(check (float 0.)) "same (seed, job, attempt) -> same delay" d1 d2;
-  Alcotest.(check bool) "exponential growth" true
-    (Pool.backoff_delay ~backoff:0.4 ~base_seed:3 ~job:5 ~attempt:4
-    >= Pool.backoff_delay ~backoff:0.4 ~base_seed:3 ~job:5 ~attempt:2 /. 3.);
-  Alcotest.(check (float 0.)) "no backoff, no delay" 0.
-    (Pool.backoff_delay ~backoff:0. ~base_seed:0 ~job:0 ~attempt:5)
-
 let test_on_result_fires_once_per_job () =
   let seen = Hashtbl.create 8 in
   let outcomes =
@@ -281,8 +254,6 @@ let () =
           Alcotest.test_case "metrics absorbed from failed attempts" `Quick
             test_metrics_absorbed_from_failed_attempts;
           Alcotest.test_case "inline post-hoc timeout" `Quick test_inline_posthoc_timeout;
-          Alcotest.test_case "backoff delays retry" `Slow test_backoff_delays_retry;
-          Alcotest.test_case "backoff deterministic" `Quick test_backoff_deterministic;
           Alcotest.test_case "on_result once per job" `Quick test_on_result_fires_once_per_job;
         ] );
     ]

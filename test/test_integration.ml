@@ -1,5 +1,5 @@
 (* Cross-stack integration tests: the extension modules (factor-augmented
-   ART, the Section 6 open-problem study, skewed workloads, LP export) and
+   ART, the Section 6 open-problem study, skewed workloads) and
    end-to-end consistency between the LP bounds, offline algorithms, and
    online simulation. *)
 
@@ -7,11 +7,6 @@ open Flowsched_switch
 open Flowsched_core
 open Flowsched_online
 open Flowsched_sim
-
-let contains s sub =
-  let n = String.length s and k = String.length sub in
-  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
-  go 0
 
 (* --- factor-augmented Theorem 1 corollary --- *)
 
@@ -51,7 +46,7 @@ let prop_factor_bounded_logarithmically =
 
 let test_open_problem_generator_slack () =
   for seed = 0 to 9 do
-    let inst = Open_problem.generate ~seed ~m:5 ~rounds:6 () in
+    let inst = Open_problem.generate ~seed ~m:5 ~rounds:6 in
     Alcotest.(check bool) "slack <= 1" true (Open_problem.interval_slack inst <= 1)
   done
 
@@ -75,43 +70,6 @@ let test_open_problem_study () =
   (* the empirical question: constant response; sanity-check it is small *)
   Alcotest.(check bool) "heuristic response is a small constant" true
     (s.Open_problem.worst_heuristic <= 8)
-
-(* --- LP export --- *)
-
-let test_lp_format_output () =
-  let m = Flowsched_lp.Model.create () in
-  let x = Flowsched_lp.Model.add_var ~name:"x[0]" ~obj:2. m in
-  let y = Flowsched_lp.Model.add_var ~name:"y" m in
-  ignore (Flowsched_lp.Model.add_constraint ~name:"cap 1" m [ (x, 1.); (y, 3.) ] Flowsched_lp.Model.Le 5.);
-  ignore (Flowsched_lp.Model.add_constraint m [ (x, 1.) ] Flowsched_lp.Model.Ge 1.);
-  let text = Flowsched_lp.Lp_io.to_lp_format m in
-  List.iter
-    (fun needle -> Alcotest.(check bool) needle true (contains text needle))
-    [ "Minimize"; "Subject To"; "Bounds"; "End"; "x_0_"; "cap_1:"; "<= 5"; ">= 1"; "3 y" ];
-  Alcotest.(check bool) "no raw brackets" false (contains text "x[0]")
-
-let test_lp_solution_summary () =
-  let m = Flowsched_lp.Model.create () in
-  let x = Flowsched_lp.Model.add_var ~name:"x" ~obj:1. m in
-  ignore (Flowsched_lp.Model.add_constraint ~name:"demand" m [ (x, 1.) ] Flowsched_lp.Model.Ge 2.);
-  let res = Flowsched_lp.Simplex.solve m in
-  let text = Flowsched_lp.Lp_io.solution_summary m res in
-  Alcotest.(check bool) "status line" true (contains text "optimal");
-  Alcotest.(check bool) "nonzero var" true (contains text "x = 2");
-  Alcotest.(check bool) "binding row" true (contains text "demand")
-
-let test_lp_file_roundtrip () =
-  let m = Flowsched_lp.Model.create () in
-  let x = Flowsched_lp.Model.add_var ~name:"x" ~obj:1. m in
-  ignore (Flowsched_lp.Model.add_constraint m [ (x, 1.) ] Flowsched_lp.Model.Le 3.);
-  let path = Filename.temp_file "flowsched" ".lp" in
-  Flowsched_lp.Lp_io.write_file m path;
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let data = really_input_string ic len in
-  close_in ic;
-  Sys.remove path;
-  Alcotest.(check string) "file contents" (Flowsched_lp.Lp_io.to_lp_format m) data
 
 (* --- skewed / hotspot workloads --- *)
 
@@ -206,12 +164,6 @@ let () =
           Alcotest.test_case "generator stays in class" `Quick test_open_problem_generator_slack;
           Alcotest.test_case "slack measure" `Quick test_open_problem_slack_measure;
           Alcotest.test_case "study" `Quick test_open_problem_study;
-        ] );
-      ( "lp-io",
-        [
-          Alcotest.test_case "lp format" `Quick test_lp_format_output;
-          Alcotest.test_case "solution summary" `Quick test_lp_solution_summary;
-          Alcotest.test_case "file write" `Quick test_lp_file_roundtrip;
         ] );
       ( "workloads",
         [

@@ -11,15 +11,14 @@ let check_close ?(tol = 1e-6) what expected got =
 
 let test_model_basic () =
   let m = Model.create () in
-  let x = Model.add_var ~name:"x" ~obj:1. m in
-  let y = Model.add_var ~name:"y" m in
-  Model.set_obj m y 3.;
-  let r = Model.add_constraint ~name:"cap" m [ (x, 1.); (y, 2.) ] Model.Le 10. in
+  let x = Model.add_var ~obj:1. m in
+  let y = Model.add_var ~obj:3. ~ub:4. m in
+  let r = Model.add_constraint m [ (x, 1.); (y, 2.) ] Model.Le 10. in
   Alcotest.(check int) "vars" 2 (Model.num_vars m);
   Alcotest.(check int) "rows" 1 (Model.num_rows m);
-  Alcotest.(check string) "var name" "x" (Model.var_name m x);
-  Alcotest.(check string) "row name" "cap" (Model.row_name m r);
   check_close "obj coeff" 3. (Model.objective_coeff m y);
+  check_close "declared bound" 4. (Model.var_upper m y);
+  Alcotest.(check bool) "unbounded by default" true (Model.var_upper m x = infinity);
   check_close "activity" 8. (Model.row_activity m [| 2.; 3. |] r)
 
 let test_model_merges_duplicate_terms () =
@@ -364,9 +363,7 @@ let test_klee_minty () =
   let m = Model.create () in
   let xs =
     Array.init n (fun j ->
-        Model.add_var ~name:(Printf.sprintf "x%d" j)
-          ~obj:(-.(2. ** float_of_int (n - 1 - j)))
-          m)
+        Model.add_var ~obj:(-.(2. ** float_of_int (n - 1 - j))) m)
   in
   for i = 0 to n - 1 do
     let terms = ref [ (xs.(i), 1.) ] in
@@ -382,10 +379,10 @@ let test_beale_cycling () =
   (* Beale's classic cycling example; Bland's fallback must terminate it
      at the optimum -0.05. *)
   let m = Model.create () in
-  let x4 = Model.add_var ~name:"x4" ~obj:(-0.75) m in
-  let x5 = Model.add_var ~name:"x5" ~obj:150. m in
-  let x6 = Model.add_var ~name:"x6" ~obj:(-0.02) m in
-  let x7 = Model.add_var ~name:"x7" ~obj:6. m in
+  let x4 = Model.add_var ~obj:(-0.75) m in
+  let x5 = Model.add_var ~obj:150. m in
+  let x6 = Model.add_var ~obj:(-0.02) m in
+  let x7 = Model.add_var ~obj:6. m in
   ignore (Model.add_constraint m [ (x4, 0.25); (x5, -60.); (x6, -0.04); (x7, 9.) ] Model.Le 0.);
   ignore (Model.add_constraint m [ (x4, 0.5); (x5, -90.); (x6, -0.02); (x7, 3.) ] Model.Le 0.);
   ignore (Model.add_constraint m [ (x6, 1.) ] Model.Le 1.);
@@ -406,16 +403,24 @@ let test_iteration_limit_raises () =
   let r = Simplex.solve_or_fail m in
   Alcotest.(check bool) "solves with budget" true (r.Simplex.objective < 0.)
 
-let test_lp_format_debug_dump () =
-  (* Lp_io exists primarily for debugging; make sure it round-trips through
-     a solve without touching solver state. *)
+let test_solve_leaves_model_unchanged () =
+  (* The simplex normalizes signs and adds slacks on its own copy: a solve
+     must leave the model's matrix, senses, right-hand sides, objective and
+     bounds as they were. *)
   let m = Model.create () in
-  let x = Model.add_var ~name:"x" ~obj:1. m in
-  ignore (Model.add_constraint m [ (x, 2.) ] Model.Ge 4.);
-  let before = Lp_io.to_lp_format m in
+  let x = Model.add_var ~obj:1. m in
+  let y = Model.add_var ~obj:2. ~ub:3. m in
+  ignore (Model.add_constraint m [ (x, 2.); (y, 1.) ] Model.Ge 4.);
+  ignore (Model.add_constraint m [ (x, -1.) ] Model.Le (-1.));
+  ignore (Model.add_constraint m [ (x, 1.); (y, -1.) ] Model.Eq 2.);
+  let snapshot () =
+    ( Model.to_csc m,
+      List.init (Model.num_rows m) (fun r -> (Model.row_sense m r, Model.row_rhs m r)),
+      List.init (Model.num_vars m) (fun v -> (Model.objective_coeff m v, Model.var_upper m v)) )
+  in
+  let before = snapshot () in
   let r = Simplex.solve_or_fail m in
-  let after = Lp_io.to_lp_format m in
-  Alcotest.(check string) "model unchanged by solving" before after;
+  Alcotest.(check bool) "model unchanged by solving" true (snapshot () = before);
   check_close "objective" 2. r.Simplex.objective
 
 (* --- randomized properties --- *)
@@ -1117,7 +1122,7 @@ let () =
           Alcotest.test_case "Klee-Minty cube" `Quick test_klee_minty;
           Alcotest.test_case "Beale cycling" `Quick test_beale_cycling;
           Alcotest.test_case "iteration limit" `Quick test_iteration_limit_raises;
-          Alcotest.test_case "lp format dump" `Quick test_lp_format_debug_dump;
+          Alcotest.test_case "solve leaves model unchanged" `Quick test_solve_leaves_model_unchanged;
         ] );
       ("properties", props);
     ]

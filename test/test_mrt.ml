@@ -217,24 +217,29 @@ let prop_declared_ub_matches_explicit_rows =
   (* The declared-bound formulation (x_{e,t} <= 1 enforced by the simplex's
      bounded-variable ratio test) must agree with the explicit-row oracle on
      feasibility at every rho around the threshold, and both solutions must
-     fully schedule every flow. *)
+     fully schedule every flow, on unit and capacitated instances. *)
   QCheck2.Test.make ~name:"Mrt_lp declared ubs = explicit rows" ~count:40
     QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 2 4) (int_range 2 10))
     (fun (seed, m, n) ->
-      let inst = tiny_instance seed ~m ~n ~maxrel:3 in
-      let scheduled_ok frac =
-        let sums = Array.make n 0. in
-        Hashtbl.iter (fun (e, _) v -> sums.(e) <- sums.(e) +. v) frac.Mrt_lp.values;
-        Array.for_all (fun s -> abs_float (s -. 1.) <= 1e-6) sums
-      in
+      let all_one sums = Array.for_all (fun s -> abs_float (s -. 1.) <= 1e-6) sums in
       List.for_all
-        (fun rho ->
-          let active = Mrt_lp.active_of_rho inst rho in
-          match (Mrt_lp.solve inst active, Mrt_lp.solve ~explicit_ub_rows:true inst active) with
-          | None, None -> true
-          | Some a, Some b -> scheduled_ok a && scheduled_ok b
-          | _ -> false)
-        [ 1; 2; 3; 4 ])
+        (fun inst ->
+          let scheduled frac =
+            let sums = Array.make (Instance.n inst) 0. in
+            Hashtbl.iter (fun (e, _) v -> sums.(e) <- sums.(e) +. v) frac.Mrt_lp.values;
+            sums
+          in
+          let threshold = Mrt_scheduler.min_fractional_rho inst in
+          List.for_all
+            (fun rho ->
+              let active = Mrt_lp.active_of_rho inst rho in
+              match (Mrt_lp.solve inst active, Reference.mrt_lp_with_bound_rows inst active) with
+              | None, None -> true
+              | Some a, Some b -> all_one (scheduled a) && all_one b
+              | _ -> false)
+            (List.sort_uniq compare
+               (List.filter (fun r -> r >= 1) [ 1; 2; threshold - 1; threshold; threshold + 1 ])))
+        [ tiny_instance seed ~m ~n ~maxrel:3; Reference.capacitated_instance seed ])
 
 (* --- rounding --- *)
 

@@ -216,7 +216,7 @@ let run_amrt inst =
       ~dmax:(max 1 (Instance.dmax inst))
   in
   let amrt =
-    Amrt.make ~planning_cap_in:inst.Instance.cap_in ~planning_cap_out:inst.Instance.cap_out ()
+    Amrt.make ~planning_cap_in:inst.Instance.cap_in ~planning_cap_out:inst.Instance.cap_out
   in
   let augmented =
     Instance.create ~cap_in ~cap_out ~m:inst.Instance.m ~m':inst.Instance.m'

@@ -351,6 +351,12 @@ let test_source_of_scenario () =
   rejects "uniform has no stream" (fun () ->
       Flowsched_serve.Source.of_scenario (spec Scenario.Uniform_total) ~horizon:4)
 
+let prop_parser_total =
+  QCheck2.Test.make ~name:"Scenario.of_string: mutants give Ok or Error" ~count:2000
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(oneofl all_kinds >>= fun kind -> Fuzz.mutant (Scenario.to_string kind))
+    (Fuzz.total ~what:"Scenario.of_string" Scenario.of_string)
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
@@ -359,6 +365,7 @@ let () =
         prop_stream_prefix_equals_batch;
         prop_demands_within_caps;
         prop_endpoint_mode_feasible;
+        prop_parser_total;
       ]
   in
   Alcotest.run "flowsched_scenarios"

@@ -199,6 +199,30 @@ let test_run_cell_without_lp () =
     (fun (e : Experiment.entry) -> Alcotest.(check bool) "avg >= 1" true (e.Experiment.art >= 1.))
     r.Experiment.entries
 
+(* An empty instance (rate 0.01 on one port for one round) reports the
+   same entry names as a cell that draws flows, in every mode. *)
+let test_empty_cell_entry_names () =
+  let policies = Heuristics.all_paper_heuristics in
+  let names c =
+    List.map
+      (fun (e : Experiment.entry) -> e.Experiment.name)
+      (Experiment.run_cell ~policies c).Experiment.entries
+  in
+  List.iter
+    (fun mode ->
+      let label = Matrix.mode_to_string mode in
+      let empty = cell ~mode ~lp:false ~m:1 ~rate:0.01 ~rounds:1 "poisson" 1 in
+      let full = cell ~mode ~lp:false "poisson" 1 in
+      let r = Experiment.run_cell ~policies empty in
+      Alcotest.(check int) (label ^ ": empty instance") 0 r.Experiment.flows;
+      Alcotest.(check string) (label ^ ": no bound") "none" r.Experiment.bound.Experiment.kind;
+      Alcotest.(check (list string)) (label ^ ": same entry names") (names full) (names empty))
+    [
+      Matrix.Flows;
+      Matrix.Endpoint { nodes = 2; node_cap = 2 };
+      Matrix.Coflow { groups = 4; max_weight = 4 };
+    ]
+
 let test_run_cell_with_lp () =
   let r =
     Experiment.run_cell ~policies:Heuristics.all_paper_heuristics
@@ -412,68 +436,69 @@ let prop_figures_rows_match_reference =
       && R.fig6_table old = Report.fig6_table rows
       && R.fig7_table old = Report.fig7_table rows)
 
-(* The one decoder at the checkpoint trust boundary.  Random results of
-   every mode, with nan bounds, an LP error or none and LP counters or
-   none, must re-encode to their own bytes; every truncation of an
+(* Random grid-cell results of every mode, with nan bounds, an LP error or
+   none and LP counters or none. *)
+let gen_result =
+  let module M = Flowsched_obs.Metrics in
+  let open QCheck2.Gen in
+  let maybe_nan g = oneof [ return nan; g ] in
+  let counter n = map (Option.map (fun v -> ("simplex." ^ n, M.Counter v))) (opt (int_range 1 9999)) in
+  let gauge n = map (Option.map (fun v -> ("simplex." ^ n, M.Gauge v))) (opt (float_range 1e-6 2.)) in
+  let lp_counters =
+    map
+      (fun xs -> List.sort compare (List.filter_map Fun.id xs))
+      (flatten_l
+         (List.map counter
+            [
+              "solves"; "pivots"; "ftran_calls"; "refactorizations"; "full_pricing_scans";
+              "partial_pricing_rounds"; "warm_attempts"; "warm_accepted"; "phase1_skipped";
+              "basis_nnz"; "factor_nnz"; "eta_nnz"; "bound_flips";
+            ]
+         @ List.map gauge [ "phase1_seconds"; "phase2_seconds" ]))
+  in
+  let entry =
+    map3
+      (fun name art mrt -> { Experiment.name; art; mrt })
+      (oneofl [ "MaxCard"; "fifo-endpoint"; "wsebf" ])
+      (maybe_nan (float_range 1. 40.))
+      (int_bound 60)
+  in
+  let* workload = oneofl [ "poisson"; "pareto"; "pareto:1.5"; "uniform"; "bursty:4:10:0.3" ]
+  and* mode =
+    oneofl
+      [
+        Matrix.Flows;
+        Matrix.Endpoint { nodes = 2; node_cap = 3 };
+        Matrix.Coflow { groups = 4; max_weight = 2 };
+      ]
+  and* m = int_range 1 9
+  and* rate = float_range 0.1 50.
+  and* rounds = int_range 1 30
+  and* seed = int_bound 1_000_000
+  and* lp = bool
+  and* flows = int_bound 500
+  and* entries = list_size (int_range 1 4) entry
+  and* kind = oneofl [ "lp"; "lp-relaxed"; "bottleneck"; "none" ]
+  and* avg = maybe_nan (float_range 0. 40.)
+  and* max = maybe_nan (float_range 0. 40.)
+  and* error = opt (oneofl [ "Failure(\"synthetic LP failure\")"; "Iteration_limit(5000)" ])
+  and* lp_counters = opt lp_counters
+  and* wall_s = float_range 0. 5. in
+  return
+    {
+      Experiment.cell = cell ~mode ~lp ~m ~rate ~rounds workload seed;
+      flows;
+      entries;
+      bound = { Experiment.kind; avg; max; error; lp_counters };
+      wall_s;
+    }
+
+(* The one decoder at the checkpoint trust boundary.  Random results
+   ({!gen_result}) must re-encode to their own bytes; every truncation of an
    encoding, every dropped field, every retyped value and every non-object
    entry must decode to [Error], never raise. *)
 let prop_decoder_rejects_mutations =
   let module J = Flowsched_util.Json in
-  let module M = Flowsched_obs.Metrics in
-  let gen_result =
-    let open QCheck2.Gen in
-    let maybe_nan g = oneof [ return nan; g ] in
-    let counter n = map (Option.map (fun v -> ("simplex." ^ n, M.Counter v))) (opt (int_range 1 9999)) in
-    let gauge n = map (Option.map (fun v -> ("simplex." ^ n, M.Gauge v))) (opt (float_range 1e-6 2.)) in
-    let lp_counters =
-      map
-        (fun xs -> List.sort compare (List.filter_map Fun.id xs))
-        (flatten_l
-           (List.map counter
-              [
-                "solves"; "pivots"; "ftran_calls"; "refactorizations"; "full_pricing_scans";
-                "partial_pricing_rounds"; "warm_attempts"; "warm_accepted"; "phase1_skipped";
-                "basis_nnz"; "factor_nnz"; "eta_nnz"; "bound_flips";
-              ]
-           @ List.map gauge [ "phase1_seconds"; "phase2_seconds" ]))
-    in
-    let entry =
-      map3
-        (fun name art mrt -> { Experiment.name; art; mrt })
-        (oneofl [ "MaxCard"; "fifo-endpoint"; "wsebf" ])
-        (maybe_nan (float_range 1. 40.))
-        (int_bound 60)
-    in
-    let* workload = oneofl [ "poisson"; "pareto"; "pareto:1.5"; "uniform"; "bursty:4:10:0.3" ]
-    and* mode =
-      oneofl
-        [
-          Matrix.Flows;
-          Matrix.Endpoint { nodes = 2; node_cap = 3 };
-          Matrix.Coflow { groups = 4; max_weight = 2 };
-        ]
-    and* m = int_range 1 9
-    and* rate = float_range 0.1 50.
-    and* rounds = int_range 1 30
-    and* seed = int_bound 1_000_000
-    and* lp = bool
-    and* flows = int_bound 500
-    and* entries = list_size (int_range 1 4) entry
-    and* kind = oneofl [ "lp"; "lp-relaxed"; "bottleneck"; "none" ]
-    and* avg = maybe_nan (float_range 0. 40.)
-    and* max = maybe_nan (float_range 0. 40.)
-    and* error = opt (oneofl [ "Failure(\"synthetic LP failure\")"; "Iteration_limit(5000)" ])
-    and* lp_counters = opt lp_counters
-    and* wall_s = float_range 0. 5. in
-    return
-      {
-        Experiment.cell = cell ~mode ~lp ~m ~rate ~rounds workload seed;
-        flows;
-        entries;
-        bound = { Experiment.kind; avg; max; error; lp_counters };
-        wall_s;
-      }
-  in
   let retype = function J.Bool _ -> J.Int 1 | _ -> J.Bool true in
   (* Every single-value mutation of a JSON tree: each object field dropped
      or retyped, each array element made a non-object, recursively. *)
@@ -511,6 +536,33 @@ let prop_decoder_rejects_mutations =
            (fun k ->
              match J.parse (String.sub s 0 k) with Error _ -> true | Ok j -> rejected j)
            (List.init (String.length s) Fun.id))
+
+(* The line parser around the decoder: a checkpoint file of sealed lines
+   with one to three edits anywhere in it loads its entries or raises
+   [Failure] naming the corrupt line, never anything else. *)
+let prop_read_entries_total =
+  let gen_file =
+    QCheck2.Gen.(
+      list_size (int_range 1 3) gen_result >>= fun results ->
+      Fuzz.mutant
+        (String.concat ""
+           (List.map
+              (fun r ->
+                Checkpoint.seal ~key:(Checkpoint.key r.Experiment.cell) (Checkpoint.encode r)
+                ^ "\n")
+              results)))
+  in
+  QCheck2.Test.make ~name:"Checkpoint.read_entries: mutants load or raise Failure" ~count:200
+    ~print:(Printf.sprintf "%S") gen_file (fun text ->
+      let path = Filename.temp_file "flowsched-fuzz" ".jsonl" in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          match Checkpoint.read_entries ~path with
+          | _ | (exception Failure _) -> true
+          | exception e ->
+              QCheck2.Test.fail_reportf "read_entries raised %s" (Printexc.to_string e)))
 
 (* --- parallel grids and the sweep artifact --- *)
 
@@ -663,6 +715,7 @@ let () =
         prop_inline_equals_fork;
         prop_figures_rows_match_reference;
         prop_decoder_rejects_mutations;
+        prop_read_entries_total;
       ]
   in
   Alcotest.run "flowsched_sim"
@@ -694,6 +747,7 @@ let () =
         [
           Alcotest.test_case "cell without lp" `Quick test_run_cell_without_lp;
           Alcotest.test_case "cell with lp" `Quick test_run_cell_with_lp;
+          Alcotest.test_case "empty cell entry names" `Quick test_empty_cell_entry_names;
           Alcotest.test_case "fig6 grid layout" `Quick test_fig6_grid_layout;
           Alcotest.test_case "figures LP failure fails the run" `Quick
             test_figures_lp_failure_fails_run;

@@ -210,10 +210,23 @@ let prop_total_response_consistent =
          < 1e-9
       && Array.for_all (fun rt -> rt >= 1) rts)
 
+let prop_parser_total =
+  QCheck2.Test.make ~name:"Instance.of_string: mutants give Ok or Error" ~count:500
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      int_bound 1_000_000 >>= fun seed ->
+      Fuzz.mutant (Instance.to_string (Reference.capacitated_instance seed)))
+    (Fuzz.total ~what:"Instance.of_string" Instance.of_string)
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_serial_schedule_valid; prop_roundtrip_serialization; prop_total_response_consistent ]
+      [
+        prop_serial_schedule_valid;
+        prop_roundtrip_serialization;
+        prop_total_response_consistent;
+        prop_parser_total;
+      ]
   in
   Alcotest.run "flowsched_switch"
     [

@@ -89,9 +89,8 @@ let test_prng_per_job_streams_disjoint () =
      10^5 values from two adjacent jobs' generators and check the output
      sets are disjoint (xoshiro's state is 4x the output width, so even a
      lagged overlap of the underlying sequences would surface here). *)
-  let base_seed = 42 in
-  let g0 = Prng.create (Flowsched_exec.Pool.seed_for ~base_seed 0) in
-  let g1 = Prng.create (Flowsched_exec.Pool.seed_for ~base_seed 1) in
+  let g0 = Prng.create (Flowsched_exec.Pool.seed_for 0) in
+  let g1 = Prng.create (Flowsched_exec.Pool.seed_for 1) in
   let n = 100_000 in
   let seen = Hashtbl.create (2 * n) in
   for _ = 1 to n do
@@ -459,6 +458,39 @@ let prop_summary_bounds =
       let s = Stats.summarize values in
       s.Stats.min <= s.Stats.mean +. 1e-9 && s.Stats.mean <= s.Stats.max +. 1e-9)
 
+(* Random JSON trees: every constructor, strings with quotes, backslashes
+   and control characters, nested arrays and objects. *)
+let gen_json =
+  QCheck2.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let str = string_size ~gen:(oneof [ printable; char_range '\000' '\031' ]) (int_bound 6) in
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map (fun f -> Json.Float f) (float_range (-1e9) 1e9);
+                 map (fun s -> Json.Str s) str;
+               ]
+           in
+           if n <= 1 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 (2, map (fun xs -> Json.Arr xs) (list_size (int_bound 4) (self (n / 4))));
+                 (2, map (fun kv -> Json.Obj kv) (list_size (int_bound 4) (pair str (self (n / 4)))));
+               ]))
+
+let prop_json_parse_total =
+  QCheck2.Test.make ~name:"Json.parse: mutants give Ok or Error" ~count:1000
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      pair gen_json bool >>= fun (j, pretty) -> Fuzz.mutant (Json.to_string ~pretty j))
+    (Fuzz.total ~what:"Json.parse" Json.parse)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest
       [
@@ -466,6 +498,7 @@ let () =
         prop_percentile_monotone;
         prop_summary_bounds;
         prop_json_float_roundtrip;
+        prop_json_parse_total;
       ]
   in
   Alcotest.run "flowsched_util"
