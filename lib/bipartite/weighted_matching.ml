@@ -1,3 +1,6 @@
+module Trace = Flowsched_obs.Trace
+module Json = Flowsched_util.Json
+
 let weight_of w ids = List.fold_left (fun acc e -> acc +. w.(e)) 0. ids
 
 (* Buffers only grow, geometrically, so a run reallocates a few times while
@@ -35,9 +38,9 @@ let number side x =
 (* Problems whose declared size [dim] is at least this go to the sparse
    solver, smaller ones to the dense matrix.  On the problems MinRTime and
    MaxWeight pose on Poisson traffic, sparse over dense time per call was
-   1.01-1.07 at 20 ports and 0.93-0.97 at 22 (DESIGN.md, "Two Hungarian
+   0.99-1.01 at 14 ports and 0.94-0.95 at 15 (DESIGN.md, "Two Hungarian
    solvers"). *)
-let sparse_from = 22
+let sparse_from = 15
 
 (* The sparse solver's buffers.  As in the dense loop, rows and columns
    are 1-indexed and column 0 is the virtual column holding the row a
@@ -68,8 +71,6 @@ type sparse = {
   mutable v : float array;
   mutable p : int array;
   mutable way : int array;
-  mutable heap : int array;  (* columns, largest v first, then least column *)
-  mutable pos : int array;  (* column: its place in [heap], -1 while off it *)
 }
 
 (* One domain's buffers, reused by every problem it solves: the online
@@ -85,6 +86,10 @@ type problem = {
   mutable cost : float array;  (* dim x dim, row-major: best weight, then cost *)
   mutable best : int array;  (* witness edge per numbered pair, -1 for none *)
   sp : sparse;
+  mutable pairs : int;  (* numbered pairs with an edge; the sparse solver counts
+                           them when it reduces the edges *)
+  mutable phases : int;  (* the last solve's phases, *)
+  mutable steps : int;  (* and its tree steps over all of them *)
 }
 
 let buffers =
@@ -96,10 +101,12 @@ let buffers =
           pcol = [||]; pcost = [||]; pid = [||]; tick = 0; mark = [||]; slot = [||];
           used = [||]; step = [||]; joined = [||]; tree = [||]; key = [||]; wit = [||];
           reached = [||]; bkey = [||]; bcol = [||]; u = [||]; v = [||]; p = [||]; way = [||];
-          heap = [||]; pos = [||];
         }
       in
-      { left = side (); right = side (); room = 0; ne = 0; dim = 0; cost = [||]; best = [||]; sp })
+      {
+        left = side (); right = side (); room = 0; ne = 0; dim = 0; cost = [||]; best = [||]; sp;
+        pairs = 0; phases = 0; steps = 0;
+      })
 
 let problem ~nl ~nr ~edges =
   if nl < 0 || nr < 0 || edges < 0 then invalid_arg "Weighted_matching.problem: negative size";
@@ -125,6 +132,9 @@ let problem ~nl ~nr ~edges =
   s.room <- edges;
   s.ne <- 0;
   s.dim <- dim;
+  s.pairs <- 0;
+  s.phases <- 0;
+  s.steps <- 0;
   s
 
 (* Each numbered pair keeps its best non-negative weight and witness edge,
@@ -151,6 +161,7 @@ let add_edge s u v w =
   else begin
     let k = (i * s.dim) + j in
     if w >= 0. && (s.best.(k) = -1 || w > s.cost.(k)) then begin
+      if s.best.(k) = -1 then s.pairs <- s.pairs + 1;
       s.cost.(k) <- w;
       s.best.(k) <- s.ne
     end
@@ -161,10 +172,11 @@ let add_edge s u v w =
    classic potentials formulation: rows and columns are 1-indexed, and the
    cost of row [i] and column [j] is [cost.((i - 1) * dim + j - 1)].
    Returns [p] where p.(j) = row assigned to column j. *)
-let hungarian cost dim n =
+let hungarian s cost dim n =
   let u = Array.make (n + 1) 0. and v = Array.make (n + 1) 0. in
   let p = Array.make (n + 1) 0 and way = Array.make (n + 1) 0 in
   let minv = Array.make (n + 1) infinity and used = Bytes.make (n + 1) '\000' in
+  let steps = ref 0 in
   for i = 1 to n do
     p.(0) <- i;
     let j0 = ref 0 in
@@ -172,6 +184,7 @@ let hungarian cost dim n =
     Bytes.fill used 0 (n + 1) '\000';
     (* grow the alternating tree until it reaches a free column *)
     while p.(!j0) <> 0 do
+      incr steps;
       Bytes.set used !j0 '\001';
       let i0 = p.(!j0) in
       let row = ((i0 - 1) * dim) - 1 and ui0 = u.(i0) in
@@ -213,6 +226,8 @@ let hungarian cost dim n =
       j := j1
     done
   done;
+  s.phases <- n;
+  s.steps <- !steps;
   p
 
 let solve_dense s =
@@ -229,7 +244,7 @@ let solve_dense s =
       cost.(k) <- !wmax -. cost.(k)
     done
   done;
-  let p = hungarian cost dim n in
+  let p = hungarian s cost dim n in
   let result = ref [] in
   for j = 1 to n do
     let i = p.(j) in
@@ -239,33 +254,6 @@ let solve_dense s =
     end
   done;
   !result
-
-(* The column heap holds columns in [heap], largest v first, then least
-   column; [pos] maps a column to its place. *)
-let col_before (v : float array) a b = v.(a) > v.(b) || (v.(a) = v.(b) && a < b)
-
-(* Puts column [c] in the heap's place [i], then moves it up or down to
-   where it belongs among the [size] places. *)
-let col_place heap pos v size c i =
-  let i = ref i and moving = ref true in
-  while !i > 0 && col_before v c heap.((!i - 1) / 2) do
-    let q = (!i - 1) / 2 in
-    heap.(!i) <- heap.(q);
-    pos.(heap.(!i)) <- !i;
-    i := q
-  done;
-  while !moving do
-    let l = (2 * !i) + 1 in
-    let m = if l + 1 < size && col_before v heap.(l + 1) heap.(l) then l + 1 else l in
-    if m < size && col_before v heap.(m) c then begin
-      heap.(!i) <- heap.(m);
-      pos.(heap.(!i)) <- !i;
-      i := m
-    end
-    else moving := false
-  done;
-  heap.(!i) <- c;
-  pos.(c) <- !i
 
 (* Buckets the kept edges by row, in id order within a row, and reduces
    each row to one pair per column: the heaviest edge, the first on ties.
@@ -323,24 +311,30 @@ let reduce t rows =
   start.(rows) <- !out;
   !out
 
-(* log2 of the columns in a block of the pair-key minimum. *)
-let block = 3
+(* log2 of the columns in a block of the pair-key minimum: 16 columns, the
+   fastest of 8, 16 and 32 on sweep-paper's problems (DESIGN.md, "Two
+   Hungarian solvers"). *)
+let block = 4
 
 (* The dense loop's decisions without its O(n) work per tree step.  Write
    D for the running total of the deltas in a phase.  A row joining the
    tree at total D_r with potential u_r reaches column j at key
    cost + (D_r - u_r) - v_j, which stays put while the tree grows: the
    dense loop's minv.(j) is the least key over the tree rows minus D.  So
-   a joining row lowers the keys of its own pairs, each block of 8
+   a joining row lowers the keys of its own pairs, each block of 16
    columns keeps its least key, and a column it has no pair with costs W,
    whose least key over the tree is W + min (D_r - u_r) - v_j: the best
-   such column is the unused one of largest v, the top of the column heap.
-   The least key wins, then the least column; [way] gets the
-   earliest-joined row reaching the winner's key, as the dense loop's
-   strict comparison keeps it.  The winner's key is the new D, and tree
-   rows and columns settle u and v when the phase ends.  With integer
-   weights every value is an exact integer, so each comparison, and hence
-   the assignment, is the dense loop's. *)
+   such column is the unused one of largest v, the least on ties.  Every
+   delta is at least 0 and a free column never joins a tree, so free
+   columns keep v = 0 and every v stays at most 0: that column is the
+   least unused one with v = 0.  No v changes within a phase and used
+   columns only accumulate, so a cursor that starts each phase at column
+   1 finds it moving forward only.  The least key wins, then the least
+   column; [way] gets the earliest-joined row reaching the winner's key,
+   as the dense loop's strict comparison keeps it.  The winner's key is
+   the new D, and tree rows and columns settle u and v when the phase
+   ends.  With integer weights every value is an exact integer, so each
+   comparison, and hence the assignment, is the dense loop's. *)
 let solve_sparse s =
   let t = s.sp and rows = s.left.count in
   let n = max rows s.right.count in
@@ -360,11 +354,10 @@ let solve_sparse s =
     t.u <- Array.make cap 0.;
     t.v <- Array.make cap 0.;
     t.p <- Array.make cap 0;
-    t.way <- Array.make cap 0;
-    t.heap <- Array.make cap 0;
-    t.pos <- Array.make cap 0
+    t.way <- Array.make cap 0
   end;
   let pairs = reduce t rows in
+  s.pairs <- pairs;
   if pairs = 0 then []
   else begin
     let pcol = t.pcol and pcost = t.pcost and start = t.start in
@@ -379,52 +372,54 @@ let solve_sparse s =
     let u = t.u and v = t.v and p = t.p and way = t.way in
     let used = t.used and step = t.step and joined = t.joined and tree = t.tree in
     let key = t.key and wit = t.wit and reached = t.reached in
-    let bkey = t.bkey and bcol = t.bcol and heap = t.heap and pos = t.pos in
+    let bkey = t.bkey and bcol = t.bcol in
     let blocks = (n lsr block) + 1 in
     Array.fill u 0 (n + 1) 0.;
     Array.fill v 0 (n + 1) 0.;
     Array.fill p 0 (n + 1) 0;
-    for c = 1 to n do
-      heap.(c - 1) <- c;
-      pos.(c) <- c - 1
-    done;
-    let size = ref n in
+    let total = ref 0 in
     for i = 1 to n do
       t.tick <- t.tick + 1;
       let phase = t.tick in
       p.(0) <- i;
       Array.fill bkey 0 blocks infinity;
       let d = ref 0. and rmin = ref infinity and rwit = ref 0 in
-      let steps = ref 0 and nreached = ref 0 and j0 = ref 0 in
-      (* grow the alternating tree until it reaches a free column *)
-      while p.(!j0) <> 0 do
+      let steps = ref 0 and nreached = ref 0 and j0 = ref 0 and cur = ref 1 in
+      (* Grow the alternating tree until it reaches a free column.  Every
+         index below is in range: columns are at most n, below the length
+         of every per-column buffer, and so are [steps] and [nreached], as
+         a column joins or is reached at most once a phase; a tree row is
+         at most n, and its pairs are read only when it is at most [rows];
+         pair slots are below [pairs], and blocks below [blocks]. *)
+      while Array.unsafe_get p !j0 <> 0 do
         let c0 = !j0 in
-        used.(c0) <- phase;
-        step.(c0) <- !steps;
-        joined.(c0) <- !d;
-        tree.(!steps) <- c0;
+        Array.unsafe_set used c0 phase;
+        Array.unsafe_set step c0 !steps;
+        Array.unsafe_set joined c0 !d;
+        Array.unsafe_set tree !steps c0;
         incr steps;
-        let r = p.(c0) in
-        let x = !d -. u.(r) in
+        let r = Array.unsafe_get p c0 in
+        let x = !d -. Array.unsafe_get u r in
         if x < !rmin then begin
           rmin := x;
           rwit := c0
         end;
         if r <= rows then
-          for q = start.(r - 1) to start.(r) - 1 do
-            let j = pcol.(q) in
-            let kj = pcost.(q) +. x -. v.(j) in
-            if kj < key.(j) && used.(j) <> phase then begin
-              if key.(j) = infinity then begin
-                reached.(!nreached) <- j;
+          for q = Array.unsafe_get start (r - 1) to Array.unsafe_get start r - 1 do
+            let j = Array.unsafe_get pcol q in
+            let kj = Array.unsafe_get pcost q +. x -. Array.unsafe_get v j in
+            if kj < Array.unsafe_get key j && Array.unsafe_get used j <> phase then begin
+              if Array.unsafe_get key j = infinity then begin
+                Array.unsafe_set reached !nreached j;
                 incr nreached
               end;
-              key.(j) <- kj;
-              wit.(j) <- c0;
+              Array.unsafe_set key j kj;
+              Array.unsafe_set wit j c0;
               let b = j lsr block in
-              if kj < bkey.(b) || (kj = bkey.(b) && j < bcol.(b)) then begin
-                bkey.(b) <- kj;
-                bcol.(b) <- j
+              let kb = Array.unsafe_get bkey b in
+              if kj < kb || (kj = kb && j < Array.unsafe_get bcol b) then begin
+                Array.unsafe_set bkey b kj;
+                Array.unsafe_set bcol b j
               end
             end
           done;
@@ -432,60 +427,58 @@ let solve_sparse s =
            least column *)
         let bk = ref infinity and bc = ref 0 in
         for b = 0 to blocks - 1 do
-          if bkey.(b) < !bk then begin
-            bk := bkey.(b);
-            bc := bcol.(b)
+          let kb = Array.unsafe_get bkey b in
+          if kb < !bk then begin
+            bk := kb;
+            bc := Array.unsafe_get bcol b
           end
         done;
-        (* tree columns leave the column heap lazily, when they reach the top *)
-        while used.(heap.(0)) = phase do
-          pos.(heap.(0)) <- -1;
-          decr size;
-          col_place heap pos v !size heap.(!size) 0
+        (* the least unused column with v = 0: a free column is one, so
+           the cursor stops at n at the latest *)
+        while Array.unsafe_get used !cur = phase || Array.unsafe_get v !cur < 0. do
+          incr cur
         done;
-        let cw = heap.(0) in
-        let ktop = w +. !rmin -. v.(cw) in
+        let cw = !cur in
+        let ktop = w +. !rmin -. Array.unsafe_get v cw in
         let j1 = if !bk < ktop || (!bk = ktop && !bc < cw) then !bc else cw in
-        let kp = key.(j1) in
-        let kw = w +. !rmin -. v.(j1) in
+        let kp = Array.unsafe_get key j1 in
+        let kw = w +. !rmin -. Array.unsafe_get v j1 in
+        let wj = Array.unsafe_get wit j1 in
         if kp < kw then begin
-          way.(j1) <- wit.(j1);
+          Array.unsafe_set way j1 wj;
           d := kp
         end
         else begin
-          way.(j1) <- (if kw = kp && step.(wit.(j1)) < step.(!rwit) then wit.(j1) else !rwit);
+          Array.unsafe_set way j1
+            (if kw = kp && Array.unsafe_get step wj < Array.unsafe_get step !rwit then wj
+             else !rwit);
           d := kw
         end;
         if kp < infinity then begin
-          key.(j1) <- infinity;
+          Array.unsafe_set key j1 infinity;
           let b = j1 lsr block in
-          if bcol.(b) = j1 then begin
+          if Array.unsafe_get bcol b = j1 then begin
             let lo = b lsl block in
             let mk = ref infinity and mc = ref 0 in
             for c = lo to min n (lo + (1 lsl block) - 1) do
-              if key.(c) < !mk then begin
-                mk := key.(c);
+              let kc = Array.unsafe_get key c in
+              if kc < !mk then begin
+                mk := kc;
                 mc := c
               end
             done;
-            bkey.(b) <- !mk;
-            bcol.(b) <- !mc
+            Array.unsafe_set bkey b !mk;
+            Array.unsafe_set bcol b !mc
           end
         end;
         j0 := j1
       done;
+      total := !total + !steps;
       for k = 0 to !steps - 1 do
         let c = tree.(k) in
         let delta = !d -. joined.(c) in
         u.(p.(c)) <- u.(p.(c)) +. delta;
-        if c <> 0 then begin
-          v.(c) <- v.(c) -. delta;
-          if pos.(c) < 0 then begin
-            incr size;
-            col_place heap pos v !size c (!size - 1)
-          end
-          else if delta <> 0. then col_place heap pos v !size c pos.(c)
-        end
+        v.(c) <- v.(c) -. delta
       done;
       for k = 0 to !nreached - 1 do
         key.(reached.(k)) <- infinity
@@ -498,6 +491,8 @@ let solve_sparse s =
         j := j1
       done
     done;
+    s.phases <- n;
+    s.steps <- !total;
     let result = ref [] in
     for j = 1 to n do
       let i = p.(j) in
@@ -512,8 +507,22 @@ let solve_sparse s =
     !result
   end
 
+let run s = if s.ne = 0 then [] else if s.dim >= sparse_from then solve_sparse s else solve_dense s
+
+(* Tracing off, a solve allocates no closure for its span. *)
 let solve s =
-  if s.ne = 0 then [] else if s.dim >= sparse_from then solve_sparse s else solve_dense s
+  if not (Trace.enabled ()) then run s
+  else
+    Trace.with_span "matching.hungarian"
+      ~args:(fun () ->
+        [
+          ("solver", Json.Str (if s.dim >= sparse_from then "sparse" else "dense"));
+          ("n", Json.Int (max s.left.count s.right.count));
+          ("pairs", Json.Int s.pairs);
+          ("phases", Json.Int s.phases);
+          ("steps", Json.Int s.steps);
+        ])
+      (fun () -> run s)
 
 let max_weight (g : Bgraph.t) w =
   let ne = Bgraph.num_edges g in

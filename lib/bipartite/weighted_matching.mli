@@ -3,7 +3,7 @@
     Hungarian algorithm (potentials formulation) on the active vertices.
     Small problems run the dense O(n³) loop over an n x n matrix.  Once
     the declared size (the larger side, capped at the number of edges)
-    reaches 22, a sparse solver takes the same decisions from the edges
+    reaches 15, a sparse solver takes the same decisions from the edges
     alone (DESIGN.md, "Two Hungarian solvers").
     Vertices may stay unmatched, so the result maximizes total weight
     rather than cardinality; edges of negative weight are never used.

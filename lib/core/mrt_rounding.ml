@@ -16,7 +16,7 @@ type outcome = {
 
 type row_key = bool * int * int (* is_input, port, round *)
 
-let round_loop ?start inst active =
+let round_loop ?start ?first inst active =
   let n = Instance.n inst in
   let dmax = Instance.dmax inst in
   let bound = max 0 ((2 * dmax) - 1) in
@@ -62,8 +62,10 @@ let round_loop ?start inst active =
   (* Warm basis threaded across re-solves, kept in *global* flow ids: each
      round's sub-instance renumbers flows, so keys are translated in and out
      through [ids].  Keys of since-fixed flows or pruned rounds drop out on
-     translation.  The first solve starts from [start]. *)
+     translation.  The first solve starts from [start], and is [first]'s
+     solution when the caller has it. *)
   let warm : Mrt_lp.basis_key list option ref = ref start in
+  let first = ref first in
   while !unfixed_count > 0 && not !infeasible do
     (* Build the restricted instance: unfixed flows only, residual caps,
        dropped rows modeled as effectively unconstrained. *)
@@ -113,7 +115,14 @@ let round_loop ?start inst active =
             keys)
         !warm
     in
-    (match Mrt_lp.solve ~residual ?warm:sub_warm sub_inst sub_active with
+    let solved =
+      match !first with
+      | Some _ as frac ->
+          first := None;
+          frac
+      | None -> Mrt_lp.solve ~residual ?warm:sub_warm sub_inst sub_active
+    in
+    (match solved with
     | None -> infeasible := true
     | Some frac ->
         warm :=
@@ -200,7 +209,7 @@ let round_loop ?start inst active =
       }
   end
 
-let round ?start inst active =
+let round ?start ?first inst active =
   Trace.with_span "mrt.round"
     ~args:(fun () -> [ ("flows", Flowsched_util.Json.Int (Instance.n inst)) ])
-    (fun () -> round_loop ?start inst active)
+    (fun () -> round_loop ?start ?first inst active)

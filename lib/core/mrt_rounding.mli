@@ -31,6 +31,7 @@ type outcome = {
 
 val round :
   ?start:Mrt_lp.basis_key list ->
+  ?first:Mrt_lp.fractional ->
   Flowsched_switch.Instance.t ->
   Mrt_lp.active ->
   outcome option
@@ -45,4 +46,8 @@ val round :
     all phase 1 is skipped, the first vertex is FIFO's own integral point
     and the rounding ends after that one LP.  Which vertex the first solve
     reaches depends on the start, so the schedule does; the guarantees
-    above do not. *)
+    above do not.  [first], when given, is taken as the first LP's
+    solution instead of solving it: it must be what
+    [Mrt_lp.solve ?warm:start inst active] returns, as
+    {!Mrt_scheduler.solve} passes its search's probe at [rho*].  It still
+    counts in [lp_solves], which counts the LPs the schedule rests on. *)

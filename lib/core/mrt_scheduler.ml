@@ -23,10 +23,9 @@ type solution = {
 let fifo_start inst fifo =
   List.init (Instance.n inst) (fun e -> Mrt_lp.Bvar (e, Schedule.round_of fifo e))
 
-let feasible_from start inst rho =
-  Mrt_lp.solve ~warm:start inst (Mrt_lp.active_of_rho inst rho) <> None
+let solve_at start inst rho = Mrt_lp.solve ~warm:start inst (Mrt_lp.active_of_rho inst rho)
 
-let feasible_rho inst rho = feasible_from (fifo_start inst (Baselines.fifo inst)) inst rho
+let feasible_rho inst rho = solve_at (fifo_start inst (Baselines.fifo inst)) inst rho <> None
 
 (* The flows at one port released in [a, b], of total demand D, are all
    served in rounds [a, b + rho - 1], and LP (19) lets that port carry c_p
@@ -72,10 +71,12 @@ let probe start inst rho =
   Trace.with_span "mrt.rho_probe"
     ~args:(fun () -> [ ("rho", Json.Int rho) ])
     (fun () ->
-      let feasible = feasible_from start inst rho in
-      if feasible then Metrics.incr c_rho_feasible;
-      feasible)
+      let frac = solve_at start inst rho in
+      if frac <> None then Metrics.incr c_rho_feasible;
+      frac)
 
+(* The least feasible rho, and the last feasible probe's solution when it
+   was made at that rho: the LP the rounding would solve first. *)
 let search inst fifo =
   let bracket = ref None in
   Trace.with_span "mrt.min_fractional_rho"
@@ -87,27 +88,37 @@ let search inst fifo =
       let lb, ub = bracket_of inst fifo in
       bracket := Some (lb, ub);
       let start = fifo_start inst fifo in
-      let lo = ref lb and hi = ref ub in
+      let lo = ref lb and hi = ref ub and at_hi = ref None in
       (* invariant: hi feasible, lo - 1 infeasible; feasibility is monotone
          in rho, so this finds the least feasible rho *)
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        if probe start inst mid then hi := mid else lo := mid + 1
+        match probe start inst mid with
+        | Some _ as frac ->
+            hi := mid;
+            at_hi := frac
+        | None -> lo := mid + 1
       done;
-      !lo)
+      (!lo, !at_hi))
 
-let min_fractional_rho inst = search inst (Baselines.fifo inst)
+let min_fractional_rho inst = fst (search inst (Baselines.fifo inst))
 
 let augmentation inst = max 0 ((2 * Instance.dmax inst) - 1)
 
 (* The rounding starts from FIFO's schedule, never from a probe's final
-   basis, so [solve inst] and [solve ~rho:(min_fractional_rho inst) inst]
-   return the same schedule. *)
+   basis.  Its first LP is the search's last feasible probe when that probe
+   was made at rho*: the same model, row for row, from the same start, so
+   [solve inst] and [solve ~rho:(min_fractional_rho inst) inst] return the
+   same outcome. *)
 let solve ?rho inst =
   let fifo = Baselines.fifo inst in
-  let fractional_rho = match rho with Some r -> r | None -> search inst fifo in
+  let fractional_rho, first =
+    match rho with Some r -> (r, None) | None -> search inst fifo
+  in
   let start = fifo_start inst fifo in
-  match Mrt_rounding.round ~start inst (Mrt_lp.active_of_rho inst fractional_rho) with
+  match
+    Mrt_rounding.round ~start ?first inst (Mrt_lp.active_of_rho inst fractional_rho)
+  with
   | None -> failwith "Mrt_scheduler.solve: infeasible rho"
   | Some rounding ->
       let augmented = Instance.scale_capacities inst ~mult:1 ~add:(augmentation inst) in

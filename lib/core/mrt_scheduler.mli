@@ -59,10 +59,13 @@ val min_fractional_rho : Flowsched_switch.Instance.t -> int
 val solve : ?rho:int -> Flowsched_switch.Instance.t -> solution
 (** [solve inst] computes [rho = min_fractional_rho inst] (unless given)
     and rounds, starting the rounding from FIFO's schedule, never from a
-    probe's basis: [solve inst] and [solve ~rho:(min_fractional_rho inst)
-    inst] return the same schedule.  When [rho] is FIFO's max response the
-    rounding ends after one LP with FIFO's own schedule.  Raises [Failure]
-    if the given [rho] is infeasible. *)
+    probe's basis.  When the search's last feasible probe was made at
+    [rho], that probe's solution is the rounding's first LP, which is then
+    not solved again: the two build the same model from the same start.
+    So [solve inst] and [solve ~rho:(min_fractional_rho inst) inst] return
+    the same outcome.  When [rho] is FIFO's max response the rounding ends
+    after one LP with FIFO's own schedule.  Raises [Failure] if the given
+    [rho] is infeasible. *)
 
 val solve_with_deadlines :
   Flowsched_switch.Instance.t -> deadlines:int array -> solution option

@@ -18,6 +18,11 @@ open Flowsched_switch
 open Flowsched_bipartite
 open Flowsched_online
 
+(* The tree steps [hungarian_min] has taken, over all calls: one per
+   column joining a phase's tree.  Both library solvers take the same
+   steps. *)
+let hungarian_steps = ref 0
+
 (* 1-indexed arrays as in the classic potentials formulation.  [a] is
    (n+1) x (n+1) with row/column 0 unused.  Returns [p] where p.(j) = row
    assigned to column j. *)
@@ -32,6 +37,7 @@ let hungarian_min n a =
     let used = Array.make (n + 1) false in
     let continue = ref true in
     while !continue do
+      incr hungarian_steps;
       used.(!j0) <- true;
       let i0 = p.(!j0) in
       let delta = ref inf and j1 = ref (-1) in

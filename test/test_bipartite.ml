@@ -58,15 +58,22 @@ let random_graph seed ~nl ~nr ~ne =
   in
   Bgraph.create ~nl ~nr pairs
 
-(* A multigraph past the Hungarian's sparse crossover: 24-64 vertices per
-   side with nl <> nr, so the square completion has dummy rows or columns.
-   Each left vertex gets 2-8 edges, about a quarter of them parallel to its
-   previous one, and the edges come in shuffled order. *)
+(* A multigraph past the Hungarian's sparse crossover, with nl <> nr
+   either way, so the square completion has dummy rows or columns.  Three
+   draws in four have 24-64 vertices per side and integer weights -1..3,
+   so negative, zero and tied weights are common.  The fourth is at paper
+   scale: 80-160 vertices per side and integer weights 0..30, the ranges
+   of MinRTime's ages and MaxWeight's queue counts there.  Each left
+   vertex gets 2-8 edges, about a quarter of them parallel to its previous
+   one, and the edges come in shuffled order.  Returns the graph and its
+   integer weight draw. *)
 let wide_graph seed =
   let g = Flowsched_util.Prng.create seed in
   let int lo hi = lo + Flowsched_util.Prng.int g (hi - lo + 1) in
-  let nl = int 24 64 in
-  let nr = match int 24 63 with r when r >= nl -> r + 1 | r -> r in
+  let paper = Flowsched_util.Prng.int g 4 = 0 in
+  let lo, hi = if paper then (80, 160) else (24, 64) in
+  let nl = int lo hi in
+  let nr = match int lo (hi - 1) with r when r >= nl -> r + 1 | r -> r in
   let pairs = ref [] in
   for u = 0 to nl - 1 do
     let v = ref (int 0 (nr - 1)) in
@@ -82,7 +89,11 @@ let wide_graph seed =
     pairs.(k) <- pairs.(r);
     pairs.(r) <- x
   done;
-  Bgraph.create ~nl ~nr pairs
+  let weight prng =
+    float_of_int
+      (if paper then Flowsched_util.Prng.int prng 31 else Flowsched_util.Prng.int prng 5 - 1)
+  in
+  (Bgraph.create ~nl ~nr pairs, weight)
 
 (* --- bgraph --- *)
 
@@ -199,19 +210,34 @@ let prop_max_weight_matches_reference =
       let w = Array.init ne (fun _ -> float_of_int (Flowsched_util.Prng.int prng 5 - 1)) in
       Weighted_matching.max_weight g w = Reference.max_weight g w)
 
-(* The same contract past the crossover, on the sparse solver: weights
-   -1..3 make negative, zero and tied weights common. *)
+(* A solve's result and its tree steps, read from its span. *)
+let traced_solve f =
+  let module Trace = Flowsched_obs.Trace in
+  Trace.start ();
+  let r = Fun.protect ~finally:Trace.stop f in
+  match List.find_opt (fun sp -> sp.Trace.name = "matching.hungarian") (Trace.spans ()) with
+  | Some sp -> (
+      match List.assoc_opt "steps" sp.Trace.args with
+      | Some (Flowsched_util.Json.Int steps) -> (r, steps)
+      | _ -> (r, -1))
+  | None -> (r, -1)
+
+(* The same contract past the crossover, on the sparse solver, and the
+   same decisions: every column that joins a tree in the reference joins
+   one here, so the tree steps agree too, also where a different choice
+   among equal keys would return the same edges. *)
 let prop_max_weight_matches_reference_wide =
-  QCheck2.Test.make ~name:"max_weight = reference on wide graphs, order included" ~count:200
+  QCheck2.Test.make ~name:"max_weight = reference on wide graphs, order and steps included"
+    ~count:200
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
-      let g = wide_graph seed in
+      let g, weight = wide_graph seed in
       let prng = Flowsched_util.Prng.create (seed + 1) in
-      let w =
-        Array.init (Bgraph.num_edges g) (fun _ ->
-            float_of_int (Flowsched_util.Prng.int prng 5 - 1))
-      in
-      Weighted_matching.max_weight g w = Reference.max_weight g w)
+      let w = Array.init (Bgraph.num_edges g) (fun _ -> weight prng) in
+      let m, steps = traced_solve (fun () -> Weighted_matching.max_weight g w) in
+      let before = !Reference.hungarian_steps in
+      let want = Reference.max_weight g w in
+      m = want && steps = !Reference.hungarian_steps - before)
 
 (* With fractional weights the edge lists may differ, because the two
    solvers round differently, but the total weight must not. *)
@@ -219,7 +245,7 @@ let prop_max_weight_optimal_fractional_wide =
   QCheck2.Test.make ~name:"max_weight optimal on wide graphs, fractional weights" ~count:200
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
-      let g = wide_graph seed in
+      let g, _ = wide_graph seed in
       let prng = Flowsched_util.Prng.create (seed + 1) in
       let w =
         Array.init (Bgraph.num_edges g) (fun _ ->
@@ -245,6 +271,38 @@ let test_hungarian_rejects_infinity () =
 let test_hungarian_rejects_nan () =
   Alcotest.check_raises "nan" (Invalid_argument "Weighted_matching: non-finite weight")
     (fun () -> ignore (Weighted_matching.max_weight disjoint_pair [| nan; 1. |]))
+
+(* One [matching.hungarian] span per solve, carrying its solver and its
+   work.  Both phases of the 2 x 2 diagonal take one tree step; on a wide
+   graph every numbered row opens a phase, and each phase takes at least
+   the step of its own row. *)
+let test_hungarian_span () =
+  let module Trace = Flowsched_obs.Trace in
+  let g, weight = wide_graph 7 in
+  let prng = Flowsched_util.Prng.create 8 in
+  let w = Array.init (Bgraph.num_edges g) (fun _ -> weight prng) in
+  Trace.start ();
+  ignore (Weighted_matching.max_weight disjoint_pair [| 1.; 1. |]);
+  ignore (Weighted_matching.max_weight g w);
+  Trace.stop ();
+  match List.filter (fun sp -> sp.Trace.name = "matching.hungarian") (Trace.spans ()) with
+  | [ dense; sparse ] -> (
+      Alcotest.(check bool) "dense args" true
+        (dense.Trace.args
+        = Flowsched_util.Json.
+            [ ("solver", Str "dense"); ("n", Int 2); ("pairs", Int 2); ("phases", Int 2);
+              ("steps", Int 2) ]);
+      match sparse.Trace.args with
+      | Flowsched_util.Json.
+          [ ("solver", Str "sparse"); ("n", Int n); ("pairs", Int pairs); ("phases", Int phases);
+            ("steps", Int steps) ] ->
+          Alcotest.(check bool) "n covers the left side" true (n >= g.Bgraph.nl);
+          Alcotest.(check bool) "at most one pair per edge" true
+            (pairs > 0 && pairs <= Bgraph.num_edges g);
+          Alcotest.(check int) "one phase per row" n phases;
+          Alcotest.(check bool) "a step per phase at least" true (steps >= phases)
+      | _ -> Alcotest.fail "sparse span args")
+  | spans -> Alcotest.failf "%d matching.hungarian spans, expected 2" (List.length spans)
 
 (* --- edge coloring --- *)
 
@@ -708,6 +766,7 @@ let () =
           Alcotest.test_case "parallel edges" `Quick test_hungarian_parallel_edges;
           Alcotest.test_case "rejects infinite weights" `Quick test_hungarian_rejects_infinity;
           Alcotest.test_case "rejects nan weights" `Quick test_hungarian_rejects_nan;
+          Alcotest.test_case "span carries solver and work" `Quick test_hungarian_span;
         ] );
       ( "edge-coloring",
         [

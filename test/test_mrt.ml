@@ -328,6 +328,22 @@ let prop_solve_capacitated_guarantee =
       && sol.Mrt_scheduler.rounding.Mrt_rounding.overflow <= (2 * Instance.dmax inst) - 1
       && again.Mrt_scheduler.schedule = sol.Mrt_scheduler.schedule)
 
+let prop_solve_reuses_probe_at_rho =
+  (* Below FIFO's max response the search's last feasible probe, made at
+     rho*, is the rounding's first LP and is not solved again; the outcome
+     must be that of a rounding that solves it itself. *)
+  QCheck2.Test.make ~name:"solve = solve ~rho:rho* below FIFO, one LP fewer" ~count:100
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let inst = Reference.capacitated_instance seed in
+      let rho = Mrt_scheduler.min_fractional_rho inst in
+      QCheck2.assume (rho < snd (Mrt_scheduler.rho_bracket inst));
+      let solves = counter "simplex.solves" and probed = probes () in
+      let sol = Mrt_scheduler.solve inst in
+      let lps = counter "simplex.solves" - solves and probed = probes () - probed in
+      sol = Mrt_scheduler.solve ~rho inst
+      && lps = probed + sol.Mrt_scheduler.rounding.Mrt_rounding.lp_solves - 1)
+
 (* --- deadlines (Remark 4.2) --- *)
 
 let test_deadlines_feasible () =
@@ -387,6 +403,7 @@ let () =
         prop_bracket_contains_rho;
         prop_bracketed_matches_plain_bisection;
         prop_solve_capacitated_guarantee;
+        prop_solve_reuses_probe_at_rho;
       ]
   in
   Alcotest.run "flowsched_mrt"
