@@ -249,6 +249,13 @@ REPRO_SERVE_POLICY = serve --core maxweight --workload hotspot:0.3 -m 8 --rate 6
 # stall the source.
 REPRO_SERVE_MINRTIME = serve --core minrtime --workload hotspot:0.5 -m 8 --rate 3 \
   --slots 5000 --seed 7 --queue-cap 512 --buffer-cap 512 --status-every 0 --json
+# MaxWeight through the Policy core with port capacity 3 (Pareto demands up
+# to 3): the expanded switch is 12x12, so each flow takes its copies from
+# the round-robin counters, the only serve leg that does.  Up to 509 flows
+# pending, the pair intake in 4 630 of the 4 731 slots, and 1 460 slots
+# stall the source.
+REPRO_SERVE_CAPACITY = serve --core maxweight --workload pareto:1.5 -m 4 --rate 6 \
+  --max-demand 3 --slots 3000 --seed 7 --queue-cap 512 --buffer-cap 512 --status-every 0 --json
 # The Incremental core under skew and backpressure: 16x16 ports, half the
 # traffic to one hot output, caps of 256 that stall the source in 107 096 of
 # 127 497 slots, so the queue sits near its cap and augmenting paths run
@@ -305,6 +312,10 @@ reproduce: build
 	@cmp goldens/serve-minrtime.json _repro_serve_minrtime.json \
 	  && echo "reproduce: MinRTime deep-backlog serve outcome matches golden" \
 	  || (echo "reproduce: MinRTime deep-backlog serve outcome diverges from goldens/serve-minrtime.json" && exit 1)
+	_build/default/bin/main.exe $(REPRO_SERVE_CAPACITY) > _repro_serve_capacity.json 2>/dev/null
+	@cmp goldens/serve-maxweight-capacity.json _repro_serve_capacity.json \
+	  && echo "reproduce: MaxWeight capacity-3 serve outcome matches golden" \
+	  || (echo "reproduce: MaxWeight capacity-3 serve outcome diverges from goldens/serve-maxweight-capacity.json" && exit 1)
 	_build/default/bin/main.exe $(REPRO_SERVE_HOTSPOT) > _repro_serve_hotspot.json 2>/dev/null
 	@cmp goldens/serve-incremental-hotspot.json _repro_serve_hotspot.json \
 	  && echo "reproduce: Incremental hotspot serve outcome matches golden" \
@@ -335,7 +346,7 @@ reproduce-certified: build
 GOLDENS = goldens
 GOLDEN_FILES = matrix.json sweep.filtered.json sweep-wide.filtered.json \
   sweep-lp.filtered.json serve.json serve-policy.json serve-minrtime.json \
-  serve-incremental-hotspot.json figures.json
+  serve-maxweight-capacity.json serve-incremental-hotspot.json figures.json
 
 goldens: build
 	@mkdir -p $(GOLDENS)
@@ -350,6 +361,7 @@ goldens: build
 	_build/default/bin/main.exe $(REPRO_SERVE) > $(GOLDENS)/serve.json 2>/dev/null
 	_build/default/bin/main.exe $(REPRO_SERVE_POLICY) > $(GOLDENS)/serve-policy.json 2>/dev/null
 	_build/default/bin/main.exe $(REPRO_SERVE_MINRTIME) > $(GOLDENS)/serve-minrtime.json 2>/dev/null
+	_build/default/bin/main.exe $(REPRO_SERVE_CAPACITY) > $(GOLDENS)/serve-maxweight-capacity.json 2>/dev/null
 	_build/default/bin/main.exe $(REPRO_SERVE_HOTSPOT) > $(GOLDENS)/serve-incremental-hotspot.json 2>/dev/null
 	@rm -rf _golden_figures && mkdir _golden_figures
 	cd _golden_figures && ../_build/default/bench/main.exe $(FIGURES) >/dev/null

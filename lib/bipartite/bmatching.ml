@@ -2,19 +2,26 @@ type t = { graph : Bgraph.t; left_copy : int array; right_copy : int array }
 
 (* One side of the expansion: vertex [u] owns expanded vertices
    [off.(u), off.(u + 1)), max cap 1 of them, and [next.(u)] is the copy
-   the next edge at [u] goes to. *)
-type side = { cap : int array; off : int array; next : int array }
-type copies = { left : side; right : side }
+   the next edge at [u] goes to.  [ones] holds when every capacity is
+   exactly 1, so every vertex is its own only copy. *)
+type side = { cap : int array; off : int array; next : int array; ones : bool }
+type copies = { left : side; right : side; identity : bool }
 
 let side n cap =
   let off = Array.make (n + 1) 0 in
+  let ones = ref true in
   for u = 0 to n - 1 do
     if cap.(u) < 0 then invalid_arg "Bmatching.expand: negative capacity";
+    if cap.(u) <> 1 then ones := false;
     off.(u + 1) <- off.(u) + max cap.(u) 1
   done;
-  { cap; off; next = Array.make n 0 }
+  { cap; off; next = Array.make n 0; ones = !ones }
 
-let copies ~nl ~nr ~cl ~cr = { left = side nl cl; right = side nr cr }
+let copies ~nl ~nr ~cl ~cr =
+  let left = side nl cl and right = side nr cr in
+  { left; right; identity = left.ones && right.ones }
+
+let identity c = c.identity
 
 (* The round-robin rule: the k-th edge at [u] goes to copy [k mod cap u],
    the counter wrapping around at [cap u]. *)

@@ -40,6 +40,14 @@ val expanded_nl : copies -> int
 
 val expanded_nr : copies -> int
 
+val identity : copies -> bool
+(** Whether every capacity on both sides is exactly 1.  Then each vertex
+    is its own copy: [copy_left c u = u] and [copy_right c v = v] for every
+    [u] and [v] in range, and the expanded sides have [nl] and [nr]
+    vertices, so a caller may use the ports as they are and skip the
+    counters.  The caller must then reject a port out of range itself, as
+    the copy calls do with [Invalid_argument]. *)
+
 val max_copy_degree : Bgraph.t -> cl:int array -> cr:int array -> int
 (** The maximum degree of the expanded graph:
     [max over vertices of ceil(degree / capacity)]. *)

@@ -8,7 +8,10 @@ module Weighted_matching = Flowsched_bipartite.Weighted_matching
    identity and the behaviour is exactly the paper's.  Each pending flow is
    expanded as it is read ([Bmatching.copies], the rule [Bmatching.expand]
    applies to [Policy.queue_graph]), so no graph of the queue itself is
-   built.  The expansion counts flows rather than demand units, so for
+   built.  When every capacity is 1 ([Bmatching.identity], read once per
+   call) a flow's expanded ends are its ports, so it is expanded without
+   the copy counters; a port out of range still raises [Invalid_argument].
+   The expansion counts flows rather than demand units, so for
    non-unit demands (outside the paper's experimental setting) the
    candidate matching is filtered through a demand-weighted capacity check,
    dropping the lightest-priority overflow; with unit demands the filter
@@ -40,11 +43,15 @@ let maxcard =
         if Array.length queue = 0 then []
         else begin
           let c = copies ctx in
+          let identity = Bmatching.identity c in
           let g =
             Bgraph.init ~nl:(Bmatching.expanded_nl c) ~nr:(Bmatching.expanded_nr c)
               (Array.length queue) (fun i ->
-                let u = Bmatching.copy_left c queue.(i).Flow.src in
-                { Bgraph.u; v = Bmatching.copy_right c queue.(i).Flow.dst })
+                let f = queue.(i) in
+                if identity then { Bgraph.u = f.Flow.src; v = f.Flow.dst }
+                else
+                  let u = Bmatching.copy_left c f.Flow.src in
+                  { Bgraph.u; v = Bmatching.copy_right c f.Flow.dst })
           in
           admit_feasible ctx (Flowsched_bipartite.Matching.max_cardinality g)
         end);
@@ -63,14 +70,23 @@ let maxcard =
    the per-flow ones.  The pair table has an entry per expanded pair, so
    it is used only where it is no longer than the queue; on wider
    switches few flows share a pair anyway, and each flow is its own edge.
-   Both weights are integers, converted to float once per edge. *)
+   Both weights are integers, converted to float once per edge.
+
+   The pass is one loop per rule.  A flow's pair key is u * nr + v for its
+   expanded ends u and v: on the identity expansion its ports themselves,
+   else the copy counters' next copies.  Reads are unchecked only where
+   the loop bounds the index ([i < n], [e < pairs]).  Indices taken from a
+   flow's ports stay checked, since callers build the contexts: on the
+   identity expansion MaxWeight's port counts check a flow's ports, and
+   [identity_key] checks them for MinRTime. *)
 type rule = Min_rtime | Max_weight
 
 (* One domain's pair table, reused by every call: edge [e] is expanded
    pair [pair.(e)] = u * nr + v with witness flow [flow.(e)] of weight
    [best.(e)], and [edge] maps a pair back to its edge, -1 while unseen.
-   A call first clears the [pairs] entries the last one set, so a call
-   abandoned by an exception leaves no trace. *)
+   A call first clears the [pairs] entries the last one set, and [pairs]
+   counts every entry as it is set, so a call abandoned by an exception
+   leaves no trace. *)
 type table = {
   mutable edge : int array;
   mutable pair : int array;
@@ -86,19 +102,45 @@ let tables =
 let grow a need fill =
   if Array.length a >= need then a else Array.make (max need (3 * Array.length a / 2)) fill
 
+(* The table for [keys] expanded pairs, with every entry of the last call
+   cleared. *)
+let table keys =
+  let t = Domain.DLS.get tables in
+  for e = 0 to t.pairs - 1 do
+    t.edge.(Array.unsafe_get t.pair e) <- -1
+  done;
+  t.pairs <- 0;
+  t.edge <- grow t.edge keys (-1);
+  t.pair <- grow t.pair keys 0;
+  t.flow <- grow t.flow keys 0;
+  t.best <- grow t.best keys 0;
+  t
+
+(* Pair [key]'s first flow [i], of weight [w], as the next edge. *)
+let first t key i w =
+  let e = t.pairs in
+  t.pair.(e) <- key;
+  t.flow.(e) <- i;
+  t.best.(e) <- w;
+  t.pairs <- e + 1;
+  t.edge.(key) <- e
+
+let identity_key ~nl ~nr (f : Flow.t) =
+  let u = f.Flow.src and v = f.Flow.dst in
+  if u < 0 || u >= nl || v < 0 || v >= nr then
+    invalid_arg "Heuristics: flow port out of range";
+  (u * nr) + v
+
 let weighted_select ctx rule =
   let queue = ctx.Policy.queue in
   let n = Array.length queue in
   if n = 0 then []
   else begin
     let c = copies ctx in
+    let identity = Bmatching.identity c in
     let nl = Bmatching.expanded_nl c and nr = Bmatching.expanded_nr c in
     let ports k = match rule with Max_weight -> Array.make k 0 | Min_rtime -> [||] in
     let qin = ports ctx.Policy.m and qout = ports ctx.Policy.m' in
-    let count (f : Flow.t) =
-      qin.(f.Flow.src) <- qin.(f.Flow.src) + 1;
-      qout.(f.Flow.dst) <- qout.(f.Flow.dst) + 1
-    in
     (* MaxWeight's weight holds once every flow is counted *)
     let weight i =
       let f = queue.(i) in
@@ -108,58 +150,63 @@ let weighted_select ctx rule =
     in
     let matched =
       if nl * nr <= n then begin
-        let t = Domain.DLS.get tables in
-        for e = 0 to t.pairs - 1 do
-          t.edge.(t.pair.(e)) <- -1
-        done;
-        t.pairs <- 0;
-        t.edge <- grow t.edge (nl * nr) (-1);
-        t.pair <- grow t.pair (nl * nr) 0;
-        t.flow <- grow t.flow (nl * nr) 0;
-        t.best <- grow t.best (nl * nr) 0;
-        Array.iteri
-          (fun i (f : Flow.t) ->
-            let key = (Bmatching.copy_left c f.Flow.src * nr) + Bmatching.copy_right c f.Flow.dst in
+        let t = table (nl * nr) in
+        let edge = t.edge in
+        (match rule with
+        | Max_weight ->
             (* MaxWeight's flows on one pair weigh the same, so its first
                flow is the witness *)
-            let w =
-              match rule with
-              | Min_rtime -> weight i
-              | Max_weight ->
-                  count f;
-                  0
-            in
-            let e = t.edge.(key) in
-            if e < 0 then begin
-              let e = t.pairs in
-              t.edge.(key) <- e;
-              t.pair.(e) <- key;
-              t.flow.(e) <- i;
-              t.best.(e) <- w;
-              t.pairs <- e + 1
-            end
-            else if w > t.best.(e) then begin
-              t.flow.(e) <- i;
-              t.best.(e) <- w
-            end)
-          queue;
+            for i = 0 to n - 1 do
+              let f = Array.unsafe_get queue i in
+              let u = f.Flow.src and v = f.Flow.dst in
+              qin.(u) <- qin.(u) + 1;
+              qout.(v) <- qout.(v) + 1;
+              let key =
+                if identity then (u * nr) + v
+                else (Bmatching.copy_left c u * nr) + Bmatching.copy_right c v
+              in
+              if edge.(key) < 0 then first t key i 0
+            done
+        | Min_rtime ->
+            let r1 = ctx.Policy.round + 1 in
+            for i = 0 to n - 1 do
+              let f = Array.unsafe_get queue i in
+              let key =
+                if identity then identity_key ~nl ~nr f
+                else (Bmatching.copy_left c f.Flow.src * nr) + Bmatching.copy_right c f.Flow.dst
+              in
+              let w = r1 - f.Flow.release in
+              let e = edge.(key) in
+              if e < 0 then first t key i w
+              else if w > Array.unsafe_get t.best e then begin
+                Array.unsafe_set t.flow e i;
+                Array.unsafe_set t.best e w
+              end
+            done);
         let p = Weighted_matching.problem ~nl ~nr ~edges:n in
         for e = 0 to t.pairs - 1 do
-          let key = t.pair.(e) in
+          let key = Array.unsafe_get t.pair e in
           Weighted_matching.add_edge p (key / nr) (key mod nr)
-            (float_of_int (weight t.flow.(e)))
+            (float_of_int (weight (Array.unsafe_get t.flow e)))
         done;
         List.map (fun e -> t.flow.(e)) (Weighted_matching.solve p)
       end
       else begin
-        (match rule with Max_weight -> Array.iter count queue | Min_rtime -> ());
+        (match rule with
+        | Max_weight ->
+            for i = 0 to n - 1 do
+              let f = Array.unsafe_get queue i in
+              qin.(f.Flow.src) <- qin.(f.Flow.src) + 1;
+              qout.(f.Flow.dst) <- qout.(f.Flow.dst) + 1
+            done
+        | Min_rtime -> ());
         let p = Weighted_matching.problem ~nl ~nr ~edges:n in
-        Array.iteri
-          (fun i (f : Flow.t) ->
-            let u = Bmatching.copy_left c f.Flow.src in
-            let v = Bmatching.copy_right c f.Flow.dst in
-            Weighted_matching.add_edge p u v (float_of_int (weight i)))
-          queue;
+        for i = 0 to n - 1 do
+          let f = Array.unsafe_get queue i in
+          let u = if identity then f.Flow.src else Bmatching.copy_left c f.Flow.src in
+          let v = if identity then f.Flow.dst else Bmatching.copy_right c f.Flow.dst in
+          Weighted_matching.add_edge p u v (float_of_int (weight i))
+        done;
         Weighted_matching.solve p
       end
     in

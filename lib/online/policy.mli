@@ -31,12 +31,16 @@ type t = {
     engine and [Server.run]'s policy core each keep one and hand it to
     [Engine.run_slot], which builds every slot's context from it.  Flows
     are appended as they arrive; a selection removes the flows at its
-    indices.  The queue array is built once per slot that changed it and
-    reused as is across slots that did not.  A replaced array of a deep
-    queue lives in the major heap, and a slot loop that allocates little
-    else runs too few minor collections to pace the major GC, so every
-    4 Ki words of replaced arrays ask for a major slice of 8 times that
-    work. *)
+    indices.  The queue array is built once per slot that changed it, in
+    one pass, and reused as is across slots that did not.  A rebuild
+    writes into the array the previous rebuild replaced whenever that
+    array has the new length, so at a steady backlog two arrays take
+    turns and a slot allocates nothing here.  Otherwise it allocates a
+    fresh array and drops that one.  A dropped array of a deep queue lives
+    in the major heap, and a slot loop that allocates little else runs too
+    few minor collections to pace the major GC, so every 4 Ki words of
+    dropped arrays ask for a major slice of 8 times that work; arrays kept
+    for reuse do not count. *)
 module Pending : sig
   type t
 
@@ -52,7 +56,10 @@ module Pending : sig
   val queue : t -> Flowsched_switch.Flow.t array
   (** The pending flows, oldest first, as an array of exactly {!length}
       flows — the same array as last time when nothing was pushed or
-      removed since.  Do not mutate it. *)
+      removed since.  Do not mutate it.  The array stays valid until the
+      next [queue] call that changes the queue, which may overwrite it:
+      read it within the slot, as [Engine.run_slot] and every policy do,
+      and copy what must outlive the slot. *)
 
   val remove : t -> int list -> unit
   (** [remove t ids] drops the flows at indices [ids] of the last {!queue}.

@@ -1,6 +1,7 @@
 open Flowsched_switch
 module Metrics = Flowsched_obs.Metrics
 module Trace = Flowsched_obs.Trace
+module Json = Flowsched_util.Json
 module Policy = Flowsched_online.Policy
 module Pending = Policy.Pending
 
@@ -23,10 +24,29 @@ exception Horizon_exceeded of { round : int; pending : int }
 let violation what round =
   raise (Policy_violation (Printf.sprintf "%s selection at round %d" what round))
 
+(* One [policy.select] span per slot, with the policy, the queue length
+   and the flows selected.  Tracing off, a slot allocates no closure for
+   it. *)
+let select (policy : Policy.t) ctx =
+  if not (Trace.enabled ()) then policy.Policy.select ctx
+  else begin
+    let selected = ref [] in
+    Trace.with_span "policy.select"
+      ~args:(fun () ->
+        [
+          ("policy", Json.Str policy.Policy.name);
+          ("queue", Json.Int (Array.length ctx.Policy.queue));
+          ("selected", Json.Int (List.length !selected));
+        ])
+      (fun () ->
+        selected := policy.Policy.select ctx;
+        !selected)
+  end
+
 let run_slot ?endpoint ~m ~m' ~cap_in ~cap_out ~round (policy : Policy.t) pending =
   let queue = Pending.queue pending in
   let ctx = { Policy.m; m'; cap_in; cap_out; round; queue } in
-  let selected = policy.Policy.select ctx in
+  let selected = select policy ctx in
   (try Pending.remove pending selected with Invalid_argument msg -> raise (Policy_violation msg));
   if not (Policy.feasible_selection ctx selected) then violation "capacity-infeasible" round;
   let chosen = List.map (fun i -> queue.(i)) selected in

@@ -40,7 +40,11 @@ val run_slot :
     pending queue, check its selection (indices in range and distinct,
     port capacities, and node capacities under [endpoint]), and remove the
     selected flows from the queue.  Returns them in selection order.
-    Raises {!Policy_violation} on a bad selection. *)
+    Raises {!Policy_violation} on a bad selection.  With tracing on, the
+    policy's select runs in one [policy.select] span whose args are
+    ["policy"] (its name), ["queue"] (the queue length) and ["selected"]
+    (the number of flows it selected); with tracing off the span costs one
+    flag load. *)
 
 val run_instance :
   ?endpoint:Flowsched_switch.Endpoint.t -> ?max_rounds:int ->

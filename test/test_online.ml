@@ -70,6 +70,26 @@ let test_fifo_work_conserving () =
   let r = Engine.run_instance Heuristics.fifo inst in
   Alcotest.(check int) "never idles with pending flows" 0 r.Engine.rounds_idle
 
+(* One [policy.select] span per slot, naming the policy and carrying the
+   queue length it saw and the number of flows it selected. *)
+let test_engine_select_span () =
+  let module Trace = Flowsched_obs.Trace in
+  (* three flows on one port pair, released at 0, 0 and 1: FIFO runs one
+     a round, so the queues it sees hold 2, 2 and 1 flows *)
+  let inst = mk ~m:1 [ (0, 0, 1, 0); (0, 0, 1, 0); (0, 0, 1, 1) ] in
+  Trace.start ();
+  ignore (Engine.run_instance Heuristics.fifo inst);
+  Trace.stop ();
+  let args =
+    List.filter_map
+      (fun sp -> if sp.Trace.name = "policy.select" then Some sp.Trace.args else None)
+      (Trace.spans ())
+  in
+  let slot queue selected =
+    Flowsched_util.Json.[ ("policy", Str "FIFO"); ("queue", Int queue); ("selected", Int selected) ]
+  in
+  Alcotest.(check bool) "one span per round" true (args = [ slot 2 1; slot 2 1; slot 1 1 ])
+
 (* --- heuristic-specific behaviour --- *)
 
 let test_maxcard_is_maximum () =
@@ -323,7 +343,9 @@ let prop_max_response_at_least_fractional_rho =
    Half the queues are deep, 25-300 flows, and then usually longer than
    the expanded switch has port pairs, so MinRTime and MaxWeight take one
    Hungarian edge per pair; releases are unsorted, so MinRTime's witness
-   of a pair is often not its first flow. *)
+   of a pair is often not its first flow.  In one draw of three every
+   capacity is 1, so the policies expand flows by the identity
+   ([Bmatching.identity]) instead of the copy counters. *)
 let random_context seed =
   let g = Flowsched_util.Prng.create seed in
   let int lo hi = lo + Flowsched_util.Prng.int g (hi - lo + 1) in
@@ -335,22 +357,18 @@ let random_context seed =
         Flow.make ~id ~src:(int 0 (m - 1)) ~dst:(int 0 (m' - 1)) ~demand:(int 1 3)
           ~release:(int 0 round) ())
   in
-  {
-    Policy.m;
-    m';
-    cap_in = Array.init m (fun _ -> int 1 3);
-    cap_out = Array.init m' (fun _ -> int 1 3);
-    round;
-    queue;
-  }
+  let cap = if Flowsched_util.Prng.int g 3 = 0 then fun () -> 1 else fun () -> int 1 3 in
+  let cap_in = Array.init m (fun _ -> cap ()) in
+  let cap_out = Array.init m' (fun _ -> cap ()) in
+  { Policy.m; m'; cap_in; cap_out; round; queue }
 
 (* A wide switch past the Hungarian's sparse crossover: 24-64 input ports
    and, in three draws of four, 24-64 output ports with m <> m'; in the
    fourth only 1-2 output ports, so the queue usually has more flows than
    the expanded switch has port pairs and the sparse solver gets one edge
-   per pair.  Capacities and demands 1-2, and 2-8 flows at each input
-   port, about a quarter of them parallel to the port's previous flow,
-   queued in shuffled order. *)
+   per pair.  Capacities and demands 1-2 (every capacity 1 in one draw of
+   three), and 2-8 flows at each input port, about a quarter of them
+   parallel to the port's previous flow, queued in shuffled order. *)
 let random_wide_context seed =
   let g = Flowsched_util.Prng.create seed in
   let int lo hi = lo + Flowsched_util.Prng.int g (hi - lo + 1) in
@@ -381,14 +399,10 @@ let random_wide_context seed =
         Flow.make ~id ~src ~dst ~demand:(int 1 2) ~release:(int 0 round) ())
       ends
   in
-  {
-    Policy.m;
-    m';
-    cap_in = Array.init m (fun _ -> int 1 2);
-    cap_out = Array.init m' (fun _ -> int 1 2);
-    round;
-    queue;
-  }
+  let cap = if Flowsched_util.Prng.int g 3 = 0 then fun () -> 1 else fun () -> int 1 2 in
+  let cap_in = Array.init m (fun _ -> cap ()) in
+  let cap_out = Array.init m' (fun _ -> cap ()) in
+  { Policy.m; m'; cap_in; cap_out; round; queue }
 
 (* The matching policies select exactly what the reference pipeline does
    (queue graph, expansion, array-of-arrays Hungarian or Hopcroft-Karp,
@@ -411,6 +425,201 @@ let prop_wide_selections_match_reference =
       && Heuristics.maxweight.Policy.select ctx = Reference.maxweight ctx
       && Heuristics.maxcard.Policy.select ctx = Reference.maxcard ctx)
 
+(* The pair table is cleared from its own count of the entries it set, so
+   a pass abandoned by an exception must leave that count accurate.  On a
+   deep 3 x 3 switch, a flow at a zero-capacity output (the copy counters'
+   path) or at an output out of range (the identity path) raises
+   [Invalid_argument] halfway through the pass, after six pairs have an
+   entry; the next calls, on valid deep contexts of the same geometry,
+   must still select what the reference does. *)
+let test_table_survives_raise () =
+  let broken ~cap_out ~bad =
+    let queue =
+      Array.init 60 (fun id ->
+          let dst = if id = 30 then bad else id / 3 mod 2 in
+          Flow.make ~id ~src:(id mod 3) ~dst ~release:(id mod 5) ())
+    in
+    { Policy.m = 3; m' = 3; cap_in = [| 1; 1; 1 |]; cap_out; round = 5; queue }
+  in
+  let valid seed cap =
+    let g = Flowsched_util.Prng.create seed in
+    let queue =
+      Array.init 90 (fun id ->
+          Flow.make ~id ~src:(Flowsched_util.Prng.int g 3) ~dst:(Flowsched_util.Prng.int g 3)
+            ~release:(Flowsched_util.Prng.int g 8) ())
+    in
+    { Policy.m = 3; m' = 3; cap_in = Array.make 3 cap; cap_out = Array.make 3 cap; round = 7; queue }
+  in
+  List.iter
+    (fun (label, ctx) ->
+      List.iter
+        (fun ((p : Policy.t), reference) ->
+          (match p.Policy.select ctx with
+          | _ -> Alcotest.failf "%s: %s did not raise" label p.Policy.name
+          | exception Invalid_argument _ -> ());
+          List.iter
+            (fun next ->
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s, then %s = reference" label p.Policy.name)
+                (reference next) (p.Policy.select next))
+            [ valid 1 1; valid 2 2; valid 3 1 ])
+        [ (Heuristics.minrtime, Reference.minrtime); (Heuristics.maxweight, Reference.maxweight) ])
+    [
+      ("zero-capacity output", broken ~cap_out:[| 1; 1; 0 |] ~bad:2);
+      ("output out of range", broken ~cap_out:[| 1; 1; 1 |] ~bad:3);
+    ]
+
+(* --- Policy.Pending against a list model ---
+
+   The model keeps what the implementation promises: the last queue, the
+   indices removed from it since, and the arrivals since, oldest first.
+   One run in three keeps the length constant (each step removes k flows
+   and pushes k), so the rebuild writes into its spare array; one in three
+   shrinks (each step removes more than it pushes), so the spare never has
+   the right length; the rest mix the operations at random.  Every run
+   also tries removals out of range and repeated ones. *)
+let prop_pending_matches_model =
+  QCheck2.Test.make ~name:"Pending = list model" ~count:300
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let module P = Policy.Pending in
+      let g = Flowsched_util.Prng.create seed in
+      let int lo hi = lo + Flowsched_util.Prng.int g (hi - lo + 1) in
+      let p = P.create () in
+      let next_id = ref 0 in
+      (* model *)
+      let last = ref (P.queue p) and last_copy = ref [||] in
+      let removed = ref [] and arrived = ref [] in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let same a b = Array.length a = Array.length b && Array.for_all2 ( == ) a b in
+      let expected () =
+        Array.append
+          (Array.of_list
+             (List.filteri (fun i _ -> not (List.mem i !removed)) (Array.to_list !last)))
+          (Array.of_list (List.rev !arrived))
+      in
+      let push () =
+        let f = Flow.make ~id:!next_id ~src:0 ~dst:0 ~release:!next_id () in
+        incr next_id;
+        P.push p f;
+        arrived := f :: !arrived
+      in
+      (* applied in order, as [remove] does, up to the first bad index *)
+      let remove ids =
+        let rec valid seen = function
+          | [] -> Ok ()
+          | i :: rest ->
+              if i < 0 || i >= Array.length !last || List.mem i seen then Error seen
+              else valid (i :: seen) rest
+        in
+        let outcome = valid !removed ids in
+        match (P.remove p ids, outcome) with
+        | (), Ok () -> removed := List.rev_append ids !removed
+        | (), Error _ -> check false
+        | exception Invalid_argument _ -> (
+            match outcome with Error seen -> removed := seen | Ok () -> check false)
+      in
+      let queue () =
+        (* the last array is untouched until a queue call changes it *)
+        check (same !last !last_copy);
+        let changed = !removed <> [] || !arrived <> [] in
+        let want = expected () in
+        check (P.length p = Array.length want);
+        check (same (Array.of_list (P.to_list p)) want);
+        let q = P.queue p in
+        check (same q want);
+        check (changed || q == !last);
+        check (same (Array.of_list (P.to_list p)) q);
+        last := q;
+        last_copy := Array.copy q;
+        removed := [];
+        arrived := []
+      in
+      let live () =
+        List.filter (fun i -> not (List.mem i !removed)) (List.init (Array.length !last) Fun.id)
+      in
+      (* k distinct live indices of the last queue, in random order *)
+      let pick k =
+        let a = Array.of_list (live ()) in
+        Flowsched_util.Sampling.shuffle g a;
+        Array.to_list (Array.sub a 0 (min k (Array.length a)))
+      in
+      let bad () =
+        match (int 0 2, live ()) with
+        | 0, _ -> remove [ -1 - int 0 3 ]
+        | 1, _ -> remove [ Array.length !last + int 0 3 ]
+        | _, i :: _ -> remove [ i; i ]
+        | _, [] -> remove [ 0 ]
+      in
+      let shape = int 0 2 in
+      for _ = 1 to int 0 40 do
+        push ()
+      done;
+      queue ();
+      for _ = 1 to int 1 40 do
+        (match shape with
+        | 0 ->
+            let k = int 0 4 in
+            remove (pick k);
+            for _ = 1 to k do
+              push ()
+            done
+        | 1 ->
+            let k = int 1 4 in
+            remove (pick k);
+            for _ = 1 to int 0 (k - 1) do
+              push ()
+            done
+        | _ -> (
+            match int 0 2 with
+            | 0 ->
+                for _ = 1 to int 1 4 do
+                  push ()
+                done
+            | 1 -> remove (pick (int 1 4))
+            | _ -> ()));
+        if int 0 5 = 0 then bad ();
+        queue ();
+        if int 0 3 = 0 then queue ()
+      done;
+      !ok)
+
+(* At a constant length the rebuild writes into its spare array: after the
+   first two rebuilds, a slot's [queue] allocates nothing. *)
+let test_pending_steady_allocates_nothing () =
+  let module P = Policy.Pending in
+  let p = P.create () in
+  let next = ref 0 in
+  let push () =
+    P.push p (Flow.make ~id:!next ~src:0 ~dst:0 ());
+    incr next
+  in
+  for _ = 1 to 100 do
+    push ()
+  done;
+  let words f =
+    let w0 = Gc.minor_words () in
+    let w1 = Gc.minor_words () in
+    f ();
+    let w2 = Gc.minor_words () in
+    w2 -. w1 -. (w1 -. w0)
+  in
+  let slot () = ignore (P.queue p) in
+  let steps =
+    List.init 6 (fun k ->
+        if k > 0 then begin
+          P.remove p [ k mod 50 ];
+          push ()
+        end;
+        words slot)
+  in
+  match steps with
+  | first :: second :: steady ->
+      Alcotest.(check bool) "the first two rebuilds allocate" true (first > 0. && second > 0.);
+      List.iter (fun w -> Alcotest.(check (float 0.)) "steady rebuild" 0. w) steady
+  | _ -> assert false
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
@@ -421,6 +630,7 @@ let () =
         prop_max_response_at_least_fractional_rho;
         prop_selections_match_reference;
         prop_wide_selections_match_reference;
+        prop_pending_matches_model;
       ]
   in
   Alcotest.run "flowsched_online"
@@ -431,6 +641,12 @@ let () =
           Alcotest.test_case "rejects bad policies" `Quick test_engine_rejects_bad_policy;
           Alcotest.test_case "detects stalls" `Quick test_engine_stalls_detected;
           Alcotest.test_case "fifo work conserving" `Quick test_fifo_work_conserving;
+          Alcotest.test_case "policy.select span" `Quick test_engine_select_span;
+        ] );
+      ( "pending",
+        [
+          Alcotest.test_case "steady rebuild allocates nothing" `Quick
+            test_pending_steady_allocates_nothing;
         ] );
       ( "heuristics",
         [
@@ -445,6 +661,7 @@ let () =
             test_minrtime_max_response_can_exceed_fifo;
           Alcotest.test_case "policies on demand workloads" `Quick test_policies_on_demand_workloads;
           Alcotest.test_case "general capacities" `Quick test_policies_respect_general_capacities;
+          Alcotest.test_case "pair table survives a raise" `Quick test_table_survives_raise;
         ] );
       ( "lower-bounds",
         [
